@@ -58,11 +58,10 @@ from .jacobian import (
     verify_density_shape,
 )
 from .matrixcore import anticommutator, frobenius_norm, haar_unitary, hermitian_eig
-from .sampler import ChainReport, ChainState, ks_compare, metropolis_step, p1_quadrature_cdf, run_chain
+from .sampler import ChainReport, ks_compare, p1_quadrature_cdf, run_chain
 
 __all__ = [
     "ChainReport",
-    "ChainState",
     "DegenerateJacobian",
     "FeketeResult",
     "HermitianPair",
@@ -90,7 +89,6 @@ __all__ = [
     "ks_compare",
     "log_kappa_commuting",
     "log_rho",
-    "metropolis_step",
     "minimize_commuting",
     "minimize_tau",
     "p1_quadrature_cdf",

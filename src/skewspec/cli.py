@@ -47,10 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("SKEWSPEC_SEED", "0"))
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -275,9 +271,9 @@ def cmd_sample(args, parser: _Parser) -> int:
         parser.error("--p must be >= 1")
     if args.samples < 1:
         parser.error("--samples must be >= 1")
-    if args.thin < 1:
+    if args.thin is not None and args.thin < 1:
         parser.error("--thin must be >= 1")
-    if args.burnin < 0:
+    if args.burnin is not None and args.burnin < 0:
         parser.error("--burnin must be >= 0")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -388,10 +384,9 @@ def _build_parser() -> _Parser:
     pv.add_argument("--p", type=int, default=None, help="number of skew-spectrum points")
     pv.add_argument("--trials", type=int, default=100)
     pv.add_argument("--gamma", type=float, default=1.0)
-    pv.add_argument("--seed", type=int, default=_default_seed())
+    pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--out", required=True, help="output directory")
     pv.add_argument("--spectrum", default=None, help="evaluate one fixed spectrum x1,y1,...")
-    pv.add_argument("--threads", type=int, default=1)
     pv.set_defaults(func=cmd_verify_jacobian)
 
     pf = sub.add_parser("fekete", help="compute a maximal-likelihood configuration")
@@ -401,9 +396,8 @@ def _build_parser() -> _Parser:
     pf.add_argument("--restarts", type=int, default=8)
     pf.add_argument("--max-iters", type=int, default=50_000)
     pf.add_argument("--grad-tol", type=float, default=None)
-    pf.add_argument("--seed", type=int, default=_default_seed())
+    pf.add_argument("--seed", type=int, default=None)
     pf.add_argument("--out", required=True)
-    pf.add_argument("--threads", type=int, default=1)
     pf.set_defaults(func=cmd_fekete)
 
     ps = sub.add_parser("sample", help="run a Metropolis chain over skew spectra")
@@ -412,9 +406,8 @@ def _build_parser() -> _Parser:
     ps.add_argument("--samples", type=int, required=True)
     ps.add_argument("--burnin", type=int, default=None)
     ps.add_argument("--thin", type=int, default=None)
-    ps.add_argument("--seed", type=int, default=_default_seed())
+    ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--out", required=True)
-    ps.add_argument("--threads", type=int, default=1)
     ps.set_defaults(func=cmd_sample)
 
     pd = sub.add_parser("density", help="evaluate log_rho and tau for configurations in a CSV file")
@@ -432,14 +425,14 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
+    if hasattr(args, "seed") and args.seed is None:
+        text = os.environ.get("SKEWSPEC_SEED", "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            parser.error(f"SKEWSPEC_SEED must be an integer, got {text!r}")
     if getattr(args, "gamma", 1.0) is not None and getattr(args, "gamma", 1.0) <= 0:
         parser.error("--gamma must be positive")
-    if getattr(args, "burnin", 0) is None:
-        args.burnin = 10_000 * args.p
-    if getattr(args, "thin", 1) is None:
-        args.thin = 10 * args.p
     try:
         return args.func(args, parser)
     except BrokenPipeError:

@@ -93,27 +93,52 @@ def lemma_d1_bounds(z_i, z_j, eps: float, m: float):
     return 128.0 * eps**6 * d2, 200.0 * m**6 * d2
 
 
-def _pairwise_factors(pts: np.ndarray):
-    """The four (p, p) factor arrays f1..f4 of the pair product."""
+def _kernel(pts: np.ndarray, grad: bool = False):
+    """The one evaluation of the density's terms at a (p, 2) configuration.
+
+    Returns None where the density vanishes (a nonpositive coordinate or a
+    zero pair factor). Otherwise returns the triple
+    (sum_k |z_k|^2, sum_k log(x_k y_k |z_k|), sum_{i<j} log f(z_i, z_j)),
+    or with ``grad`` the x and y gradients of the pair sum instead.
+    """
+    if np.any(pts <= 0.0):
+        return None
     x, y = pts[:, 0], pts[:, 1]
-    dx = x[:, None] - x[None, :]
-    sx = x[:, None] + x[None, :]
-    dy = y[:, None] - y[None, :]
-    sy = y[:, None] + y[None, :]
-    return dx * dx + dy * dy, sx * sx + dy * dy, dx * dx + sy * sy, sx * sx + sy * sy
-
-
-def _log_pair_sum(pts: np.ndarray):
-    """(sum_{i<j} log f(z_i, z_j), all factors positive?)."""
     p = pts.shape[0]
-    if p < 2:
-        return 0.0, True
-    f1, f2, f3, f4 = _pairwise_factors(pts)
-    iu = np.triu_indices(p, 1)
-    prod_parts = np.stack([f1[iu], f2[iu], f3[iu], f4[iu]])
-    if np.any(prod_parts <= 0.0):
-        return -np.inf, False
-    return float(np.sum(np.log(prod_parts))), True
+    log_pairs, pair_grad = 0.0, (0.0, 0.0)
+    if p > 1:
+        if grad:
+            # every ordered pair, as (p, p) arrays whose rows sum to the gradient
+            i, j = np.s_[:, None], np.s_[None, :]
+        else:
+            # every unordered pair once
+            i, j = np.triu_indices(p, 1)
+        xi, xj, yi, yj = x[i], x[j], y[i], y[j]
+        dx, sx, dy, sy = xi - xj, xi + xj, yi - yj, yi + yj
+        dx2, sx2, dy2, sy2 = dx * dx, sx * sx, dy * dy, sy * sy
+        f1, f2, f3, f4 = dx2 + dy2, sx2 + dy2, dx2 + sy2, sx2 + sy2
+        if grad:
+            np.fill_diagonal(f1, 1.0)  # a point is no pair with itself
+        # for positive coordinates |dx| <= sx and |dy| <= sy, and rounding
+        # keeps that order, so f1 is the smallest factor
+        if np.any(f1 <= 0.0):
+            return None
+        if grad:
+            inv1, inv2, inv3, inv4 = 1.0 / f1, 1.0 / f2, 1.0 / f3, 1.0 / f4
+            for inv in (inv1, inv2, inv3, inv4):
+                np.fill_diagonal(inv, 0.0)
+            pair_grad = (
+                np.sum(2.0 * dx * (inv1 + inv3) + 2.0 * sx * (inv2 + inv4), axis=1),
+                np.sum(2.0 * dy * (inv1 + inv2) + 2.0 * sy * (inv3 + inv4), axis=1),
+            )
+        else:
+            # one (4, m) sum: its order fixes the bits of every seeded artifact
+            log_pairs = float(np.sum(np.log(np.stack([f1, f2, f3, f4]))))
+    if grad:
+        return pair_grad
+    r2 = x * x + y * y
+    log_point = float(np.sum(np.log(x) + np.log(y) + 0.5 * np.log(r2)))
+    return float(np.sum(r2)), log_point, log_pairs
 
 
 def log_rho(s, w: WeightSpec) -> LogDensityValue:
@@ -123,17 +148,11 @@ def log_rho(s, w: WeightSpec) -> LogDensityValue:
     with a vanishing factor (nonpositive coordinate, coincident points)
     give ``finite=False``.
     """
-    pts = _points(s)
-    if np.any(pts <= 0.0):
+    terms = _kernel(_points(s))
+    if terms is None:
         return LogDensityValue(-np.inf, False)
-    x, y = pts[:, 0], pts[:, 1]
-    r2 = x * x + y * y
-    z_norm_sq = 2.0 * float(np.sum(r2))
-    log_point = float(np.sum(np.log(x) + np.log(y) + 0.5 * np.log(r2)))
-    log_pairs, ok = _log_pair_sum(pts)
-    if not ok:
-        return LogDensityValue(-np.inf, False)
-    total = w.log_weight(np.sqrt(z_norm_sq)) + log_point + log_pairs
+    sq_sum, log_point, log_pairs = terms
+    total = w.log_weight(np.sqrt(2.0 * sq_sum)) + log_point + log_pairs
     return LogDensityValue(float(total), True)
 
 
@@ -147,17 +166,11 @@ def tau(s, gamma: float = 1.0) -> float:
     and length bounds of the Fekete module are calibrated to. Returns
     +inf when any log argument vanishes.
     """
-    pts = _points(s)
-    if np.any(pts <= 0.0):
+    terms = _kernel(_points(s))
+    if terms is None:
         return np.inf
-    x, y = pts[:, 0], pts[:, 1]
-    r2 = x * x + y * y
-    quad = 0.5 * gamma * float(np.sum(r2))
-    log_point = float(np.sum(np.log(x) + np.log(y) + 0.5 * np.log(r2)))
-    log_pairs, ok = _log_pair_sum(pts)
-    if not ok:
-        return np.inf
-    return quad - log_point - log_pairs
+    sq_sum, log_point, log_pairs = terms
+    return 0.5 * gamma * sq_sum - log_point - log_pairs
 
 
 def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
@@ -168,29 +181,13 @@ def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
     and symmetrically in y. Raises ValueError where tau is infinite.
     """
     pts = _points(s)
-    if np.any(pts <= 0.0):
+    pair_grad = _kernel(pts, grad=True)
+    if pair_grad is None:
         raise ValueError("tau is infinite at this configuration; gradient undefined")
     x, y = pts[:, 0], pts[:, 1]
     r2 = x * x + y * y
-    gx = gamma * x - 1.0 / x - x / r2
-    gy = gamma * y - 1.0 / y - y / r2
-    p = pts.shape[0]
-    if p > 1:
-        f1, f2, f3, f4 = _pairwise_factors(pts)
-        np.fill_diagonal(f1, 1.0)  # diagonal excluded from the pair sums
-        if np.any(f1 <= 0.0):
-            raise ValueError("tau is infinite at this configuration; gradient undefined")
-        dx = x[:, None] - x[None, :]
-        sx = x[:, None] + x[None, :]
-        dy = y[:, None] - y[None, :]
-        sy = y[:, None] + y[None, :]
-        inv1, inv2, inv3, inv4 = 1.0 / f1, 1.0 / f2, 1.0 / f3, 1.0 / f4
-        np.fill_diagonal(inv1, 0.0)
-        np.fill_diagonal(inv2, 0.0)
-        np.fill_diagonal(inv3, 0.0)
-        np.fill_diagonal(inv4, 0.0)
-        gx -= np.sum(2.0 * dx * (inv1 + inv3) + 2.0 * sx * (inv2 + inv4), axis=1)
-        gy -= np.sum(2.0 * dy * (inv1 + inv2) + 2.0 * sy * (inv3 + inv4), axis=1)
+    gx = gamma * x - 1.0 / x - x / r2 - pair_grad[0]
+    gy = gamma * y - 1.0 / y - y / r2 - pair_grad[1]
     return np.column_stack([gx, gy])
 
 

@@ -179,6 +179,29 @@ def _descend(z0, value_fn, grad_fn, lower, upper, config, grad_tol):
     return z, f, gnorm, iteration, np.array(trace), converged
 
 
+def _multistart(start, perturb, value_fn, grad_fn, lower, upper, cfg):
+    """Best ``_descend`` result over ``cfg.restarts`` starts.
+
+    Restart 0 descends from ``start`` itself; restart r > 0 from
+    ``perturb(start, rng)`` with the r-th stream spawned from the seed.
+    The lowest value wins, ties resolved by restart index, so a fixed seed
+    gives bit-identical output. The default gradient tolerance is 1e-6
+    per point.
+    """
+    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-6 * start.shape[0]
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    best = None
+    for r in range(cfg.restarts):
+        z0 = start.copy() if r == 0 else perturb(start, np.random.default_rng(streams[r]))
+        result = _descend(z0, value_fn, grad_fn, lower, upper, cfg, grad_tol)
+        f = result[1]
+        if np.isfinite(f) and (best is None or f < best[1] - _tie_tol(best[1])):
+            best = result
+    if best is None:
+        raise RuntimeError("no restart reached a finite objective value")
+    return best
+
+
 def minimize_tau(p: int, config: OptimizerConfig | None = None, gamma: float = 1.0) -> FeketeResult:
     """Best local minimizer of tau over `restarts` perturbed grid starts.
 
@@ -188,33 +211,16 @@ def minimize_tau(p: int, config: OptimizerConfig | None = None, gamma: float = 1
     output. Points are returned sorted ascending in x.
     """
     cfg = config or OptimizerConfig()
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-6 * p
     k_bound = solve_K_bound(p)
-    start = grid_initialization(p).points
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-
-    best = None
-    for r in range(cfg.restarts):
-        if r == 0:
-            z0 = start.copy()
-        else:
-            rng = np.random.default_rng(streams[r])
-            z0 = start * np.exp(0.1 * rng.standard_normal(start.shape))
-        z, f, gnorm, iters, trace, conv = _descend(
-            z0,
-            lambda z: tau(z, gamma),
-            lambda z: grad_tau(z, gamma),
-            cfg.boundary_floor,
-            k_bound,
-            cfg,
-            grad_tol,
-        )
-        if np.isfinite(f) and (best is None or f < best[1] - _tie_tol(best[1])):
-            best = (z, f, gnorm, iters, trace, conv)
-    if best is None:
-        raise RuntimeError("no restart reached a finite tau value")
-
-    z, f, gnorm, iters, trace, conv = best
+    z, f, gnorm, iters, trace, conv = _multistart(
+        grid_initialization(p).points,
+        lambda start, rng: start * np.exp(0.1 * rng.standard_normal(start.shape)),
+        lambda z: tau(z, gamma),
+        lambda z: grad_tau(z, gamma),
+        cfg.boundary_floor,
+        k_bound,
+        cfg,
+    )
     order = np.argsort(z[:, 0], kind="stable")
     return FeketeResult(
         points=SkewSpectrum(z[order]),
@@ -233,22 +239,20 @@ def fekete_set(p: int, config: OptimizerConfig | None = None, gamma: float = 1.0
     return SkewSpectrum(result.points.points / np.sqrt(p))
 
 
-def _commuting_value_grad(pts: np.ndarray, gamma: float):
+def _commuting_grad(pts: np.ndarray, gamma: float) -> np.ndarray:
+    """Gradient of -log_kappa_commuting; raises where the objective is infinite."""
     n = pts.shape[0]
-    quad = gamma * float(np.sum(pts * pts))
     grad = 2.0 * gamma * pts
     if n > 1:
         diff = pts[:, None, :] - pts[None, :, :]
         dist2 = np.sum(diff * diff, axis=2)
-        gaps = dist2[np.triu_indices(n, 1)]
-        if np.any(gaps <= 0.0):
-            return np.inf, None
-        quad -= float(np.sum(np.log(gaps)))
         np.fill_diagonal(dist2, 1.0)
+        if np.any(dist2 <= 0.0):
+            raise ValueError("objective is infinite; gradient undefined")
         inv = 1.0 / dist2
         np.fill_diagonal(inv, 0.0)
         grad -= 2.0 * np.einsum("klj,kl->kj", diff, inv)
-    return quad, grad
+    return grad
 
 
 def _commuting_grid(n: int, d: int) -> np.ndarray:
@@ -276,40 +280,17 @@ def minimize_commuting(
     if n < 1:
         raise ValueError("n must be >= 1")
     cfg = config or OptimizerConfig()
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-6 * n
     half_width = 4.0 * np.sqrt(n)
-    start = _commuting_grid(n, d)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-
-    def value_fn(z):
-        v, _ = _commuting_value_grad(z, gamma)
-        return v
-
-    def grad_fn(z):
-        _, g = _commuting_value_grad(z, gamma)
-        if g is None:
-            raise ValueError("objective is infinite; gradient undefined")
-        return g
-
-    best = None
-    for r in range(cfg.restarts):
-        if r == 0:
-            z0 = start.copy()
-        else:
-            rng = np.random.default_rng(streams[r])
-            z0 = start + 0.1 * rng.standard_normal(start.shape)
-        z, f, gnorm, iters, trace, conv = _descend(
-            z0, value_fn, grad_fn, -half_width, half_width, cfg, grad_tol
-        )
-        if np.isfinite(f) and (best is None or f < best[1] - _tie_tol(best[1])):
-            best = (z, f, gnorm, iters, trace, conv)
-    if best is None:
-        raise RuntimeError("no restart reached a finite objective value")
-
-    z, f, gnorm, iters, trace, conv = best
+    z, f, gnorm, iters, trace, conv = _multistart(
+        _commuting_grid(n, d),
+        lambda start, rng: start + 0.1 * rng.standard_normal(start.shape),
+        lambda z: -log_kappa_commuting(z, gamma).log_unnormalized,
+        lambda z: _commuting_grad(z, gamma),
+        -half_width,
+        half_width,
+        cfg,
+    )
     order = np.lexsort(z.T[::-1])
-    check = log_kappa_commuting(z, gamma)
-    assert check.finite, "optimizer returned a coincident configuration"
     return CommutingResult(
         points=z[order],
         value_final=float(f),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import WeightSpec, log_rho, pair_factor_f
+from .density import WeightSpec, _kernel, log_rho
 from .ensemble import SkewSpectrum, build_block_diag
 from .matrixcore import check_unitary
 
@@ -233,14 +233,17 @@ def gram_determinant(s: SkewSpectrum, unitary=None) -> float:
 
 
 def closed_form_log_gram(s: SkewSpectrum) -> float:
-    """log of the closed-form Gram determinant."""
-    x, y = s.x, s.y
-    r2 = x * x + y * y
-    total = float(np.sum(np.log(256.0 * x * x * y * y * r2)))
-    for i in range(s.p):
-        for j in range(i + 1, s.p):
-            total += 2.0 * np.log(pair_factor_f(s.points[i], s.points[j]))
-    return total
+    """log of the closed-form Gram determinant, evaluated in log space.
+
+    The closed form is 256^p times the square of the density's point and
+    pair products, so its log is p log 256 + 2 (log_point + log_pairs);
+    -inf where a pair factor vanishes.
+    """
+    terms = _kernel(s.points)
+    if terms is None:
+        return -np.inf
+    _, log_point, log_pairs = terms
+    return float(s.p * np.log(256.0) + 2.0 * (log_point + log_pairs))
 
 
 def closed_form_gram(s: SkewSpectrum) -> float:

@@ -11,7 +11,7 @@ to validate the chain against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -24,17 +24,6 @@ from .matrixcore import haar_unitary
 ADAPT_WINDOW = 200
 ACCEPT_TARGET_LOW = 0.2
 ACCEPT_TARGET_HIGH = 0.4
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Current configuration with its cached log density and counters."""
-
-    config: SkewSpectrum
-    log_density: float
-    step_scale: float
-    accepted: int = 0
-    proposed: int = 0
 
 
 @dataclass(frozen=True)
@@ -77,35 +66,6 @@ def _propose_and_decide(pts, log_density, step_scale, w, rng):
     if delta >= 0.0 or np.log(rng.uniform()) < delta:
         return proposal, candidate.log_unnormalized, True
     return pts, log_density, False
-
-
-def initial_state(p: int, w: WeightSpec, step_scale: float = 0.5) -> ChainState:
-    """Chain start at the grid configuration (always of finite density)."""
-    config = grid_initialization(p)
-    value = log_rho(config, w)
-    return ChainState(config=config, log_density=value.log_unnormalized, step_scale=step_scale)
-
-
-def metropolis_step(state: ChainState, w: WeightSpec, rng=None) -> ChainState:
-    """One Metropolis transition from ``state``.
-
-    The proposal perturbs all 2p coordinates by independent Gaussians of
-    scale ``state.step_scale`` and is accepted with probability
-    min(1, exp(delta log rho)).
-    """
-    if not np.isfinite(state.log_density):
-        raise ValueError("chain state has vanishing density")
-    gen = np.random.default_rng(rng)
-    pts, log_density, accepted = _propose_and_decide(
-        state.config.points, state.log_density, state.step_scale, w, gen
-    )
-    return replace(
-        state,
-        config=SkewSpectrum(pts) if accepted else state.config,
-        log_density=log_density,
-        accepted=state.accepted + int(accepted),
-        proposed=state.proposed + 1,
-    )
 
 
 def run_chain(

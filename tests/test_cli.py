@@ -202,3 +202,43 @@ def test_seed_env_default(tmp_path, monkeypatch, capsys):
     out = tmp_path / "env"
     assert run_cli("verify-jacobian", "--p", "1", "--trials", "2", "--out", str(out)) == EXIT_OK
     assert read_json(out / "manifest.json")["seed"] == 77
+
+
+def test_seed_env_invalid(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SKEWSPEC_SEED", "abc")
+    # commands without --seed never read the variable
+    assert run_cli("kbound", "--p", "2") == EXIT_OK
+    points = tmp_path / "pts.csv"
+    points.write_text("1.0,2.0\n")
+    assert run_cli("density", "--points", str(points)) == EXIT_OK
+    # an explicit --seed wins over the variable
+    out = tmp_path / "explicit"
+    assert run_cli("verify-jacobian", "--p", "1", "--trials", "2", "--seed", "3", "--out", str(out)) == EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify-jacobian", "--p", "1", "--trials", "2", "--out", str(tmp_path / "env"))
+    assert exc.value.code == EXIT_USAGE
+    assert "SKEWSPEC_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-jacobian", "--p", "1"),
+        ("fekete", "--n", "2"),
+        ("sample", "--p", "1", "--samples", "10"),
+    ],
+)
+def test_threads_flag_removed(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--threads", "2", "--out", str(tmp_path / "t"))
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_sample_defaults_resolved_in_run_chain(tmp_path):
+    out = tmp_path / "defaults"
+    assert run_cli("sample", "--p", "1", "--samples", "20", "--seed", "1", "--out", str(out)) == EXIT_OK
+    chain = read_json(out / "chain.json")
+    assert (chain["burn_in"], chain["thinning"]) == (10_000, 10)
+    parameters = read_json(out / "manifest.json")["parameters"]
+    assert parameters["burnin"] is None and parameters["thin"] is None

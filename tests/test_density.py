@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from skewspec.density import (
     WeightSpec,
@@ -160,6 +163,48 @@ def test_grad_tau_matches_finite_differences():
         analytic = grad_tau(s)
         numeric = central_difference(np.array(s.points))
         assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(analytic)
+
+
+# property tests of the shared kernel behind tau, log_rho and grad_tau;
+# derandomized so the suite stays reproducible
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+configurations = st.integers(1, 6).flatmap(
+    lambda p: arrays(np.float64, (p, 2), elements=st.floats(0.1, 5.0))
+)
+
+
+@PROPERTY_SETTINGS
+@given(configurations, st.floats(0.1, 4.0))
+def test_tau_equals_minus_log_rho_at_half_gamma(pts, gamma):
+    t = tau(pts, gamma)
+    assume(np.isfinite(t))
+    expected = -log_rho(pts, WeightSpec(gamma / 2.0)).log_unnormalized
+    # relative to the largest term, which bounds the rounding of both sides
+    scale = max(1.0, abs(t), 0.5 * gamma * float(np.sum(pts * pts)))
+    assert abs(t - expected) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(configurations, st.randoms(use_true_random=False))
+def test_tau_invariant_under_permutation_and_swap(pts, rnd):
+    t = tau(pts)
+    assume(np.isfinite(t))
+    perm = list(range(pts.shape[0]))
+    rnd.shuffle(perm)
+    tol = 1e-12 * max(1.0, abs(t), 0.5 * float(np.sum(pts * pts)))
+    assert abs(tau(pts[perm]) - t) <= tol
+    assert abs(tau(pts[:, ::-1]) - t) <= tol
+
+
+@PROPERTY_SETTINGS
+@given(configurations)
+def test_grad_tau_matches_finite_differences_property(pts):
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2)) + np.eye(pts.shape[0]) * 1e9
+    assume(np.min(dist) >= 0.2)
+    analytic = grad_tau(pts)
+    numeric = central_difference(pts)
+    assert np.linalg.norm(analytic - numeric) <= 1e-6 * max(1.0, np.linalg.norm(analytic))
 
 
 def test_grad_tau_rejects_infinite_tau():

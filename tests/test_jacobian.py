@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewspec.density import pair_factor_f
+from skewspec.density import WeightSpec, log_rho, pair_factor_f
 from skewspec.ensemble import SkewSpectrum, random_generic_spectrum
 from skewspec.jacobian import (
     DegenerateJacobian,
@@ -120,6 +120,24 @@ def test_closed_form_matches_numeric():
             s = random_generic_spectrum(p, rng)
             rel = abs(np.exp(gram_log_determinant(s) - closed_form_log_gram(s)) - 1.0)
             assert rel <= 1e-8
+
+
+def test_closed_form_log_gram_finite_at_large_scale():
+    # near 1e40 each pair factor is ~1e160, so a product of raw factors
+    # overflows; the closed form must stay in log space like log_rho does
+    s = SkewSpectrum([(1.0e40, 2.0e40), (3.0e40, 1.5e40)])
+    assert log_rho(s, WeightSpec(gamma=1.0)).finite
+    x, y = s.x, s.y
+    expected = 2 * np.log(256.0)
+    for k in range(2):
+        expected += 2 * np.log(x[k]) + 2 * np.log(y[k]) + np.log(x[k] ** 2 + y[k] ** 2)
+    dx, sx = x[0] - x[1], x[0] + x[1]
+    dy, sy = y[0] - y[1], y[0] + y[1]
+    for a, b in ((dx, dy), (sx, dy), (dx, sy), (sx, sy)):
+        expected += 2 * np.log(a * a + b * b)
+    value = closed_form_log_gram(s)
+    assert np.isfinite(value)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_rank_equals_dimension():

@@ -3,11 +3,11 @@ import pytest
 
 from skewspec.density import WeightSpec, log_rho
 from skewspec.ensemble import extract_skew_spectrum
+from skewspec.fekete import grid_initialization
 from skewspec.sampler import (
+    _propose_and_decide,
     acceptance_probability,
-    initial_state,
     ks_compare,
-    metropolis_step,
     p1_quadrature_cdf,
     run_chain,
     sample_ambient_pair,
@@ -24,50 +24,48 @@ def test_acceptance_probability_is_metropolis_rule():
     assert acceptance_probability(-np.log(4.0)) == pytest.approx(0.25, rel=1e-15)
 
 
-def test_initial_state_consistent_cache():
-    state = initial_state(3, W_HALF)
-    assert state.log_density == pytest.approx(
-        log_rho(state.config, W_HALF).log_unnormalized, rel=1e-12
-    )
-    assert state.accepted == 0 and state.proposed == 0
-
-
-def test_metropolis_step_counters_and_domain():
-    # a huge step from a point near the boundary is almost surely negative,
-    # hence rejected with the configuration unchanged
-    state = initial_state(1, W_HALF, step_scale=200.0)
+def test_propose_and_decide_rejects_outside_quadrant():
+    # a huge step from the p = 1 grid start is almost surely out of the
+    # quadrant, hence rejected with the points and log density unchanged
+    pts = grid_initialization(1).points
+    log_density = log_rho(pts, W_HALF).log_unnormalized
     rejected = 0
     for seed in range(20):
-        out = metropolis_step(state, W_HALF, seed)
-        assert out.proposed == 1
-        if out.accepted == 0:
+        out, out_log, accepted = _propose_and_decide(
+            pts, log_density, 200.0, W_HALF, np.random.default_rng(seed)
+        )
+        if not accepted:
             rejected += 1
-            assert np.array_equal(out.config.points, state.config.points)
-            assert out.log_density == state.log_density
+            assert np.array_equal(out, pts)
+            assert out_log == log_density
     assert rejected >= 18
 
 
-def test_metropolis_step_deterministic():
-    state = initial_state(2, W_HALF)
-    a = metropolis_step(state, W_HALF, 5)
-    b = metropolis_step(state, W_HALF, 5)
-    assert np.array_equal(a.config.points, b.config.points)
-    assert a.accepted == b.accepted
+def test_initial_state_consistent_cache():
+    # the chain starts at the grid configuration with its log density cached;
+    # every transition from there keeps that cache equal to log_rho
+    pts = grid_initialization(3).points
+    log_density = log_rho(pts, W_HALF).log_unnormalized
+    assert np.isfinite(log_density)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        pts, log_density, _ = _propose_and_decide(pts, log_density, 0.5, W_HALF, rng)
+        assert log_density == pytest.approx(log_rho(pts, W_HALF).log_unnormalized, rel=1e-12)
 
 
 def test_metropolis_trajectory_stays_finite():
-    state = initial_state(2, W_HALF)
+    pts = grid_initialization(2).points
+    log_density = log_rho(pts, W_HALF).log_unnormalized
     rng = np.random.default_rng(6)
+    accepted_total = 0
     for _ in range(200):
-        state = metropolis_step(state, W_HALF, rng)
-        assert np.isfinite(state.log_density)
-        assert np.all(state.config.points > 0)
-    assert state.proposed == 200
-    assert 0 < state.accepted <= 200
+        pts, log_density, accepted = _propose_and_decide(pts, log_density, 0.5, W_HALF, rng)
+        accepted_total += int(accepted)
+        assert np.isfinite(log_density)
+        assert np.all(pts > 0)
+    assert 0 < accepted_total <= 200
     # cached log density stays consistent with the configuration
-    assert state.log_density == pytest.approx(
-        log_rho(state.config, W_HALF).log_unnormalized, rel=1e-12
-    )
+    assert log_density == pytest.approx(log_rho(pts, W_HALF).log_unnormalized, rel=1e-12)
 
 
 def test_run_chain_defaults_and_acceptance():
