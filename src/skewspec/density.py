@@ -20,6 +20,7 @@ the dropped constant. Both parametrizations are kept verbatim; neither is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +97,10 @@ def lemma_d1_bounds(z_i, z_j, eps: float, m: float):
 def _kernel(pts: np.ndarray, grad: bool = False):
     """The one evaluation of the density's terms at a (p, 2) configuration.
 
-    Returns None where the density vanishes (a nonpositive coordinate or a
-    zero pair factor). Otherwise returns the triple
+    Returns None where the density vanishes (a nonpositive coordinate or
+    two coincident points). Raises FloatingPointError where a term cannot
+    be represented: a pair factor of distinct points that rounds to 0, or
+    a point or pair log that is not finite. Otherwise returns the triple
     (sum_k |z_k|^2, sum_k log(x_k y_k |z_k|), sum_{i<j} log f(z_i, z_j)),
     or with ``grad`` the x and y gradients of the pair sum instead.
     """
@@ -121,8 +124,11 @@ def _kernel(pts: np.ndarray, grad: bool = False):
             np.fill_diagonal(f1, 1.0)  # a point is no pair with itself
         # for positive coordinates |dx| <= sx and |dy| <= sy, and rounding
         # keeps that order, so f1 is the smallest factor
-        if np.any(f1 <= 0.0):
-            return None
+        vanishing = f1 <= 0.0
+        if np.any(vanishing):
+            if np.any((dx[vanishing] == 0.0) & (dy[vanishing] == 0.0)):
+                return None  # coincident points
+            raise FloatingPointError("a pair factor of distinct points underflows to 0")
         if grad:
             inv1, inv2, inv3, inv4 = 1.0 / f1, 1.0 / f2, 1.0 / f3, 1.0 / f4
             for inv in (inv1, inv2, inv3, inv4):
@@ -138,6 +144,8 @@ def _kernel(pts: np.ndarray, grad: bool = False):
         return pair_grad
     r2 = x * x + y * y
     log_point = float(np.sum(np.log(x) + np.log(y) + 0.5 * np.log(r2)))
+    if not math.isfinite(log_point + log_pairs):
+        raise FloatingPointError("a density term is not finite at this scale")
     return float(np.sum(r2)), log_point, log_pairs
 
 

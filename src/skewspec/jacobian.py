@@ -1,11 +1,12 @@
 """Numerical verification of the skew-spectrum Jacobian.
 
 The parametrization G maps (unitary coset, skew spectrum) to a generic
-anti-commuting pair. Its derivative dG is assembled column by column from
-an orthonormal tangent basis: three skew-Hermitian directions R_k, S_k,
-T_k per 2x2 block, eight inter-block directions R_{ij,ab}, S_{ij,ab} per
-block pair, and the 2p spectral directions e1_k, e2_k. The Gram
-determinant det(dG^T dG) then has the closed form
+anti-commuting pair. Its derivative dG is assembled as one array from an
+orthonormal tangent basis: three skew-Hermitian directions R_k, S_k, T_k
+per 2x2 block and eight inter-block directions R_{ij,ab}, S_{ij,ab} per
+block pair, imaged by one commutator over their stack, and the 2p spectral
+directions e1_k, e2_k, imaged by index. The Gram determinant det(dG^T dG)
+then has the closed form
 
     prod_k 256 x_k^2 y_k^2 (x_k^2 + y_k^2) * prod_{i<j} f(z_i, z_j)^2,
 
@@ -122,73 +123,48 @@ def hermitian_coordinates(a: np.ndarray) -> np.ndarray:
     """Orthonormal real coordinates of a Hermitian matrix (length n^2).
 
     Diagonal first, then sqrt(2) * Re and sqrt(2) * Im of the strict upper
-    triangle; the 2-norm of the result equals the Frobenius norm.
+    triangle; the 2-norm of the result equals the Frobenius norm. A stack
+    of matrices (the last two axes) gives a stack of coordinate vectors.
     """
-    n = a.shape[0]
-    iu = np.triu_indices(n, 1)
-    upper = a[iu]
-    return np.concatenate([np.real(np.diag(a)), np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag])
+    iu = np.triu_indices(a.shape[-1], 1)
+    upper = a[..., iu[0], iu[1]]
+    diag = np.real(np.diagonal(a, axis1=-2, axis2=-1))
+    return np.concatenate([diag, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
 
 
 def ambient_coordinates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian pair (length 2 n^2)."""
-    return np.concatenate([hermitian_coordinates(x), hermitian_coordinates(y)])
-
-
-def _image_pair(pair, v: TangentBasisElement):
-    """(slot-1, slot-2) Hermitian image of one tangent direction under dG."""
-    n = pair.n
-    if v.matrix is not None:
-        m = v.matrix
-        return m @ pair.X - pair.X @ m, m @ pair.Y - pair.Y @ m
-    k = v.indices[0]
-    block = np.zeros((n, n), dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    if v.tag == "e1":
-        block[2 * k - 2, 2 * k - 2] = 1.0
-        block[2 * k - 1, 2 * k - 1] = -1.0
-        return block, zero
-    if v.tag == "e2":
-        block[2 * k - 2, 2 * k - 1] = 1.0
-        block[2 * k - 1, 2 * k - 2] = 1.0
-        return zero, block
-    raise ValueError(f"unknown basis element tag {v.tag!r}")
-
-
-def apply_dG(s: SkewSpectrum, v: TangentBasisElement) -> np.ndarray:
-    """Image of one tangent direction under dG, in ambient coordinates.
-
-    A unitary direction S maps to ([S, A_x], [S, B_y]); the spectral
-    direction e1_k maps to (A_{delta_k}, 0) and e2_k to (0, B_{delta_k}).
-    """
-    ax, by = _image_pair(build_block_diag(s), v)
-    return ambient_coordinates(ax, by)
-
-
-def _require_generic(s: SkewSpectrum):
-    if not s.is_generic():
-        raise DegenerateJacobian(
-            "skew spectrum has coincident x or y coordinates; "
-            "the parametrization is a chart only on the generic stratum"
-        )
+    """Isometric real coordinates of a Hermitian pair (length 2 n^2), or of a stack of pairs."""
+    coords = hermitian_coordinates(np.stack([x, y], axis=-3))
+    return coords.reshape(*coords.shape[:-2], -1)
 
 
 def assemble_dG(s: SkewSpectrum, unitary=None) -> np.ndarray:
     """The (2 n^2) x (4p^2 + p) real matrix of dG images, column per basis element.
 
-    When ``unitary`` is given, every image pair is conjugated by it before
+    A unitary direction S maps to ([S, A_x], [S, B_y]); the spectral
+    direction e1_k maps to (A_{delta_k}, 0) and e2_k to (0, B_{delta_k}).
+    Columns follow the order of :func:`enumerate_tangent_basis`. When
+    ``unitary`` is given, every image pair is conjugated by it before
     taking coordinates; the Gram determinant is invariant under this (the
     test hook for base-point independence).
     """
+    p, n = s.p, 2 * s.p
     pair = build_block_diag(s)
-    u = check_unitary(unitary) if unitary is not None else None
-    cols = []
-    for v in enumerate_tangent_basis(s.p):
-        ax, by = _image_pair(pair, v)
-        if u is not None:
-            ax, by = u @ ax @ u.conj().T, u @ by @ u.conj().T
-        cols.append(ambient_coordinates(ax, by))
-    return np.array(cols).T
+    gens = np.array([v.matrix for v in enumerate_tangent_basis(p) if v.matrix is not None])
+    ax = np.zeros((len(gens) + 2 * p, n, n), dtype=np.complex128)
+    by = np.zeros_like(ax)
+    ax[: len(gens)] = gens @ pair.X - pair.X @ gens
+    by[: len(gens)] = gens @ pair.Y - pair.Y @ gens
+    k = np.arange(p)
+    e1, e2 = len(gens) + k, len(gens) + p + k
+    ax[e1, 2 * k, 2 * k] = 1.0
+    ax[e1, 2 * k + 1, 2 * k + 1] = -1.0
+    by[e2, 2 * k, 2 * k + 1] = 1.0
+    by[e2, 2 * k + 1, 2 * k] = 1.0
+    if unitary is not None:
+        u = check_unitary(unitary)
+        ax, by = u @ ax @ u.conj().T, u @ by @ u.conj().T
+    return ambient_coordinates(ax, by).T
 
 
 def gram_matrix(s: SkewSpectrum, unitary=None) -> np.ndarray:
@@ -197,28 +173,29 @@ def gram_matrix(s: SkewSpectrum, unitary=None) -> np.ndarray:
 
 
 def _singular_values(s: SkewSpectrum, unitary=None) -> np.ndarray:
-    _require_generic(s)
-    m = assemble_dG(s, unitary=unitary)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] < RANK_TOL * sv[0]:
+    """Singular values of dG, descending; the one assembly and SVD behind rank and Gram."""
+    if not s.is_generic():
         raise DegenerateJacobian(
-            f"dG is rank deficient: smallest singular value {sv[-1]:.3e} "
-            f"below {RANK_TOL:.0e} * largest {sv[0]:.3e}"
+            "skew spectrum has coincident x or y coordinates; "
+            "the parametrization is a chart only on the generic stratum"
         )
-    return sv
+    return np.linalg.svd(assemble_dG(s, unitary=unitary), compute_uv=False)
 
 
 def jacobian_rank(s: SkewSpectrum) -> int:
     """Numerical rank of dG (full rank 4p^2 + p on the generic stratum)."""
-    _require_generic(s)
-    m = assemble_dG(s)
-    sv = np.linalg.svd(m, compute_uv=False)
+    sv = _singular_values(s)
     return int(np.sum(sv >= RANK_TOL * sv[0]))
 
 
 def gram_log_determinant(s: SkewSpectrum, unitary=None) -> float:
     """log det(dG^T dG); overflow-safe for large p."""
     sv = _singular_values(s, unitary=unitary)
+    if sv[-1] < RANK_TOL * sv[0]:
+        raise DegenerateJacobian(
+            f"dG is rank deficient: smallest singular value {sv[-1]:.3e} "
+            f"below {RANK_TOL:.0e} * largest {sv[0]:.3e}"
+        )
     return float(2.0 * np.sum(np.log(sv)))
 
 
@@ -256,26 +233,31 @@ def closed_form_gram(s: SkewSpectrum) -> float:
     return float(np.exp(closed_form_log_gram(s)))
 
 
-def shape_ratio(s: SkewSpectrum, gamma: float = 1.0) -> float:
-    """sqrt(det Gram) * w(||Z||_F) / exp(log_rho); constant (16^p) over generic s."""
+def _shape_ratio(s: SkewSpectrum, log_gram: float, gamma: float) -> float:
     w = WeightSpec(gamma=gamma)
     value = log_rho(s, w)
     if not value.finite:
         raise DegenerateJacobian("density vanishes at this spectrum")
     pair = build_block_diag(s)
-    log_ratio = (
-        0.5 * gram_log_determinant(s)
-        + w.log_weight(np.sqrt(pair.norm_squared))
-        - value.log_unnormalized
-    )
+    log_ratio = 0.5 * log_gram + w.log_weight(np.sqrt(pair.norm_squared)) - value.log_unnormalized
     return float(np.exp(log_ratio))
+
+
+def shape_ratio(s: SkewSpectrum, gamma: float = 1.0) -> float:
+    """sqrt(det Gram) * w(||Z||_F) / exp(log_rho); constant (16^p) over generic s."""
+    return _shape_ratio(s, gram_log_determinant(s), gamma)
 
 
 @dataclass(frozen=True)
 class DensityShapeReport:
-    """Shape-test outcome: the recorded ratios and their spread."""
+    """Shape-test outcome: the recorded ratios and their spread.
+
+    ``log_gram`` holds log det(dG^T dG) of each spectrum, the one Gram
+    factorization the ratio was computed from.
+    """
 
     ratios: np.ndarray
+    log_gram: np.ndarray
     mean: float
     coefficient_of_variation: float
     tolerance: float
@@ -291,11 +273,13 @@ def verify_density_shape(spectra, gamma: float = 1.0, tolerance: float = 1e-8) -
     """
     if isinstance(spectra, SkewSpectrum):
         spectra = [spectra]
-    ratios = np.array([shape_ratio(s, gamma=gamma) for s in spectra])
+    log_gram = np.array([gram_log_determinant(s) for s in spectra])
+    ratios = np.array([_shape_ratio(s, g, gamma) for s, g in zip(spectra, log_gram)])
     mean = float(np.mean(ratios))
     cv = float(np.std(ratios) / mean) if mean != 0 else np.inf
     return DensityShapeReport(
         ratios=ratios,
+        log_gram=log_gram,
         mean=mean,
         coefficient_of_variation=cv,
         tolerance=tolerance,

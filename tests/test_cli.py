@@ -35,6 +35,36 @@ def test_verify_jacobian_pinned_spectrum(tmp_path):
     assert report["shape_ratio"] == pytest.approx(16.0, rel=1e-9)
 
 
+def test_verify_jacobian_pinned_spectrum_beyond_double_range(tmp_path):
+    # p = 8: the Gram determinant exceeds the double range, its log does not
+    out = tmp_path / "vj8"
+    spectrum = "1,8.5,2,7.5,3,6.5,4,5.5,5,4.5,6,3.5,7,2.5,8,1.5"
+    assert run_cli("verify-jacobian", "--spectrum", spectrum, "--out", str(out)) == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"report.json is not strict JSON: {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["passed"] and report["max_rel_err"] <= 1e-8
+    assert report["gram"] is None and report["closed_form"] is None
+
+
+def test_verify_jacobian_assembles_each_spectrum_once(tmp_path, monkeypatch):
+    import skewspec.jacobian
+
+    calls = []
+    assemble = skewspec.jacobian.assemble_dG
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(skewspec.jacobian, "assemble_dG", counting)
+    out = tmp_path / "vj"
+    assert run_cli("verify-jacobian", "--p", "2", "--trials", "5", "--seed", "1", "--out", str(out)) == EXIT_OK
+    assert len(calls) == 5
+
+
 def test_verify_jacobian_degenerate_spectrum(tmp_path):
     out = tmp_path / "vjdeg"
     assert run_cli("verify-jacobian", "--spectrum", "1,1,1,2", "--out", str(out)) == EXIT_NUMERICAL
@@ -178,6 +208,14 @@ def test_density_data_errors(tmp_path, capsys):
     assert run_cli("density", "--points", str(tmp_path / "missing.csv")) == EXIT_DATA
 
 
+def test_density_underflow_exits_numerical(tmp_path, capsys):
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("1e-170,2e-170,3e-170,1.5e-170\n")
+    assert run_cli("density", "--points", str(tiny)) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+
+
 def test_kbound_output(capsys):
     assert run_cli("kbound", "--p", "1") == EXIT_OK
     out = capsys.readouterr().out
@@ -224,14 +262,16 @@ def test_seed_env_invalid(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify-jacobian", "--p", "1"),
-        ("fekete", "--n", "2"),
-        ("sample", "--p", "1", "--samples", "10"),
+        ("verify-jacobian", "--p", "1", "--threads", "2"),
+        ("fekete", "--n", "2", "--threads", "2"),
+        ("sample", "--p", "1", "--samples", "10", "--threads", "2"),
+        ("verify-jacobian", "--p", "1", "--gamma", "2"),
     ],
 )
 def test_threads_flag_removed(tmp_path, argv):
+    # each argv ends in a flag the command no longer has
     with pytest.raises(SystemExit) as exc:
-        run_cli(*argv, "--threads", "2", "--out", str(tmp_path / "t"))
+        run_cli(*argv, "--out", str(tmp_path / "t"))
     assert exc.value.code == EXIT_USAGE
 
 

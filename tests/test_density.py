@@ -17,6 +17,7 @@ from skewspec.density import (
 )
 from skewspec.ensemble import SkewSpectrum, build_block_diag, random_generic_spectrum
 from skewspec.fekete import grid_initialization
+from skewspec.jacobian import closed_form_log_gram
 
 
 def test_pair_factor_examples():
@@ -74,6 +75,24 @@ def test_log_rho_vanishing_cases():
     assert not coincident.finite and coincident.log_unnormalized == -np.inf
     zero = log_rho(np.array([[0.0, 1.0]]), WeightSpec(gamma=1.0))
     assert not zero.finite
+
+
+def test_kernel_fails_loudly_at_tiny_scale():
+    # distinct positive points whose pair factor and |z|^2 underflow to 0
+    tiny = np.array([[1.0, 2.0], [3.0, 1.5]]) * 1e-170
+    w = WeightSpec(gamma=1.0)
+    with pytest.raises(FloatingPointError):
+        log_rho(tiny, w)
+    with pytest.raises(FloatingPointError):
+        tau(tiny)
+    with pytest.raises(FloatingPointError):
+        closed_form_log_gram(SkewSpectrum(tiny))
+    with np.errstate(divide="ignore"), pytest.raises(FloatingPointError):
+        log_rho(np.array([[1.0, 1.0]]) * 1e-170, w)
+    # coincident points still mean a vanishing density, at any scale
+    coincident = np.array([[1.0, 2.0], [1.0, 2.0]]) * 1e-170
+    assert not log_rho(coincident, w).finite
+    assert tau(coincident) == np.inf
 
 
 def test_tau_p1_example():

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from skewspec.density import WeightSpec, log_rho, pair_factor_f
-from skewspec.ensemble import SkewSpectrum, random_generic_spectrum
+from skewspec.ensemble import SkewSpectrum, build_block_diag, random_generic_spectrum
 from skewspec.jacobian import (
     DegenerateJacobian,
     ambient_coordinates,
-    apply_dG,
     assemble_dG,
     closed_form_gram,
     closed_form_log_gram,
@@ -55,26 +54,61 @@ def test_ambient_coordinates_isometry():
         assert abs(np.linalg.norm(coords) - target) <= 1e-12 * max(1.0, target)
 
 
-def test_apply_dG_single_block_images():
+def _per_column_dG(s, unitary=None):
+    """dG one basis element at a time: commutator images, then the e1/e2 images."""
+    pair = build_block_diag(s)
+    n = 2 * s.p
+    cols = []
+    for v in enumerate_tangent_basis(s.p):
+        ax = np.zeros((n, n), dtype=complex)
+        by = np.zeros((n, n), dtype=complex)
+        a = 2 * v.indices[0] - 2
+        if v.matrix is not None:
+            ax, by = v.matrix @ pair.X - pair.X @ v.matrix, v.matrix @ pair.Y - pair.Y @ v.matrix
+        elif v.tag == "e1":
+            ax[a, a], ax[a + 1, a + 1] = 1.0, -1.0
+        else:
+            by[a, a + 1] = by[a + 1, a] = 1.0
+        if unitary is not None:
+            ax, by = unitary @ ax @ unitary.conj().T, unitary @ by @ unitary.conj().T
+        cols.append(ambient_coordinates(ax, by))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_assemble_dG_matches_per_column_oracle(p, conjugated):
+    rng = np.random.default_rng(20 + p)
+    s = random_generic_spectrum(p, rng, low=0.1, high=5.0)
+    u = haar_unitary(2 * p, rng) if conjugated else None
+    got = assemble_dG(s, unitary=u)
+    want = _per_column_dG(s, unitary=u)
+    assert got.shape == want.shape == (8 * p * p, 4 * p * p + p)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_assemble_dG_single_block_images():
     s = SkewSpectrum([(1.7, 0.6), (0.4, 2.2)])
     basis = enumerate_tangent_basis(2)
     by_key = {(b.tag, b.indices): b for b in basis}
+    columns = assemble_dG(s)
+    image = {(b.tag, b.indices): columns[:, i] for i, b in enumerate(basis)}
 
     for k in (1, 2):
         x_k, y_k = s.points[k - 1]
-        img = apply_dG(s, by_key[("S", (k,))])
-        # ([S_k, A_x], 0) with norm 2 x_k
+        img = image[("S", (k,))]
+        # ([S, A_x], 0) with norm 2 x_k
         assert np.linalg.norm(img) == pytest.approx(2.0 * x_k, rel=1e-12)
         r_k = by_key[("R", (k,))].matrix
         expected = ambient_coordinates(-2j * x_k * r_k, np.zeros((4, 4), dtype=complex))
         assert np.allclose(img, expected, atol=1e-14)
 
-        img = apply_dG(s, by_key[("T", (k,))])
+        img = image[("T", (k,))]
         expected = ambient_coordinates(np.zeros((4, 4), dtype=complex), 2j * y_k * r_k)
         assert np.linalg.norm(img) == pytest.approx(2.0 * y_k, rel=1e-12)
         assert np.allclose(img, expected, atol=1e-14)
 
-        img = apply_dG(s, by_key[("e1", (k,))])
+        img = image[("e1", (k,))]
         assert np.linalg.norm(img) == pytest.approx(np.sqrt(2.0), rel=1e-12)
         diag = img[:4]
         assert diag[2 * k - 2] == 1.0 and diag[2 * k - 1] == -1.0
