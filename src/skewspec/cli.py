@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import WeightSpec, log_rho, tau
+from .density import WeightSpec, log_rho_and_tau
 from .ensemble import SkewSpectrum, random_generic_spectrum
 from .fekete import OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
 from .jacobian import DegenerateJacobian, closed_form_log_gram, verify_density_shape
@@ -354,13 +354,15 @@ def cmd_density(args, parser: _Parser) -> int:
         return EXIT_DATA
 
     print("log_rho,tau")
-    for values in rows:
-        config = np.array(values).reshape(-1, 2)
-        value = log_rho(config, w)
-        log_text = _fmt(value.log_unnormalized) if value.finite else "-inf"
-        t = tau(config)
-        tau_text = _fmt(t) if np.isfinite(t) else "inf"
-        print(f"{log_text},{tau_text}")
+    # a log that underflows to -inf raises FloatingPointError in the kernel;
+    # numpy's divide warning would only repeat it
+    with np.errstate(divide="ignore"):
+        for values in rows:
+            # log_rho at --gamma, tau at gamma = 1
+            value, t = log_rho_and_tau(np.array(values).reshape(-1, 2), w)
+            log_text = _fmt(value.log_unnormalized) if value.finite else "-inf"
+            tau_text = _fmt(t) if np.isfinite(t) else "inf"
+            print(f"{log_text},{tau_text}")
     return EXIT_OK
 
 
@@ -410,7 +412,7 @@ def _build_parser() -> _Parser:
 
     pd = sub.add_parser("density", help="evaluate log_rho and tau for configurations in a CSV file")
     pd.add_argument("--points", required=True, help="CSV of rows x1,y1,...,xp,yp")
-    pd.add_argument("--gamma", type=float, default=1.0)
+    pd.add_argument("--gamma", type=float, default=1.0, help="weight of log_rho (tau always uses gamma = 1)")
     pd.set_defaults(func=cmd_density)
 
     pk = sub.add_parser("kbound", help="solve the a-priori length bound for p points")

@@ -20,6 +20,7 @@ the dropped constant. Both parametrizations are kept verbatim; neither is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,6 +95,18 @@ def lemma_d1_bounds(z_i, z_j, eps: float, m: float):
     return 128.0 * eps**6 * d2, 200.0 * m**6 * d2
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_index(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of every unordered pair i < j of p points.
+
+    Cached per p and read-only, since every caller shares the same arrays.
+    """
+    i, j = np.triu_indices(p, 1)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
 def _kernel(pts: np.ndarray, grad: bool = False):
     """The one evaluation of the density's terms at a (p, 2) configuration.
 
@@ -104,7 +117,7 @@ def _kernel(pts: np.ndarray, grad: bool = False):
     (sum_k |z_k|^2, sum_k log(x_k y_k |z_k|), sum_{i<j} log f(z_i, z_j)),
     or with ``grad`` the x and y gradients of the pair sum instead.
     """
-    if np.any(pts <= 0.0):
+    if (pts <= 0.0).any():
         return None
     x, y = pts[:, 0], pts[:, 1]
     p = pts.shape[0]
@@ -115,18 +128,25 @@ def _kernel(pts: np.ndarray, grad: bool = False):
             i, j = np.s_[:, None], np.s_[None, :]
         else:
             # every unordered pair once
-            i, j = np.triu_indices(p, 1)
+            i, j = _pair_index(p)
         xi, xj, yi, yj = x[i], x[j], y[i], y[j]
         dx, sx, dy, sy = xi - xj, xi + xj, yi - yj, yi + yj
         dx2, sx2, dy2, sy2 = dx * dx, sx * sx, dy * dy, sy * sy
-        f1, f2, f3, f4 = dx2 + dy2, sx2 + dy2, dx2 + sy2, sx2 + sy2
+        # the four factors as rows of one (4, ...) array, so the value path
+        # takes their logs in place
+        f = np.empty((4,) + dx.shape)
+        f1, f2, f3, f4 = f
+        np.add(dx2, dy2, out=f1)
+        np.add(sx2, dy2, out=f2)
+        np.add(dx2, sy2, out=f3)
+        np.add(sx2, sy2, out=f4)
         if grad:
             np.fill_diagonal(f1, 1.0)  # a point is no pair with itself
         # for positive coordinates |dx| <= sx and |dy| <= sy, and rounding
         # keeps that order, so f1 is the smallest factor
         vanishing = f1 <= 0.0
-        if np.any(vanishing):
-            if np.any((dx[vanishing] == 0.0) & (dy[vanishing] == 0.0)):
+        if vanishing.any():
+            if ((dx[vanishing] == 0.0) & (dy[vanishing] == 0.0)).any():
                 return None  # coincident points
             raise FloatingPointError("a pair factor of distinct points underflows to 0")
         if grad:
@@ -139,14 +159,28 @@ def _kernel(pts: np.ndarray, grad: bool = False):
             )
         else:
             # one (4, m) sum: its order fixes the bits of every seeded artifact
-            log_pairs = float(np.sum(np.log(np.stack([f1, f2, f3, f4]))))
+            log_pairs = float(np.log(f, out=f).sum())
     if grad:
         return pair_grad
     r2 = x * x + y * y
-    log_point = float(np.sum(np.log(x) + np.log(y) + 0.5 * np.log(r2)))
+    log_point = float((np.log(x) + np.log(y) + 0.5 * np.log(r2)).sum())
     if not math.isfinite(log_point + log_pairs):
         raise FloatingPointError("a density term is not finite at this scale")
-    return float(np.sum(r2)), log_point, log_pairs
+    return float(r2.sum()), log_point, log_pairs
+
+
+def _log_rho_of(terms, w: WeightSpec) -> LogDensityValue:
+    if terms is None:
+        return LogDensityValue(-np.inf, False)
+    sq_sum, log_point, log_pairs = terms
+    return LogDensityValue(w.log_weight(math.sqrt(2.0 * sq_sum)) + log_point + log_pairs, True)
+
+
+def _tau_of(terms, gamma: float) -> float:
+    if terms is None:
+        return np.inf
+    sq_sum, log_point, log_pairs = terms
+    return 0.5 * gamma * sq_sum - log_point - log_pairs
 
 
 def log_rho(s, w: WeightSpec) -> LogDensityValue:
@@ -156,12 +190,7 @@ def log_rho(s, w: WeightSpec) -> LogDensityValue:
     with a vanishing factor (nonpositive coordinate, coincident points)
     give ``finite=False``.
     """
-    terms = _kernel(_points(s))
-    if terms is None:
-        return LogDensityValue(-np.inf, False)
-    sq_sum, log_point, log_pairs = terms
-    total = w.log_weight(np.sqrt(2.0 * sq_sum)) + log_point + log_pairs
-    return LogDensityValue(float(total), True)
+    return _log_rho_of(_kernel(_points(s)), w)
 
 
 def tau(s, gamma: float = 1.0) -> float:
@@ -174,11 +203,13 @@ def tau(s, gamma: float = 1.0) -> float:
     and length bounds of the Fekete module are calibrated to. Returns
     +inf when any log argument vanishes.
     """
+    return _tau_of(_kernel(_points(s)), gamma)
+
+
+def log_rho_and_tau(s, w: WeightSpec) -> tuple[LogDensityValue, float]:
+    """``log_rho(s, w)`` and ``tau(s)`` (at gamma = 1) from one evaluation of the terms."""
     terms = _kernel(_points(s))
-    if terms is None:
-        return np.inf
-    sq_sum, log_point, log_pairs = terms
-    return 0.5 * gamma * sq_sum - log_point - log_pairs
+    return _log_rho_of(terms, w), _tau_of(terms, 1.0)
 
 
 def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
@@ -186,7 +217,8 @@ def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
 
     d tau / d x_k = gamma x_k - 1/x_k - x_k/(x_k^2+y_k^2)
                     - sum_{l != k} d/dx_k log f(z_k, z_l),
-    and symmetrically in y. Raises ValueError where tau is infinite.
+    and symmetrically in y. Raises ValueError where tau is infinite, and
+    FloatingPointError where a term of the gradient is not finite.
     """
     pts = _points(s)
     pair_grad = _kernel(pts, grad=True)
@@ -196,7 +228,10 @@ def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
     r2 = x * x + y * y
     gx = gamma * x - 1.0 / x - x / r2 - pair_grad[0]
     gy = gamma * y - 1.0 / y - y / r2 - pair_grad[1]
-    return np.column_stack([gx, gy])
+    g = np.column_stack([gx, gy])
+    if not np.isfinite(g).all():
+        raise FloatingPointError("a gradient term is not finite at this scale")
+    return g
 
 
 def log_kappa_commuting(lambdas, gamma: float) -> LogDensityValue:
@@ -214,8 +249,7 @@ def log_kappa_commuting(lambdas, gamma: float) -> LogDensityValue:
         return LogDensityValue(quad, True)
     diff = pts[:, None, :] - pts[None, :, :]
     dist_sq = np.sum(diff * diff, axis=2)
-    iu = np.triu_indices(n, 1)
-    gaps = dist_sq[iu]
+    gaps = dist_sq[_pair_index(n)]
     if np.any(gaps <= 0.0):
         return LogDensityValue(-np.inf, False)
     return LogDensityValue(quad + float(np.sum(np.log(gaps))), True)

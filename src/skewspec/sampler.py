@@ -57,8 +57,8 @@ def acceptance_probability(delta_log: float) -> float:
 def _propose_and_decide(pts, log_density, step_scale, w, rng):
     """One random-walk transition on raw coordinates; returns (pts, log, accepted)."""
     proposal = pts + step_scale * rng.standard_normal(pts.shape)
-    if np.any(proposal <= 0.0):
-        return pts, log_density, False
+    # log_rho is not finite outside the open quadrant, so such a proposal
+    # is rejected without drawing a uniform
     candidate = log_rho(proposal, w)
     if not candidate.finite:
         return pts, log_density, False

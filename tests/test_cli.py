@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -209,11 +210,34 @@ def test_density_data_errors(tmp_path, capsys):
 
 
 def test_density_underflow_exits_numerical(tmp_path, capsys):
+    # a p = 2 row whose pair factor underflows, and a p = 1 row whose |z|^2
+    # does; stderr holds the one failure line and numpy warns of nothing
     tiny = tmp_path / "tiny.csv"
-    tiny.write_text("1e-170,2e-170,3e-170,1.5e-170\n")
-    assert run_cli("density", "--points", str(tiny)) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+    for row in ("1e-170,2e-170,3e-170,1.5e-170", "1e-170,1e-170"):
+        tiny.write_text(row + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("density", "--points", str(tiny)) == EXIT_NUMERICAL
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+
+
+def test_density_tau_column_ignores_gamma(tmp_path, capsys):
+    # log_rho is taken at --gamma, tau always at gamma = 1
+    csv = tmp_path / "pts.csv"
+    csv.write_text("1,1\n2,3,0.5,1.5\n")
+    columns = {}
+    for gamma in ("0.5", "2"):
+        assert run_cli("density", "--points", str(csv), "--gamma", gamma) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "log_rho,tau"
+        columns[gamma] = list(zip(*(line.split(",") for line in lines[1:])))
+    assert columns["0.5"][1] == columns["2"][1]
+    assert all(a != b for a, b in zip(columns["0.5"][0], columns["2"][0]))
+    with pytest.raises(SystemExit):
+        run_cli("density", "--help")
+    assert "tau always uses gamma = 1" in " ".join(capsys.readouterr().out.split())
 
 
 def test_kbound_output(capsys):

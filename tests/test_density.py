@@ -87,6 +87,14 @@ def test_kernel_fails_loudly_at_tiny_scale():
         tau(tiny)
     with pytest.raises(FloatingPointError):
         closed_form_log_gram(SkewSpectrum(tiny))
+    # at 1e-160 tau is finite but 1 / f1 overflows in the gradient; at
+    # 1e-310 the point terms 1 / x and x / |z|^2 overflow
+    small = np.array([[1.0, 2.0], [3.0, 1.5]]) * 1e-160
+    assert np.isfinite(tau(small))
+    with np.errstate(all="ignore"):
+        for config in (small, np.array([[1.0, 2.0]]) * 1e-310):
+            with pytest.raises(FloatingPointError):
+                grad_tau(config)
     with np.errstate(divide="ignore"), pytest.raises(FloatingPointError):
         log_rho(np.array([[1.0, 1.0]]) * 1e-170, w)
     # coincident points still mean a vanishing density, at any scale

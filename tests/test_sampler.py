@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from skewspec.cli import main
 from skewspec.density import WeightSpec, log_rho
 from skewspec.ensemble import extract_skew_spectrum
 from skewspec.fekete import grid_initialization
@@ -93,6 +96,66 @@ def test_run_chain_stationarity_between_segments():
     assert np.array_equal(short.samples, long.samples[:2000])
     se = np.sqrt(head.var() / head.size + tail.var() / tail.size)
     assert abs(head.mean() - tail.mean()) <= 3 * se
+
+
+# sha256 of the samples (little-endian float64), the acceptance rate, the
+# step scale, and the stdout of `density --gamma 0.5` on the samples. Recorded
+# with numpy 2.4 on x86-64 with AVX-512; numpy's log kernels differ between
+# instruction sets, so the digests can differ on another processor.
+PINNED_CHAINS = [
+    (
+        1,
+        dict(n_samples=300, burn_in=400, thinning=5, seed=11),
+        "9199f7f49fbd050b3402f8f75331553e09faa14c1db32448aa0788c6b486e473",
+        0.53,
+        0.72,
+        "b32e168fb9e9b4325d6d2a5497fd46242356d20c2a65901d597902fdb6202c8c",
+    ),
+    (
+        3,
+        dict(n_samples=100, burn_in=600, thinning=6, seed=12),
+        "d99e356d76fed4416ef55640e0822cbe37404ef41559c0bdf0acfe6eb78a3dc2",
+        0.30666666666666664,
+        0.72,
+        "79b9df14491b5ca6d2299b980478ffad031010549585537f888fb70a759aefc6",
+    ),
+]
+
+
+@pytest.mark.parametrize("p,kwargs,samples_sha,acceptance,scale,density_sha", PINNED_CHAINS, ids=["p1", "p3"])
+def test_chain_bits_pinned(tmp_path, capsys, p, kwargs, samples_sha, acceptance, scale, density_sha):
+    # a faster transition must not move a single bit of a seeded chain
+    report = run_chain(p, W_HALF, **kwargs)
+    assert hashlib.sha256(report.samples.astype("<f8").tobytes()).hexdigest() == samples_sha
+    assert report.acceptance_rate == acceptance
+    assert report.step_scale == scale
+    csv = tmp_path / "samples.csv"
+    rows = report.samples.reshape(report.n_samples, -1)
+    csv.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    assert main(["density", "--points", str(csv), "--gamma", "0.5"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == density_sha
+
+
+def test_chain_builds_pair_indices_once(monkeypatch):
+    # the pair indices are cached per p, not rebuilt on every transition
+    import skewspec.density
+
+    calls = []
+    triu_indices = np.triu_indices
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return triu_indices(*args, **kwargs)
+
+    monkeypatch.setattr(np, "triu_indices", counting)
+    skewspec.density._pair_index.cache_clear()
+    run_chain(10, W_HALF, 5, burn_in=50, thinning=10, seed=1)
+    assert len(calls) <= 1
+    i, j = skewspec.density._pair_index(10)
+    with pytest.raises(ValueError):
+        i[0] = 1
+    with pytest.raises(ValueError):
+        j[0] = 1
 
 
 def test_run_chain_argument_validation():
