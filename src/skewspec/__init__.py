@@ -6,8 +6,9 @@ Library layout:
   eigendecomposition, Haar unitaries);
 - :mod:`skewspec.ensemble` — building, conjugating, and spectrally
   decomposing anti-commuting pairs;
-- :mod:`skewspec.density` — the skew-spectrum density, tau, gradients, and
-  reference densities for the commuting case;
+- :mod:`skewspec.density` — the skew-spectrum density (``log_rho`` returns a
+  float, -inf where the density vanishes), tau, its gradient, and the
+  commuting-pair reference density;
 - :mod:`skewspec.jacobian` — numerical verification of the parametrization
   Jacobian against its closed form;
 - :mod:`skewspec.fekete` — maximal-likelihood configurations by projected
@@ -19,10 +20,7 @@ Library layout:
 __version__ = "0.1.0"
 
 from .density import (
-    LogDensityValue,
     WeightSpec,
-    equilibrium_density,
-    equilibrium_radius,
     grad_tau,
     log_kappa_commuting,
     log_rho,
@@ -34,7 +32,6 @@ from .ensemble import (
     NonGenericInput,
     SkewSpectrum,
     build_block_diag,
-    build_commuting_diag,
     conjugate,
     extract_skew_spectrum,
     random_generic_spectrum,
@@ -52,12 +49,10 @@ from .fekete import (
 )
 from .jacobian import (
     DegenerateJacobian,
-    closed_form_gram,
     enumerate_tangent_basis,
-    gram_determinant,
     verify_density_shape,
 )
-from .matrixcore import anticommutator, frobenius_norm, haar_unitary, hermitian_eig
+from .matrixcore import frobenius_norm, haar_unitary, hermitian_eig
 from .sampler import ChainReport, ks_compare, p1_quadrature_cdf, run_chain
 
 __all__ = [
@@ -65,24 +60,17 @@ __all__ = [
     "DegenerateJacobian",
     "FeketeResult",
     "HermitianPair",
-    "LogDensityValue",
     "NonGenericInput",
     "OptimizerConfig",
     "SkewSpectrum",
     "WeightSpec",
-    "anticommutator",
     "build_block_diag",
-    "build_commuting_diag",
-    "closed_form_gram",
     "conjugate",
     "enumerate_tangent_basis",
-    "equilibrium_density",
-    "equilibrium_radius",
     "extract_skew_spectrum",
     "fekete_set",
     "frobenius_norm",
     "grad_tau",
-    "gram_determinant",
     "grid_initialization",
     "haar_unitary",
     "hermitian_eig",

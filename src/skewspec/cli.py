@@ -21,6 +21,7 @@ from . import __version__
 from .density import WeightSpec, log_rho_and_tau
 from .ensemble import SkewSpectrum, random_generic_spectrum
 from .fekete import OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
+from .fekete import _k_constraint_lhs
 from .jacobian import DegenerateJacobian, closed_form_log_gram, verify_density_shape
 from .sampler import ks_compare, p1_quadrature_cdf, run_chain
 
@@ -360,9 +361,7 @@ def cmd_density(args, parser: _Parser) -> int:
         for values in rows:
             # log_rho at --gamma, tau at gamma = 1
             value, t = log_rho_and_tau(np.array(values).reshape(-1, 2), w)
-            log_text = _fmt(value.log_unnormalized) if value.finite else "-inf"
-            tau_text = _fmt(t) if np.isfinite(t) else "inf"
-            print(f"{log_text},{tau_text}")
+            print(f"{_fmt(value)},{_fmt(t)}")
     return EXIT_OK
 
 
@@ -370,9 +369,8 @@ def cmd_kbound(args, parser: _Parser) -> int:
     if args.p < 1:
         parser.error("--p must be >= 1")
     k = solve_K_bound(args.p)
-    lhs = 0.5 * k * k - (3 * args.p + 4 * args.p**2) * np.log(k) - 0.5 * args.p**2 * np.log(400.0) - 4 * args.p**2
     print(f"K={_fmt(k)}")
-    print(f"lhs={_fmt(lhs)}")
+    print(f"lhs={_fmt(_k_constraint_lhs(k, args.p))}")
     return EXIT_OK
 
 

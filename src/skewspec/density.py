@@ -1,4 +1,4 @@
-"""Skew-spectrum density, its negative log, and reference densities.
+"""Skew-spectrum density, its negative log, and the commuting reference density.
 
 The unnormalized density of the skew spectrum {(x_k, y_k)} under a radial
 Gaussian weight is
@@ -7,7 +7,8 @@ Gaussian weight is
 
 with ||Z||_F^2 = 2 sum_k (x_k^2 + y_k^2) and f the four-factor repulsion
 product between two points. Everything is evaluated in log space; the
-normalization constant is never computed here.
+normalization constant is never computed here. ``log_rho`` returns a plain
+float, -inf where the density vanishes.
 
 ``tau`` is the negative log density in the form the Fekete machinery is
 calibrated to: its quadratic term is (1/2) sum |z_k|^2, which corresponds
@@ -34,24 +35,13 @@ class WeightSpec:
     """Radial weight w(t) = exp(-gamma t^2 / 2), applied to t = ||Z||_F."""
 
     gamma: float
-    kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ValueError(f"unsupported weight kind: {self.kind!r}")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
     def log_weight(self, t: float) -> float:
         return -0.5 * self.gamma * t * t
-
-
-@dataclass(frozen=True)
-class LogDensityValue:
-    """Natural log of an unnormalized density; finite=False encodes a zero."""
-
-    log_unnormalized: float
-    finite: bool
 
 
 def _points(s) -> np.ndarray:
@@ -169,11 +159,11 @@ def _kernel(pts: np.ndarray, grad: bool = False):
     return float(r2.sum()), log_point, log_pairs
 
 
-def _log_rho_of(terms, w: WeightSpec) -> LogDensityValue:
+def _log_rho_of(terms, w: WeightSpec) -> float:
     if terms is None:
-        return LogDensityValue(-np.inf, False)
+        return -math.inf
     sq_sum, log_point, log_pairs = terms
-    return LogDensityValue(w.log_weight(math.sqrt(2.0 * sq_sum)) + log_point + log_pairs, True)
+    return w.log_weight(math.sqrt(2.0 * sq_sum)) + log_point + log_pairs
 
 
 def _tau_of(terms, gamma: float) -> float:
@@ -183,12 +173,12 @@ def _tau_of(terms, gamma: float) -> float:
     return 0.5 * gamma * sq_sum - log_point - log_pairs
 
 
-def log_rho(s, w: WeightSpec) -> LogDensityValue:
+def log_rho(s, w: WeightSpec) -> float:
     """Log of the unnormalized skew-spectrum density under weight w.
 
     Accepts a SkewSpectrum or a raw configuration array; configurations
     with a vanishing factor (nonpositive coordinate, coincident points)
-    give ``finite=False``.
+    give -inf.
     """
     return _log_rho_of(_kernel(_points(s)), w)
 
@@ -206,7 +196,7 @@ def tau(s, gamma: float = 1.0) -> float:
     return _tau_of(_kernel(_points(s)), gamma)
 
 
-def log_rho_and_tau(s, w: WeightSpec) -> tuple[LogDensityValue, float]:
+def log_rho_and_tau(s, w: WeightSpec) -> tuple[float, float]:
     """``log_rho(s, w)`` and ``tau(s)`` (at gamma = 1) from one evaluation of the terms."""
     terms = _kernel(_points(s))
     return _log_rho_of(terms, w), _tau_of(terms, 1.0)
@@ -234,11 +224,12 @@ def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
     return g
 
 
-def log_kappa_commuting(lambdas, gamma: float) -> LogDensityValue:
+def log_kappa_commuting(lambdas, gamma: float) -> float:
     """Log of the commuting-pair joint eigenvalue density.
 
     exp(-gamma sum |lambda_j|^2) * prod_{i<j} |lambda_i - lambda_j|^2 with
-    Euclidean norms in R^d; the constant is omitted.
+    Euclidean norms in R^d; the constant is omitted, and coincident
+    eigenvalues give -inf.
     """
     pts = np.asarray(lambdas, dtype=float)
     if pts.ndim == 1:
@@ -246,58 +237,11 @@ def log_kappa_commuting(lambdas, gamma: float) -> LogDensityValue:
     n = pts.shape[0]
     quad = -gamma * float(np.sum(pts * pts))
     if n < 2:
-        return LogDensityValue(quad, True)
+        return quad
     diff = pts[:, None, :] - pts[None, :, :]
     dist_sq = np.sum(diff * diff, axis=2)
     gaps = dist_sq[_pair_index(n)]
     if np.any(gaps <= 0.0):
-        return LogDensityValue(-np.inf, False)
-    return LogDensityValue(quad + float(np.sum(np.log(gaps))), True)
+        return -math.inf
+    return quad + float(np.sum(np.log(gaps)))
 
-
-def equilibrium_radius(d: int, gamma: float) -> float:
-    """Support radius of the equilibrium measure for confinement gamma |x|^2."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if d == 1:
-        return float(np.sqrt(2.0 / gamma))
-    if d == 2:
-        return float(1.0 / np.sqrt(gamma))
-    if d == 3:
-        return float(np.sqrt(2.0 / (3.0 * gamma)))
-    return float(1.0 / np.sqrt(2.0 * gamma))
-
-
-def equilibrium_density(d: int, gamma: float, x) -> float:
-    """Closed-form equilibrium density at a point x in R^d.
-
-    d=1: semicircle-type (2/(pi R^2)) sqrt((R^2 - x^2)_+);
-    d=2: uniform 1/(pi R^2) on the disk;
-    d=3: 1/(pi^2 R^2) / sqrt(R^2 - |x|^2) on the ball;
-    d>=4: uniform surface measure on the sphere of radius R, reported as a
-    surface density (1 over the sphere area); points off the sphere give 0.
-    """
-    r_d = equilibrium_radius(d, gamma)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.size != d:
-        raise ValueError(f"point has {xv.size} coordinates, expected d = {d}")
-    r = float(np.linalg.norm(xv))
-    if d == 1:
-        if r >= r_d:
-            return 0.0
-        return 2.0 / (np.pi * r_d**2) * np.sqrt(r_d**2 - r**2)
-    if d == 2:
-        return 1.0 / (np.pi * r_d**2) if r < r_d else 0.0
-    if d == 3:
-        if r >= r_d:
-            return 0.0
-        return 1.0 / (np.pi**2 * r_d**2) / np.sqrt(r_d**2 - r**2)
-    if abs(r - r_d) > 1e-12 * r_d:
-        return 0.0
-    # normalized surface measure: 1 / (area of the (d-1)-sphere of radius R)
-    from math import gamma as gamma_fn
-
-    area = 2.0 * np.pi ** (d / 2.0) / gamma_fn(d / 2.0) * r_d ** (d - 1)
-    return 1.0 / area

@@ -215,20 +215,6 @@ def extract_skew_spectrum(pair: HermitianPair) -> SkewSpectrum:
     return result.sorted()
 
 
-def build_commuting_diag(lambdas) -> list[np.ndarray]:
-    """Diagonal d-tuple with joint eigenvalues ``lambdas`` (an (n, d) array).
-
-    Entry r of matrix j is lambda_r^(j); the matrices commute exactly.
-    Used for the commuting-case comparison.
-    """
-    pts = np.asarray(lambdas, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-        raise ValueError(f"expected an (n, d) array of joint eigenvalues, got shape {pts.shape}")
-    return [np.diag(pts[:, j]).astype(np.complex128) for j in range(pts.shape[1])]
-
-
 def random_generic_spectrum(
     p: int,
     rng=None,

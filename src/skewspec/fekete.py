@@ -20,26 +20,26 @@ from .density import grad_tau, log_kappa_commuting, tau
 from .ensemble import SkewSpectrum
 
 
+# projected-gradient line search: the largest step, the Armijo constant,
+# the backtracking factor, and the lower clamp of anti-mode coordinates
+STEP_INIT = 0.1
+ARMIJO_C = 1e-4
+SHRINK = 0.5
+BOUNDARY_FLOOR = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Projected-gradient settings; defaults suit log-barrier landscapes."""
 
     max_iters: int = 50_000
-    step_init: float = 0.1
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
     grad_tol: float | None = None  # None: 1e-6 * p at solve time
-    boundary_floor: float = 1e-8
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.armijo_c < 1 and 0 < self.shrink < 1):
-            raise ValueError("armijo_c and shrink must lie in (0, 1)")
         if self.grad_tol is not None and self.grad_tol < 0:
             raise ValueError("grad_tol must be nonnegative")
-        if self.boundary_floor <= 0 or self.step_init <= 0:
-            raise ValueError("boundary_floor and step_init must be positive")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
 
@@ -140,7 +140,7 @@ def _descend(z0, value_fn, grad_fn, lower, upper, config, grad_tol):
     if not np.isfinite(f):
         return z, np.inf, np.inf, 0, np.zeros((0, 3)), False
     trace = [(0, f, _max_norm(z))]
-    eta = config.step_init
+    eta = STEP_INIT
     converged = False
     iteration = 0
     stalled = 0
@@ -152,16 +152,16 @@ def _descend(z0, value_fn, grad_fn, lower, upper, config, grad_tol):
             iteration -= 1
             break
         # warm-started step: retry one notch above the last accepted step
-        eta = min(config.step_init, eta / config.shrink)
+        eta = min(STEP_INIT, eta / SHRINK)
         gsq = float(np.sum(g * g))
         accepted = False
         while eta > 1e-18:
             z_new = np.clip(z - eta * g, lower, upper)
             f_new = value_fn(z_new)
-            if np.isfinite(f_new) and f_new <= f - config.armijo_c * eta * gsq:
+            if np.isfinite(f_new) and f_new <= f - ARMIJO_C * eta * gsq:
                 accepted = True
                 break
-            eta *= config.shrink
+            eta *= SHRINK
         if not accepted:
             break
         # the required decrease can round to zero near the optimum; stop once
@@ -217,7 +217,7 @@ def minimize_tau(p: int, config: OptimizerConfig | None = None, gamma: float = 1
         lambda start, rng: start * np.exp(0.1 * rng.standard_normal(start.shape)),
         lambda z: tau(z, gamma),
         lambda z: grad_tau(z, gamma),
-        cfg.boundary_floor,
+        BOUNDARY_FLOOR,
         k_bound,
         cfg,
     )
@@ -284,7 +284,7 @@ def minimize_commuting(
     z, f, gnorm, iters, trace, conv = _multistart(
         _commuting_grid(n, d),
         lambda start, rng: start + 0.1 * rng.standard_normal(start.shape),
-        lambda z: -log_kappa_commuting(z, gamma).log_unnormalized,
+        lambda z: -log_kappa_commuting(z, gamma),
         lambda z: _commuting_grad(z, gamma),
         -half_width,
         half_width,

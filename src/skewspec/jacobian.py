@@ -26,11 +26,12 @@ consistent with the commutator table and with S_k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import WeightSpec, _kernel, log_rho
+from .density import WeightSpec, _kernel, _log_rho_of
 from .ensemble import SkewSpectrum, build_block_diag
 from .matrixcore import check_unitary
 
@@ -167,11 +168,6 @@ def assemble_dG(s: SkewSpectrum, unitary=None) -> np.ndarray:
     return ambient_coordinates(ax, by).T
 
 
-def gram_matrix(s: SkewSpectrum, unitary=None) -> np.ndarray:
-    m = assemble_dG(s, unitary=unitary)
-    return m.T @ m
-
-
 def _singular_values(s: SkewSpectrum, unitary=None) -> np.ndarray:
     """Singular values of dG, descending; the one assembly and SVD behind rank and Gram."""
     if not s.is_generic():
@@ -199,22 +195,14 @@ def gram_log_determinant(s: SkewSpectrum, unitary=None) -> float:
     return float(2.0 * np.sum(np.log(sv)))
 
 
-def gram_determinant(s: SkewSpectrum, unitary=None) -> float:
-    """det(dG^T dG) for a generic spectrum.
-
-    Raises :class:`DegenerateJacobian` for non-generic input or numerical
-    rank deficiency. Use :func:`gram_log_determinant` beyond p ~ 6, where
-    the determinant overflows double precision.
-    """
-    return float(np.exp(gram_log_determinant(s, unitary=unitary)))
-
-
 def closed_form_log_gram(s: SkewSpectrum) -> float:
     """log of the closed-form Gram determinant, evaluated in log space.
 
     The closed form is 256^p times the square of the density's point and
     pair products, so its log is p log 256 + 2 (log_point + log_pairs);
-    -inf where a pair factor vanishes.
+    -inf where a pair factor vanishes. Per block, 256 x^2 y^2 (x^2 + y^2)
+    is 4(x^2+y^2) * 4x^2 * 4y^2 * 4, the last 4 from the two
+    sqrt(2)-length spectral columns.
     """
     terms = _kernel(s.points)
     if terms is None:
@@ -223,23 +211,14 @@ def closed_form_log_gram(s: SkewSpectrum) -> float:
     return float(s.p * np.log(256.0) + 2.0 * (log_point + log_pairs))
 
 
-def closed_form_gram(s: SkewSpectrum) -> float:
-    """prod_k 256 x_k^2 y_k^2 (x_k^2 + y_k^2) * prod_{i<j} f(z_i, z_j)^2.
-
-    Per-block factor = 4(x^2+y^2) * 4x^2 * 4y^2 * 4 (the last 4 from the
-    two sqrt(2)-length spectral columns); the pair factor is the square of
-    the four-factor repulsion product.
-    """
-    return float(np.exp(closed_form_log_gram(s)))
-
-
 def _shape_ratio(s: SkewSpectrum, log_gram: float, gamma: float) -> float:
     w = WeightSpec(gamma=gamma)
-    value = log_rho(s, w)
-    if not value.finite:
+    terms = _kernel(s.points)
+    if terms is None:
         raise DegenerateJacobian("density vanishes at this spectrum")
-    pair = build_block_diag(s)
-    log_ratio = 0.5 * log_gram + w.log_weight(np.sqrt(pair.norm_squared)) - value.log_unnormalized
+    # ||Z||_F^2 = 2 sum_k |z_k|^2, the kernel's first term
+    norm = math.sqrt(2.0 * terms[0])
+    log_ratio = 0.5 * log_gram + w.log_weight(norm) - _log_rho_of(terms, w)
     return float(np.exp(log_ratio))
 
 

@@ -37,40 +37,31 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def check_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate A = A* entrywise to ``tol * max(1, ||A||_F)``; return A."""
+def check_hermitian(a) -> np.ndarray:
+    """Validate A = A* entrywise to ``HERMITIAN_TOL * max(1, ||A||_F)``; return A."""
     m = as_complex_matrix(a)
-    bound = tol * max(1.0, frobenius_norm(m))
+    bound = HERMITIAN_TOL * max(1.0, frobenius_norm(m))
     dev = np.max(np.abs(m - m.conj().T))
     if dev > bound:
         raise ValueError(f"matrix is not Hermitian: max |A - A*| = {dev:.3e} > {bound:.3e}")
     return m
 
 
-def check_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Validate ||U*U - I||_F <= tol * n; return U."""
+def check_unitary(u) -> np.ndarray:
+    """Validate ||U*U - I||_F <= UNITARY_TOL * n; return U."""
     m = as_complex_matrix(u)
     n = m.shape[0]
     dev = np.linalg.norm(m.conj().T @ m - np.eye(n))
-    if dev > tol * n:
-        raise ValueError(f"matrix is not unitary: ||U*U - I||_F = {dev:.3e} > {tol * n:.3e}")
+    if dev > UNITARY_TOL * n:
+        raise ValueError(f"matrix is not unitary: ||U*U - I||_F = {dev:.3e} > {UNITARY_TOL * n:.3e}")
     return m
 
 
-def anticommutator(x, y) -> np.ndarray:
-    """XY + YX for Hermitian X, Y of equal dimension (result is Hermitian)."""
-    mx = check_hermitian(x)
-    my = check_hermitian(y)
-    if mx.shape != my.shape:
-        raise ValueError(f"dimension mismatch: {mx.shape} vs {my.shape}")
-    return mx @ my + my @ mx
-
-
-def hermitian_eig(a, residual_tol: float = EIG_RESIDUAL_TOL):
+def hermitian_eig(a):
     """Eigendecompose a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    ``A @ V == V @ diag(lam)`` to ``residual_tol * max(1, ||A||_F)``. The
+    ``A @ V == V @ diag(lam)`` to ``EIG_RESIDUAL_TOL * max(1, ||A||_F)``. The
     eigenvector matrix is unitary to the same class of tolerance. Raises
     :class:`EigendecompositionError` carrying the residual if the solver
     fails the contract.
@@ -82,9 +73,9 @@ def hermitian_eig(a, residual_tol: float = EIG_RESIDUAL_TOL):
         raise EigendecompositionError(f"eigensolver did not converge: {exc}") from exc
     scale = max(1.0, frobenius_norm(m))
     residual = float(np.linalg.norm(m @ v - v * lam[None, :]))
-    if residual > residual_tol * scale:
+    if residual > EIG_RESIDUAL_TOL * scale:
         raise EigendecompositionError(
-            f"eigendecomposition residual {residual:.3e} exceeds {residual_tol * scale:.3e}",
+            f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL * scale:.3e}",
             residual=residual,
         )
     check_unitary(v)

@@ -11,6 +11,7 @@ to validate the chain against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,22 +50,17 @@ class ChainReport:
         return SkewSpectrum(self.samples[index])
 
 
-def acceptance_probability(delta_log: float) -> float:
-    """min(1, exp(delta_log)) evaluated without overflow."""
-    return float(np.exp(min(0.0, delta_log)))
-
-
 def _propose_and_decide(pts, log_density, step_scale, w, rng):
     """One random-walk transition on raw coordinates; returns (pts, log, accepted)."""
     proposal = pts + step_scale * rng.standard_normal(pts.shape)
     # log_rho is not finite outside the open quadrant, so such a proposal
     # is rejected without drawing a uniform
     candidate = log_rho(proposal, w)
-    if not candidate.finite:
+    if not math.isfinite(candidate):
         return pts, log_density, False
-    delta = candidate.log_unnormalized - log_density
+    delta = candidate - log_density
     if delta >= 0.0 or np.log(rng.uniform()) < delta:
-        return proposal, candidate.log_unnormalized, True
+        return proposal, candidate, True
     return pts, log_density, False
 
 
@@ -94,7 +90,7 @@ def run_chain(
 
     rng = np.random.default_rng(seed)
     pts = np.array(grid_initialization(p).points)
-    log_density = log_rho(pts, w).log_unnormalized
+    log_density = log_rho(pts, w)
     scale = 0.5
 
     window_accepts = 0
@@ -144,30 +140,14 @@ def sample_ambient_pair(chain: ChainReport, index: int, rng=None) -> HermitianPa
 
 @dataclass(frozen=True)
 class QuadratureTable:
-    """Tabulated p = 1 density on [0, L]^2 with its normalization constant."""
+    """Marginal CDFs of the p = 1 density on the grid of [0, L], with its normalization constant."""
 
     grid: np.ndarray
-    cdf2d: np.ndarray
     cdf_x: np.ndarray
     cdf_y: np.ndarray
     normalization: float
     box_size: float
     gamma: float
-
-    def cdf(self, a: float, b: float) -> float:
-        """Joint CDF value at (a, b), bilinear on the table."""
-        ia = float(np.interp(a, self.grid, np.arange(self.grid.size)))
-        ib = float(np.interp(b, self.grid, np.arange(self.grid.size)))
-        i0, j0 = int(ia), int(ib)
-        i1, j1 = min(i0 + 1, self.grid.size - 1), min(j0 + 1, self.grid.size - 1)
-        fa, fb = ia - i0, ib - j0
-        c = self.cdf2d
-        return float(
-            (1 - fa) * (1 - fb) * c[i0, j0]
-            + fa * (1 - fb) * c[i1, j0]
-            + (1 - fa) * fb * c[i0, j1]
-            + fa * fb * c[i1, j1]
-        )
 
 
 def _p1_integrand(x, y, gamma):
@@ -208,16 +188,15 @@ def p1_quadrature_cdf(w: WeightSpec, grid_resolution: int = 512) -> QuadratureTa
     t = np.linspace(0.0, box, grid_resolution)
     h = t[1] - t[0]
     values = _p1_integrand(t[:, None], t[None, :], gamma)
-    cdf2d = _cumulative_trapezoid(_cumulative_trapezoid(values, h, 0), h, 1)
-    mass = cdf2d[-1, -1]
-    cdf2d = cdf2d / mass
-    cdf_x = cdf2d[:, -1].copy()
-    cdf_y = cdf2d[-1, :].copy()
+    joint = _cumulative_trapezoid(_cumulative_trapezoid(values, h, 0), h, 1)
+    mass = joint[-1, -1]
+    # the marginal CDFs are the last column and the last row of the joint one
+    cdf_x = joint[:, -1] / mass
+    cdf_y = joint[-1, :] / mass
     cdf_x /= cdf_x[-1]
     cdf_y /= cdf_y[-1]
     return QuadratureTable(
         grid=t,
-        cdf2d=cdf2d,
         cdf_x=cdf_x,
         cdf_y=cdf_y,
         normalization=1.0 / float(mass),

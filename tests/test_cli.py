@@ -53,17 +53,23 @@ def test_verify_jacobian_pinned_spectrum_beyond_double_range(tmp_path):
 def test_verify_jacobian_assembles_each_spectrum_once(tmp_path, monkeypatch):
     import skewspec.jacobian
 
-    calls = []
-    assemble = skewspec.jacobian.assemble_dG
+    calls = {"assemble_dG": 0, "build_block_diag": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return assemble(*args, **kwargs)
+    def counting(name):
+        fn = getattr(skewspec.jacobian, name)
 
-    monkeypatch.setattr(skewspec.jacobian, "assemble_dG", counting)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(skewspec.jacobian, name, counting(name))
     out = tmp_path / "vj"
     assert run_cli("verify-jacobian", "--p", "2", "--trials", "5", "--seed", "1", "--out", str(out)) == EXIT_OK
-    assert len(calls) == 5
+    # one dG assembly, hence one block pair, per spectrum
+    assert calls == {"assemble_dG": 5, "build_block_diag": 5}
 
 
 def test_verify_jacobian_degenerate_spectrum(tmp_path):
@@ -251,6 +257,17 @@ def test_kbound_output(capsys):
     assert run_cli("kbound", "--p", "10") == EXIT_OK
     k10 = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
     assert k10 >= 30.0
+
+
+def test_kbound_prints_the_bisected_constraint(capsys):
+    # the printed lhs is the constraint the bisection tested, not a re-typed
+    # copy; p = 43 is where the two rounded differently
+    from skewspec.fekete import _k_constraint_lhs
+
+    assert run_cli("kbound", "--p", "43") == EXIT_OK
+    k_line, lhs_line = capsys.readouterr().out.splitlines()
+    k = float(k_line.split("=")[1])
+    assert lhs_line == f"lhs={_k_constraint_lhs(k, 43)!r}"
 
 
 def test_kbound_usage_error():

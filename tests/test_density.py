@@ -6,8 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from skewspec.density import (
     WeightSpec,
-    equilibrium_density,
-    equilibrium_radius,
     grad_tau,
     lemma_d1_bounds,
     log_kappa_commuting,
@@ -16,7 +14,7 @@ from skewspec.density import (
     tau,
 )
 from skewspec.ensemble import SkewSpectrum, build_block_diag, random_generic_spectrum
-from skewspec.fekete import grid_initialization
+from skewspec.fekete import _commuting_grad, grid_initialization
 from skewspec.jacobian import closed_form_log_gram
 
 
@@ -59,22 +57,20 @@ def test_lemma_d1_bounds_random():
 
 def test_log_rho_p1_example():
     value = log_rho(SkewSpectrum([(1.0, 1.0)]), WeightSpec(gamma=1.0))
-    assert value.finite
+    assert isinstance(value, float)
     # ||Z||_F^2 = 4, point factor sqrt(2)
-    assert value.log_unnormalized == pytest.approx(-2.0 + 0.5 * np.log(2.0), rel=1e-14)
+    assert value == pytest.approx(-2.0 + 0.5 * np.log(2.0), rel=1e-14)
 
 
 def test_log_rho_p2_example():
     value = log_rho(SkewSpectrum([(1.0, 1.0), (2.0, 2.0)]), WeightSpec(gamma=1.0))
     expected = -10.0 + np.log(np.sqrt(2.0) * 2.0 * 2.0 * np.sqrt(8.0) * 3600.0)
-    assert value.log_unnormalized == pytest.approx(expected, rel=1e-14)
+    assert value == pytest.approx(expected, rel=1e-14)
 
 
 def test_log_rho_vanishing_cases():
-    coincident = log_rho(np.array([[1.0, 1.0], [1.0, 1.0]]), WeightSpec(gamma=1.0))
-    assert not coincident.finite and coincident.log_unnormalized == -np.inf
-    zero = log_rho(np.array([[0.0, 1.0]]), WeightSpec(gamma=1.0))
-    assert not zero.finite
+    assert log_rho(np.array([[1.0, 1.0], [1.0, 1.0]]), WeightSpec(gamma=1.0)) == -np.inf
+    assert log_rho(np.array([[0.0, 1.0]]), WeightSpec(gamma=1.0)) == -np.inf
 
 
 def test_kernel_fails_loudly_at_tiny_scale():
@@ -99,7 +95,7 @@ def test_kernel_fails_loudly_at_tiny_scale():
         log_rho(np.array([[1.0, 1.0]]) * 1e-170, w)
     # coincident points still mean a vanishing density, at any scale
     coincident = np.array([[1.0, 2.0], [1.0, 2.0]]) * 1e-170
-    assert not log_rho(coincident, w).finite
+    assert log_rho(coincident, w) == -np.inf
     assert tau(coincident) == np.inf
 
 
@@ -139,7 +135,7 @@ def test_tau_vs_log_rho_offset():
     for _ in range(20):
         s = random_generic_spectrum(int(rng.integers(1, 6)), rng)
         quad = float(np.sum(s.x**2 + s.y**2))
-        diff = tau(s) - (-log_rho(s, WeightSpec(gamma=1.0)).log_unnormalized)
+        diff = tau(s) - (-log_rho(s, WeightSpec(gamma=1.0)))
         assert diff == pytest.approx(-0.5 * quad, rel=1e-10)
 
 
@@ -147,12 +143,12 @@ def test_permutation_invariance():
     rng = np.random.default_rng(4)
     s = random_generic_spectrum(6, rng)
     w = WeightSpec(gamma=1.0)
-    base_rho = log_rho(s, w).log_unnormalized
+    base_rho = log_rho(s, w)
     base_tau = tau(s)
     for _ in range(10):
         perm = rng.permutation(6)
         shuffled = SkewSpectrum(s.points[perm])
-        assert abs(log_rho(shuffled, w).log_unnormalized - base_rho) <= 1e-12 * abs(base_rho)
+        assert abs(log_rho(shuffled, w) - base_rho) <= 1e-12 * abs(base_rho)
         assert abs(tau(shuffled) - base_tau) <= 1e-12 * max(1.0, abs(base_tau))
 
 
@@ -205,7 +201,7 @@ configurations = st.integers(1, 6).flatmap(
 def test_tau_equals_minus_log_rho_at_half_gamma(pts, gamma):
     t = tau(pts, gamma)
     assume(np.isfinite(t))
-    expected = -log_rho(pts, WeightSpec(gamma / 2.0)).log_unnormalized
+    expected = -log_rho(pts, WeightSpec(gamma / 2.0))
     # relative to the largest term, which bounds the rounding of both sides
     scale = max(1.0, abs(t), 0.5 * gamma * float(np.sum(pts * pts)))
     assert abs(t - expected) <= 1e-12 * scale
@@ -234,81 +230,45 @@ def test_grad_tau_matches_finite_differences_property(pts):
     assert np.linalg.norm(analytic - numeric) <= 1e-6 * max(1.0, np.linalg.norm(analytic))
 
 
+def orbit(pts):
+    """The 4p images of the points under x -> -x, y -> -y and z -> -z, the points first."""
+    return np.concatenate([pts, pts * [-1.0, 1.0], pts * [1.0, -1.0], -pts])
+
+
+# image-charge oracles: the skew-spectrum density is the commuting density of
+# the mirror-symmetric orbit, which shares no code with the pair kernel
+@PROPERTY_SETTINGS
+@given(configurations, st.floats(0.1, 4.0))
+def test_log_rho_is_quarter_log_kappa_of_orbit(pts, gamma):
+    value = log_rho(pts, WeightSpec(gamma))
+    assume(np.isfinite(value))
+    p = pts.shape[0]
+    expected = 0.25 * log_kappa_commuting(orbit(pts), gamma) - 3 * p * np.log(2.0)
+    scale = max(1.0, abs(value), gamma * float(np.sum(pts * pts)))
+    assert abs(value - expected) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(configurations, st.floats(0.1, 4.0))
+def test_grad_tau_is_commuting_grad_of_orbit(pts, gamma):
+    assume(np.isfinite(tau(pts)))
+    analytic = grad_tau(pts, 2.0 * gamma)
+    expected = _commuting_grad(orbit(pts), gamma)[: pts.shape[0]]
+    assert np.linalg.norm(analytic - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+
+
 def test_grad_tau_rejects_infinite_tau():
     with pytest.raises(ValueError, match="infinite"):
         grad_tau(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_log_kappa_examples():
-    single = log_kappa_commuting(np.array([[3.0, 4.0]]), gamma=1.0)
-    assert single.finite and single.log_unnormalized == pytest.approx(-25.0)
-
+    assert log_kappa_commuting(np.array([[3.0, 4.0]]), gamma=1.0) == pytest.approx(-25.0)
     two = log_kappa_commuting(np.array([[0.0, 0.0], [1.0, 0.0]]), gamma=0.5)
-    assert two.log_unnormalized == pytest.approx(-0.5, rel=1e-14)
-
-    coincident = log_kappa_commuting(np.array([[1.0, 2.0], [1.0, 2.0]]), gamma=1.0)
-    assert not coincident.finite
-
-
-def test_equilibrium_radii():
-    assert equilibrium_radius(1, 1.0) == pytest.approx(np.sqrt(2.0))
-    assert equilibrium_radius(2, 1.0) == pytest.approx(1.0)
-    assert equilibrium_radius(3, 1.0) == pytest.approx(np.sqrt(2.0 / 3.0))
-    assert equilibrium_radius(4, 1.0) == pytest.approx(np.sqrt(0.5))
-    assert equilibrium_radius(2, 0.25) == pytest.approx(2.0)
-
-
-def test_equilibrium_density_values():
-    assert equilibrium_density(2, 1.0, (0.0, 0.0)) == pytest.approx(1.0 / np.pi)
-    r1 = equilibrium_radius(1, 1.0)
-    assert equilibrium_density(1, 1.0, r1) == 0.0
-    assert equilibrium_density(1, 1.0, -r1) == 0.0
-    assert equilibrium_density(2, 1.0, (2.0, 0.0)) == 0.0
-
-
-@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
-def test_equilibrium_mass_d1(gamma):
-    # substitute x = R sin(t): the integrand becomes (2/pi) cos^2(t), smooth
-    r = equilibrium_radius(1, gamma)
-    t = np.linspace(-np.pi / 2, np.pi / 2, 20001)
-    x = r * np.sin(t)
-    values = np.array([equilibrium_density(1, gamma, xi) for xi in x]) * r * np.cos(t)
-    assert np.trapezoid(values, t) == pytest.approx(1.0, abs=1e-6)
-
-
-@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
-def test_equilibrium_mass_d2(gamma):
-    # radial integration of the uniform disk: 2 pi r * density
-    r2 = equilibrium_radius(2, gamma)
-    r = np.linspace(0.0, r2 * (1 - 1e-12), 20001)
-    values = np.array([equilibrium_density(2, gamma, (ri, 0.0)) for ri in r]) * 2 * np.pi * r
-    assert np.trapezoid(values, r) == pytest.approx(1.0, abs=1e-6)
-
-
-@pytest.mark.parametrize("gamma", [0.5, 1.0])
-def test_equilibrium_mass_d3(gamma):
-    # substitute r = R sin(t): 4 pi r^2 density dr -> (4/pi) sin^2(t) dt;
-    # midpoint rule keeps every evaluation strictly inside the ball
-    r3 = equilibrium_radius(3, gamma)
-    edges = np.linspace(0.0, np.pi / 2, 20001)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    h = edges[1] - edges[0]
-    r = r3 * np.sin(mid)
-    density = np.array([equilibrium_density(3, gamma, (ri, 0.0, 0.0)) for ri in r])
-    mass = float(np.sum(4 * np.pi * r**2 * density * r3 * np.cos(mid) * h))
-    assert mass == pytest.approx(1.0, abs=1e-6)
-
-
-def test_equilibrium_d4_surface_density():
-    r4 = equilibrium_radius(4, 1.0)
-    on_sphere = equilibrium_density(4, 1.0, (r4, 0.0, 0.0, 0.0))
-    # area of the 3-sphere of radius R is 2 pi^2 R^3
-    assert on_sphere == pytest.approx(1.0 / (2 * np.pi**2 * r4**3), rel=1e-12)
-    assert equilibrium_density(4, 1.0, (0.5 * r4, 0.0, 0.0, 0.0)) == 0.0
+    assert two == pytest.approx(-0.5, rel=1e-14)
+    assert log_kappa_commuting(np.array([[1.0, 2.0], [1.0, 2.0]]), gamma=1.0) == -np.inf
 
 
 def test_weight_spec_validation():
     with pytest.raises(ValueError):
         WeightSpec(gamma=0.0)
-    with pytest.raises(ValueError):
-        WeightSpec(gamma=1.0, kind="uniform")

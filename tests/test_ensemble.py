@@ -6,7 +6,6 @@ from skewspec.ensemble import (
     NonGenericInput,
     SkewSpectrum,
     build_block_diag,
-    build_commuting_diag,
     conjugate,
     extract_skew_spectrum,
     random_generic_spectrum,
@@ -157,19 +156,6 @@ def test_extract_coincident_x_rejected():
     pair = conjugate(build_block_diag(s), haar_unitary(4, 12))
     with pytest.raises(NonGenericInput):
         extract_skew_spectrum(pair)
-
-
-def test_build_commuting_diag():
-    mats = build_commuting_diag(np.array([[1.0, 2.0]]))
-    assert len(mats) == 2
-    assert np.allclose(mats[0], [[1.0]]) and np.allclose(mats[1], [[2.0]])
-
-    mats = build_commuting_diag(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.allclose(mats[0], np.diag([1.0, 0.0]))
-    assert np.allclose(mats[1], np.diag([0.0, 1.0]))
-    for a in mats:
-        for b in mats:
-            assert np.array_equal(a @ b, b @ a)
 
 
 def test_random_generic_spectrum_respects_bounds():

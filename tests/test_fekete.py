@@ -161,10 +161,8 @@ def test_lemma_e2_along_trace():
 
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(armijo_c=1.5)
-    with pytest.raises(ValueError):
-        OptimizerConfig(shrink=0.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(boundary_floor=0.0)
+        OptimizerConfig(max_iters=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(grad_tol=-1.0)

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from skewspec.matrixcore import (
-    anticommutator,
-    check_hermitian,
     check_unitary,
     frobenius_norm,
     haar_unitary,
@@ -22,29 +20,6 @@ def test_frobenius_norm_examples():
     a = np.array([[1.0, 2.0j], [-2.0j, 3.0]])
     # direct entrywise sum: 1 + 4 + 4 + 9
     assert frobenius_norm(a) == pytest.approx(np.sqrt(18.0), rel=1e-15)
-
-
-def test_anticommutator_examples():
-    x = np.diag([1.0, -1.0]).astype(complex)
-    y = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert np.allclose(anticommutator(x, y), 0.0)
-    assert np.allclose(anticommutator(np.eye(2), np.eye(2)), 2.0 * np.eye(2))
-    x3 = np.diag([3.0, -3.0]).astype(complex)
-    y4 = np.array([[0.0, 4.0], [4.0, 0.0]], dtype=complex)
-    assert np.allclose(anticommutator(x3, y4), 0.0)
-
-
-def test_anticommutator_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        anticommutator(np.eye(2), np.eye(3))
-
-
-def test_anticommutator_output_is_hermitian():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        n = rng.integers(1, 9)
-        out = anticommutator(random_hermitian(n, rng), random_hermitian(n, rng))
-        check_hermitian(out)
 
 
 def test_hermitian_eig_examples():
