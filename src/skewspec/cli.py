@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -22,7 +23,7 @@ from .density import WeightSpec, log_rho_and_tau
 from .ensemble import SkewSpectrum, random_generic_spectrum
 from .fekete import OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
 from .fekete import _k_constraint_lhs
-from .jacobian import DegenerateJacobian, closed_form_log_gram, verify_density_shape
+from .jacobian import JACOBIAN_TOL, DegenerateJacobian, closed_form_log_gram, verify_density_shape
 from .sampler import ks_compare, p1_quadrature_cdf, run_chain
 
 EXIT_OK = 0
@@ -31,7 +32,6 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 KS_THRESHOLD = 0.05
-JACOBIAN_TOL = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,6 +40,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _domain(kind: type, positive: bool):
+    """argparse ``type=``: text to a finite ``kind`` that is positive, or else non-negative."""
+
+    def convert(text: str):
+        value = kind(text)
+        if not ((0 < value if positive else 0 <= value) and value < math.inf):
+            raise ValueError(text)
+        return value
+
+    # argparse names the domain in its "invalid <name> value" usage error
+    convert.__name__ = f"finite {'positive' if positive else 'non-negative'} {kind.__name__}"
+    return convert
+
+
+_seed = _domain(int, positive=False)
 
 
 def _fmt(value: float) -> str:
@@ -138,73 +155,55 @@ def _parse_spectrum_flag(text: str, parser: _Parser) -> SkewSpectrum:
 
 def cmd_verify_jacobian(args, parser: _Parser) -> int:
     started = time.perf_counter()
+    if args.spectrum is not None:
+        s = _parse_spectrum_flag(args.spectrum, parser)
+        if args.p is not None and args.p != s.p:
+            parser.error(f"--p {args.p} contradicts --spectrum with p = {s.p}")
+        spectra, given = [s], {"spectrum": args.spectrum}
+    elif args.p is None:
+        parser.error("--p is required unless --spectrum is given")
+    else:
+        rng = np.random.default_rng(args.seed)
+        spectra = [
+            random_generic_spectrum(args.p, rng, low=0.1, high=5.0, min_rel_gap=1e-3)
+            for _ in range(args.trials)
+        ]
+        given = {"p": args.p, "trials": args.trials}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        if args.spectrum is not None:
-            s = _parse_spectrum_flag(args.spectrum, parser)
-            if args.p is not None and args.p != s.p:
-                parser.error(f"--p {args.p} contradicts --spectrum with p = {s.p}")
-            shape = verify_density_shape(s)
-            log_gram, log_closed = float(shape.log_gram[0]), closed_form_log_gram(s)
-            max_rel = abs(float(np.exp(log_gram - log_closed)) - 1.0)
-            report = {
-                "p": s.p,
-                "spectrum": [list(map(float, z)) for z in s.points],
-                "gram": _exp_or_none(log_gram),
-                "closed_form": _exp_or_none(log_closed),
-                "max_rel_err": max_rel,
-                "shape_ratio": float(shape.ratios[0]),
-                "tolerance": JACOBIAN_TOL,
-                "passed": bool(max_rel <= JACOBIAN_TOL),
-            }
-        else:
-            if args.p is None:
-                parser.error("--p is required unless --spectrum is given")
-            if args.p < 1 or args.trials < 1:
-                parser.error("--p and --trials must be >= 1")
-            rng = np.random.default_rng(args.seed)
-            spectra = [
-                random_generic_spectrum(args.p, rng, low=0.1, high=5.0, min_rel_gap=1e-3)
-                for _ in range(args.trials)
-            ]
-            shape = verify_density_shape(spectra)
-            rel_errs = [
-                abs(float(np.exp(log_gram - closed_form_log_gram(s))) - 1.0)
-                for s, log_gram in zip(spectra, shape.log_gram)
-            ]
-            report = {
-                "p": args.p,
-                "trials": args.trials,
-                "max_rel_err": max(rel_errs),
-                "shape_coefficient_of_variation": shape.coefficient_of_variation,
-                "tolerance": JACOBIAN_TOL,
-                "passed": bool(max(rel_errs) <= JACOBIAN_TOL and shape.passed),
-            }
+        shape = verify_density_shape(spectra)
     except DegenerateJacobian as exc:
-        payload = {"error": str(exc)}
-        if args.spectrum is not None:
-            payload["spectrum"] = args.spectrum
-        _write_json(out_dir / "report.json", payload)
-        _write_manifest(out_dir, "verify-jacobian", args, ["report.json"], started)
+        report = {"error": str(exc), **given}
         print(f"degenerate Jacobian: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    else:
+        log_closed = [closed_form_log_gram(s) for s in spectra]
+        max_rel = max(abs(float(np.exp(g - c)) - 1.0) for g, c in zip(shape.log_gram, log_closed))
+        report = {
+            "p": spectra[0].p,
+            "max_rel_err": max_rel,
+            "tolerance": JACOBIAN_TOL,
+            "passed": bool(max_rel <= JACOBIAN_TOL and shape.passed),
+        }
+        if args.spectrum is not None:
+            report["spectrum"] = [list(map(float, z)) for z in spectra[0].points]
+            report["gram"] = _exp_or_none(float(shape.log_gram[0]))
+            report["closed_form"] = _exp_or_none(log_closed[0])
+            report["shape_ratio"] = float(shape.ratios[0])
+        else:
+            report.update(given, shape_coefficient_of_variation=shape.coefficient_of_variation)
+        print(f"max relative error {max_rel:.3e} (tolerance {JACOBIAN_TOL:.0e})")
 
     _write_json(out_dir / "report.json", report)
     _write_manifest(out_dir, "verify-jacobian", args, ["report.json"], started)
-    print(f"max relative error {report['max_rel_err']:.3e} (tolerance {JACOBIAN_TOL:.0e})")
-    return EXIT_OK if report["passed"] else EXIT_NUMERICAL
+    return EXIT_OK if report.get("passed") else EXIT_NUMERICAL
 
 
 def cmd_fekete(args, parser: _Parser) -> int:
     started = time.perf_counter()
-    if args.n < 1:
-        parser.error("--n must be >= 1")
     if args.mode == "anti" and args.n % 2 != 0:
         parser.error("--n must be even in anti mode (n = 2p)")
-    if args.restarts < 1:
-        parser.error("--restarts must be >= 1")
     gamma = args.gamma if args.gamma is not None else (1.0 if args.mode == "anti" else 0.5)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -217,35 +216,25 @@ def cmd_fekete(args, parser: _Parser) -> int:
     )
     if args.mode == "anti":
         result = minimize_tau(args.n // 2, config=config, gamma=gamma)
-        points = np.asarray(result.points.points)
+        points = result.points.points
         reference_radius = 2.0 * np.sqrt(args.n / gamma)
-        stats = {
-            "tau_final": result.tau_final,
-            "K_bound": result.K_bound,
-        }
-        value_final = result.tau_final
-        grad_norm = result.grad_norm_final
-        iterations = result.iterations
-        converged = result.converged
+        stats = {"K_bound": result.K_bound}
     else:
         result = minimize_commuting(args.n, d=2, gamma=gamma, config=config)
         points = result.points
         reference_radius = np.sqrt(args.n / gamma)
-        stats = {"tau_final": result.value_final}
-        value_final = result.value_final
-        grad_norm = result.grad_norm_final
-        iterations = result.iterations
-        converged = result.converged
+        stats = {}
 
     spacing = spacing_stats(points) if points.shape[0] >= 2 else None
     stats.update(
         {
+            "tau_final": result.tau_final,
             "mode": args.mode,
             "n": args.n,
             "gamma": gamma,
-            "grad_norm": grad_norm,
-            "iterations": iterations,
-            "converged": converged,
+            "grad_norm": result.grad_norm_final,
+            "iterations": result.iterations,
+            "converged": result.converged,
             "nn_mean": spacing.nn_mean if spacing else None,
             "nn_cv": spacing.nn_cv if spacing else None,
             "max_norm": spacing.max_norm if spacing else float(np.linalg.norm(points[0])),
@@ -259,7 +248,7 @@ def cmd_fekete(args, parser: _Parser) -> int:
         fh.write(_svg_scatter(points, float(reference_radius), args.mode))
     _write_manifest(out_dir, "fekete", args, ["points.csv", "stats.json", "figure.svg"], started)
     print(
-        f"{args.mode} n={args.n}: objective {value_final:.6f}, "
+        f"{args.mode} n={args.n}: objective {result.tau_final:.6f}, "
         f"max norm {stats['max_norm']:.4f}, reference radius {reference_radius:.4f}"
     )
     return EXIT_OK
@@ -267,14 +256,6 @@ def cmd_fekete(args, parser: _Parser) -> int:
 
 def cmd_sample(args, parser: _Parser) -> int:
     started = time.perf_counter()
-    if args.p < 1:
-        parser.error("--p must be >= 1")
-    if args.samples < 1:
-        parser.error("--samples must be >= 1")
-    if args.thin is not None and args.thin < 1:
-        parser.error("--thin must be >= 1")
-    if args.burnin is not None and args.burnin < 0:
-        parser.error("--burnin must be >= 0")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -366,8 +347,6 @@ def cmd_density(args, parser: _Parser) -> int:
 
 
 def cmd_kbound(args, parser: _Parser) -> int:
-    if args.p < 1:
-        parser.error("--p must be >= 1")
     k = solve_K_bound(args.p)
     print(f"K={_fmt(k)}")
     print(f"lhs={_fmt(_k_constraint_lhs(k, args.p))}")
@@ -375,46 +354,47 @@ def cmd_kbound(args, parser: _Parser) -> int:
 
 
 def _build_parser() -> _Parser:
+    positive_int, positive_float = _domain(int, positive=True), _domain(float, positive=True)
     parser = _Parser(prog="skewspec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"skewspec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     pv = sub.add_parser("verify-jacobian", help="compare the numeric Gram determinant to its closed form")
-    pv.add_argument("--p", type=int, default=None, help="number of skew-spectrum points")
-    pv.add_argument("--trials", type=int, default=100)
-    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--p", type=positive_int, default=None, help="number of skew-spectrum points")
+    pv.add_argument("--trials", type=positive_int, default=100)
+    pv.add_argument("--seed", type=_seed, default=None)
     pv.add_argument("--out", required=True, help="output directory")
     pv.add_argument("--spectrum", default=None, help="evaluate one fixed spectrum x1,y1,...")
     pv.set_defaults(func=cmd_verify_jacobian)
 
     pf = sub.add_parser("fekete", help="compute a maximal-likelihood configuration")
-    pf.add_argument("--n", type=int, required=True, help="matrix dimension (even for anti mode)")
+    pf.add_argument("--n", type=positive_int, required=True, help="matrix dimension (even for anti mode)")
     pf.add_argument("--mode", choices=("anti", "commuting"), default="anti")
-    pf.add_argument("--gamma", type=float, default=None, help="confinement coefficient (default: 1 anti, 0.5 commuting)")
-    pf.add_argument("--restarts", type=int, default=8)
-    pf.add_argument("--max-iters", type=int, default=50_000)
-    pf.add_argument("--grad-tol", type=float, default=None)
-    pf.add_argument("--seed", type=int, default=None)
+    pf.add_argument("--gamma", type=positive_float, default=None, help="confinement coefficient (default: 1 anti, 0.5 commuting)")
+    pf.add_argument("--restarts", type=positive_int, default=OptimizerConfig.restarts)
+    pf.add_argument("--max-iters", type=positive_int, default=OptimizerConfig.max_iters)
+    pf.add_argument("--grad-tol", type=_domain(float, positive=False), default=OptimizerConfig.grad_tol)
+    pf.add_argument("--seed", type=_seed, default=None)
     pf.add_argument("--out", required=True)
     pf.set_defaults(func=cmd_fekete)
 
     ps = sub.add_parser("sample", help="run a Metropolis chain over skew spectra")
-    ps.add_argument("--p", type=int, required=True)
-    ps.add_argument("--gamma", type=float, default=1.0)
-    ps.add_argument("--samples", type=int, required=True)
-    ps.add_argument("--burnin", type=int, default=None)
-    ps.add_argument("--thin", type=int, default=None)
-    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--p", type=positive_int, required=True)
+    ps.add_argument("--gamma", type=positive_float, default=1.0)
+    ps.add_argument("--samples", type=positive_int, required=True)
+    ps.add_argument("--burnin", type=_domain(int, positive=False), default=None)
+    ps.add_argument("--thin", type=positive_int, default=None)
+    ps.add_argument("--seed", type=_seed, default=None)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_sample)
 
     pd = sub.add_parser("density", help="evaluate log_rho and tau for configurations in a CSV file")
     pd.add_argument("--points", required=True, help="CSV of rows x1,y1,...,xp,yp")
-    pd.add_argument("--gamma", type=float, default=1.0, help="weight of log_rho (tau always uses gamma = 1)")
+    pd.add_argument("--gamma", type=positive_float, default=1.0, help="weight of log_rho (tau always uses gamma = 1)")
     pd.set_defaults(func=cmd_density)
 
     pk = sub.add_parser("kbound", help="solve the a-priori length bound for p points")
-    pk.add_argument("--p", type=int, required=True)
+    pk.add_argument("--p", type=positive_int, required=True)
     pk.set_defaults(func=cmd_kbound)
 
     return parser
@@ -426,11 +406,9 @@ def main(argv=None) -> int:
     if hasattr(args, "seed") and args.seed is None:
         text = os.environ.get("SKEWSPEC_SEED", "0")
         try:
-            args.seed = int(text)
+            args.seed = _seed(text)
         except ValueError:
-            parser.error(f"SKEWSPEC_SEED must be an integer, got {text!r}")
-    if getattr(args, "gamma", 1.0) is not None and getattr(args, "gamma", 1.0) <= 0:
-        parser.error("--gamma must be positive")
+            parser.error(f"SKEWSPEC_SEED must be a {_seed.__name__}, got {text!r}")
     try:
         return args.func(args, parser)
     except BrokenPipeError:

@@ -14,9 +14,9 @@ float, -inf where the density vanishes.
 calibrated to: its quadratic term is (1/2) sum |z_k|^2, which corresponds
 to the Gaussian weight exp(-||Z||_F^2 / 4). With the WeightSpec convention
 w(t) = exp(-gamma t^2 / 2), ``-log_rho`` at gamma has quadratic term
-gamma * sum |z_k|^2, so tau coincides with -log_rho at gamma = 1/2 up to
-the dropped constant. Both parametrizations are kept verbatim; neither is
-"corrected" toward the other.
+gamma * sum |z_k|^2, so -log_rho(z, WeightSpec(gamma)) = tau(z, 2 gamma)
+exactly, with no constant between them. Both parametrizations are kept
+verbatim; neither is "corrected" toward the other.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class WeightSpec:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and positive")
 
     def log_weight(self, t: float) -> float:
         return -0.5 * self.gamma * t * t

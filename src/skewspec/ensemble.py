@@ -20,6 +20,7 @@ from .matrixcore import check_hermitian, check_unitary, frobenius_norm, haar_uni
 ANTICOMMUTATION_TOL = 1e-10
 GENERIC_GAP_TOL = 1e-10
 PAIRING_TOL = 1e-8
+MAX_TRIES = 1000  # draws random_generic_spectrum makes before it gives up
 
 
 class NonGenericInput(ValueError):
@@ -221,7 +222,6 @@ def random_generic_spectrum(
     low: float = 0.1,
     high: float = 10.0,
     min_rel_gap: float = 1e-3,
-    max_tries: int = 1000,
 ) -> SkewSpectrum:
     """Uniform skew spectrum on [low, high]^2p with pairwise-separated coordinates.
 
@@ -231,9 +231,9 @@ def random_generic_spectrum(
     if p < 1:
         raise ValueError("p must be >= 1")
     gen = np.random.default_rng(rng)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         pts = gen.uniform(low, high, size=(p, 2))
         s = SkewSpectrum(pts)
         if s.is_generic(rel_gap=min_rel_gap):
             return s
-    raise RuntimeError(f"failed to draw a generic spectrum after {max_tries} tries")
+    raise RuntimeError(f"failed to draw a generic spectrum after {MAX_TRIES} tries")

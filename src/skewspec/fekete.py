@@ -26,6 +26,7 @@ STEP_INIT = 0.1
 ARMIJO_C = 1e-4
 SHRINK = 0.5
 BOUNDARY_FLOOR = 1e-8
+K_TOL = 1e-6  # bisection width of the length bound K
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol is not None and self.grad_tol < 0:
-            raise ValueError("grad_tol must be nonnegative")
+        if self.grad_tol is not None and not 0 <= self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be finite and nonnegative")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
 
@@ -66,7 +67,7 @@ class CommutingResult:
     """Optimizer output for the commuting reference density."""
 
     points: np.ndarray
-    value_final: float
+    tau_final: float
     grad_norm_final: float
     iterations: int
     converged: bool
@@ -95,7 +96,7 @@ def _k_constraint_lhs(k: float, p: int) -> float:
     return 0.5 * k * k - (3 * p + 4 * p * p) * math.log(k) - 0.5 * p * p * math.log(400.0) - 4 * p * p
 
 
-def solve_K_bound(p: int, tol: float = 1e-6) -> float:
+def solve_K_bound(p: int) -> float:
     """Smallest K >= 3p with (1/2)K^2 - (3p + 4p^2) log K - (p^2/2) log 400 - 4p^2 > 0.
 
     The left side is increasing in K on [3p, infinity), so bisection after
@@ -110,7 +111,7 @@ def solve_K_bound(p: int, tol: float = 1e-6) -> float:
     hi = 2.0 * lo
     while _k_constraint_lhs(hi, p) <= 0:
         hi *= 2.0
-    while hi - lo > tol:
+    while hi - lo > K_TOL:
         mid = 0.5 * (lo + hi)
         if _k_constraint_lhs(mid, p) > 0:
             hi = mid
@@ -293,7 +294,7 @@ def minimize_commuting(
     order = np.lexsort(z.T[::-1])
     return CommutingResult(
         points=z[order],
-        value_final=float(f),
+        tau_final=float(f),
         grad_norm_final=gnorm,
         iterations=iters,
         converged=conv,

@@ -36,6 +36,7 @@ from .ensemble import SkewSpectrum, build_block_diag
 from .matrixcore import check_unitary
 
 RANK_TOL = 1e-10
+JACOBIAN_TOL = 1e-8  # bound on the Gram relative error and the shape ratio's spread
 
 
 class DegenerateJacobian(RuntimeError):
@@ -239,16 +240,15 @@ class DensityShapeReport:
     log_gram: np.ndarray
     mean: float
     coefficient_of_variation: float
-    tolerance: float
     passed: bool
 
 
-def verify_density_shape(spectra, gamma: float = 1.0, tolerance: float = 1e-8) -> DensityShapeReport:
+def verify_density_shape(spectra, gamma: float = 1.0) -> DensityShapeReport:
     """Check sqrt(Gram det) * w equals exp(log_rho) up to a single constant.
 
     ``spectra`` is one SkewSpectrum or a sequence of them (all the same p);
     the ratio is recorded per spectrum and the report passes when the
-    coefficient of variation is within ``tolerance``.
+    coefficient of variation is within ``JACOBIAN_TOL``.
     """
     if isinstance(spectra, SkewSpectrum):
         spectra = [spectra]
@@ -261,6 +261,5 @@ def verify_density_shape(spectra, gamma: float = 1.0, tolerance: float = 1e-8) -
         log_gram=log_gram,
         mean=mean,
         coefficient_of_variation=cv,
-        tolerance=tolerance,
-        passed=bool(cv <= tolerance),
+        passed=bool(cv <= JACOBIAN_TOL),
     )

@@ -4,6 +4,8 @@ import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewspec.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
@@ -39,8 +41,7 @@ def test_verify_jacobian_pinned_spectrum(tmp_path):
 def test_verify_jacobian_pinned_spectrum_beyond_double_range(tmp_path):
     # p = 8: the Gram determinant exceeds the double range, its log does not
     out = tmp_path / "vj8"
-    spectrum = "1,8.5,2,7.5,3,6.5,4,5.5,5,4.5,6,3.5,7,2.5,8,1.5"
-    assert run_cli("verify-jacobian", "--spectrum", spectrum, "--out", str(out)) == EXIT_OK
+    assert run_cli("verify-jacobian", "--spectrum", SPECTRUM_P8, "--out", str(out)) == EXIT_OK
 
     def reject(token):
         raise ValueError(f"report.json is not strict JSON: {token}")
@@ -72,20 +73,56 @@ def test_verify_jacobian_assembles_each_spectrum_once(tmp_path, monkeypatch):
     assert calls == {"assemble_dG": 5, "build_block_diag": 5}
 
 
+SPECTRUM_P8 = "1,8.5,2,7.5,3,6.5,4,5.5,5,4.5,6,3.5,7,2.5,8,1.5"
+REPORT_KEYS = {"p", "max_rel_err", "tolerance", "passed"}
+STATS_KEYS = {
+    "tau_final", "mode", "n", "gamma", "grad_norm", "iterations", "converged",
+    "nn_mean", "nn_cv", "max_norm", "reference_radius",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, artifact, keys",
+    [
+        (
+            ("verify-jacobian", "--p", "1", "--trials", "2", "--seed", "1"),
+            "report.json",
+            REPORT_KEYS | {"trials", "shape_coefficient_of_variation"},
+        ),
+        (
+            ("verify-jacobian", "--spectrum", "1,1"),
+            "report.json",
+            REPORT_KEYS | {"spectrum", "gram", "closed_form", "shape_ratio"},
+        ),
+        (
+            ("verify-jacobian", "--spectrum", SPECTRUM_P8),
+            "report.json",
+            REPORT_KEYS | {"spectrum", "gram", "closed_form", "shape_ratio"},
+        ),
+        (("verify-jacobian", "--spectrum", "1,1,1,2"), "report.json", {"error", "spectrum"}),
+        (("fekete", "--n", "2", "--restarts", "1", "--grad-tol", "1e-4"), "stats.json", STATS_KEYS | {"K_bound"}),
+        (
+            ("fekete", "--n", "2", "--mode", "commuting", "--restarts", "1", "--grad-tol", "1e-4"),
+            "stats.json",
+            STATS_KEYS,
+        ),
+    ],
+    ids=["trials", "spectrum", "spectrum-p8", "degenerate", "anti", "commuting"],
+)
+def test_report_key_sets(tmp_path, argv, artifact, keys):
+    # one report path per command: each shape writes exactly these keys
+    run_cli(*argv, "--out", str(tmp_path))
+    report = read_json(tmp_path / artifact)
+    assert set(report) == keys
+    if argv[-1] == SPECTRUM_P8:
+        assert report["gram"] is None and report["closed_form"] is None
+
+
 def test_verify_jacobian_degenerate_spectrum(tmp_path):
     out = tmp_path / "vjdeg"
     assert run_cli("verify-jacobian", "--spectrum", "1,1,1,2", "--out", str(out)) == EXIT_NUMERICAL
     report = read_json(out / "report.json")
     assert "error" in report and report["spectrum"] == "1,1,1,2"
-
-
-def test_verify_jacobian_usage_errors(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("verify-jacobian", "--p", "0", "--out", str(tmp_path / "x"))
-    assert exc.value.code == EXIT_USAGE
-    with pytest.raises(SystemExit) as exc:
-        run_cli("verify-jacobian", "--out", str(tmp_path / "y"))
-    assert exc.value.code == EXIT_USAGE
 
 
 def test_fekete_anti_outputs(tmp_path):
@@ -133,15 +170,6 @@ def test_fekete_commuting_outputs(tmp_path):
     assert len(refs) == 1 and refs[0].tag.endswith("circle")
 
 
-def test_fekete_usage_errors(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("fekete", "--n", "7", "--out", str(tmp_path / "x"))
-    assert exc.value.code == EXIT_USAGE
-    with pytest.raises(SystemExit) as exc:
-        run_cli("fekete", "--n", "8", "--gamma", "-1", "--out", str(tmp_path / "y"))
-    assert exc.value.code == EXIT_USAGE
-
-
 def test_sample_p1_with_ks(tmp_path):
     out = tmp_path / "smp"
     code = run_cli(
@@ -169,12 +197,6 @@ def test_sample_p3_schema(tmp_path):
     assert len(lines) == 21
     assert all(len(line.split(",")) == 6 for line in lines[1:])
     assert not (out / "ks.json").exists()
-
-
-def test_sample_usage_errors(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("sample", "--p", "1", "--samples", "10", "--thin", "0", "--out", str(tmp_path / "x"))
-    assert exc.value.code == EXIT_USAGE
 
 
 def test_density_rows(tmp_path, capsys):
@@ -270,12 +292,6 @@ def test_kbound_prints_the_bisected_constraint(capsys):
     assert lhs_line == f"lhs={_k_constraint_lhs(k, 43)!r}"
 
 
-def test_kbound_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        run_cli("kbound", "--p", "0")
-    assert exc.value.code == EXIT_USAGE
-
-
 def test_seed_env_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SKEWSPEC_SEED", "77")
     out = tmp_path / "env"
@@ -284,20 +300,117 @@ def test_seed_env_default(tmp_path, monkeypatch, capsys):
 
 
 def test_seed_env_invalid(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SKEWSPEC_SEED", "abc")
-    # commands without --seed never read the variable
-    assert run_cli("kbound", "--p", "2") == EXIT_OK
     points = tmp_path / "pts.csv"
     points.write_text("1.0,2.0\n")
-    assert run_cli("density", "--points", str(points)) == EXIT_OK
-    # an explicit --seed wins over the variable
-    out = tmp_path / "explicit"
-    assert run_cli("verify-jacobian", "--p", "1", "--trials", "2", "--seed", "3", "--out", str(out)) == EXIT_OK
-    capsys.readouterr()
+    for text in ("abc", "-1"):
+        monkeypatch.setenv("SKEWSPEC_SEED", text)
+        # commands without --seed never read the variable
+        assert run_cli("kbound", "--p", "2") == EXIT_OK
+        assert run_cli("density", "--points", str(points)) == EXIT_OK
+        # an explicit --seed wins over the variable
+        out = tmp_path / "explicit"
+        assert run_cli("verify-jacobian", "--p", "1", "--trials", "2", "--seed", "3", "--out", str(out)) == EXIT_OK
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify-jacobian", "--p", "1", "--trials", "2", "--out", str(tmp_path / "env"))
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "SKEWSPEC_SEED" in err and "Traceback" not in err
+
+
+SAMPLE = ("--p", "1", "--samples", "10")
+USAGE_ERRORS = [
+    # (command, the flag at fault, its value or None where it is missing, the other arguments)
+    ("verify-jacobian", "--p", "0", ()),
+    ("verify-jacobian", "--p", None, ("--trials", "2")),
+    ("verify-jacobian", "--seed", "-1", ("--p", "1")),
+    ("fekete", "--n", "7", ()),
+    ("fekete", "--gamma", "-1", ("--n", "8")),
+    ("fekete", "--gamma", "nan", ("--n", "2")),
+    ("fekete", "--gamma", "inf", ("--n", "2")),
+    ("fekete", "--max-iters", "0", ("--n", "2")),
+    ("fekete", "--grad-tol", "-1", ("--n", "2")),
+    ("fekete", "--seed", "-1", ("--n", "2")),
+    ("sample", "--thin", "0", SAMPLE),
+    ("sample", "--gamma", "nan", SAMPLE),
+    ("sample", "--gamma", "inf", SAMPLE),
+    ("sample", "--seed", "-1", SAMPLE),
+    ("sample", "--samples", "1.5", ("--p", "1")),
+    ("density", "--gamma", "nan", ()),
+    ("density", "--gamma", "inf", ()),
+    ("kbound", "--p", "0", ()),
+]
+WRITES_ARTIFACTS = {"verify-jacobian", "fekete", "sample"}
+
+
+def _argv(tmp_path, command, others):
+    """The command line with --out, or with a valid --points file for density."""
+    if command in WRITES_ARTIFACTS:
+        return [command, *others, "--out", str(tmp_path / "out")]
+    if command == "density":
+        points = tmp_path / "pts.csv"
+        points.write_text("1.0,2.0\n")
+        return [command, *others, "--points", str(points)]
+    return [command, *others]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, others",
+    USAGE_ERRORS,
+    ids=[f"{c}:{f}={'missing' if v is None else v}" for c, f, v, _ in USAGE_ERRORS],
+)
+def test_usage_errors(tmp_path, capsys, command, flag, value, others):
+    bad = () if value is None else (flag, value)
     with pytest.raises(SystemExit) as exc:
-        run_cli("verify-jacobian", "--p", "1", "--trials", "2", "--out", str(tmp_path / "env"))
+        run_cli(*_argv(tmp_path, command, (*others, *bad)))
     assert exc.value.code == EXIT_USAGE
-    assert "SKEWSPEC_SEED" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and flag in err.splitlines()[-1]
+    assert not (tmp_path / "out").exists()
+
+
+def _out_of_domain(positive: bool, integer: bool):
+    """Text that a finite positive (else non-negative) int or float flag rejects."""
+    if integer:
+        # any float repr ("5.0", "1e+16", "nan") is not an int literal
+        return st.integers(max_value=0 if positive else -1).map(str) | st.floats().map(repr)
+    low = st.floats(max_value=0.0 if positive else -math.ulp(0.0))
+    return (low | st.sampled_from([math.nan, math.inf])).map(repr) | st.sampled_from(["", "abc", "1,5"])
+
+
+NUMERIC_FLAGS = [
+    # (command, flag, positive, integer, the other arguments)
+    ("verify-jacobian", "--p", True, True, ()),
+    ("verify-jacobian", "--trials", True, True, ("--p", "1")),
+    ("verify-jacobian", "--seed", False, True, ("--p", "1")),
+    ("fekete", "--n", True, True, ()),
+    ("fekete", "--gamma", True, False, ("--n", "2")),
+    ("fekete", "--restarts", True, True, ("--n", "2")),
+    ("fekete", "--max-iters", True, True, ("--n", "2")),
+    ("fekete", "--grad-tol", False, False, ("--n", "2")),
+    ("fekete", "--seed", False, True, ("--n", "2")),
+    ("sample", "--p", True, True, ("--samples", "10")),
+    ("sample", "--gamma", True, False, SAMPLE),
+    ("sample", "--samples", True, True, ("--p", "1")),
+    ("sample", "--burnin", False, True, SAMPLE),
+    ("sample", "--thin", True, True, SAMPLE),
+    ("sample", "--seed", False, True, SAMPLE),
+    ("density", "--gamma", True, False, ()),
+    ("kbound", "--p", True, True, ()),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_out_of_domain_numbers_exit_usage(tmp_path_factory, data):
+    # every numeric flag rejects any value outside its domain before work starts
+    command, flag, positive, integer, others = data.draw(st.sampled_from(NUMERIC_FLAGS))
+    value = data.draw(_out_of_domain(positive, integer))
+    tmp_path = tmp_path_factory.mktemp("domain")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*_argv(tmp_path, command, (*others, f"{flag}={value}")))
+    assert exc.value.code == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -270,5 +272,7 @@ def test_log_kappa_examples():
 
 
 def test_weight_spec_validation():
-    with pytest.raises(ValueError):
-        WeightSpec(gamma=0.0)
+    # a non-finite gamma would make every log_rho -inf or nan
+    for gamma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            WeightSpec(gamma=gamma)

@@ -164,5 +164,7 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(grad_tol=-1.0)
+    # a nan or infinite tolerance would never or always count as converged
+    for grad_tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OptimizerConfig(grad_tol=grad_tol)
