@@ -10,10 +10,12 @@ Library layout:
   float, -inf where the density vanishes), tau, its gradient, and the
   commuting-pair reference density;
 - :mod:`skewspec.jacobian` — numerical verification of the parametrization
-  Jacobian against its closed form;
+  Jacobian against its closed form, from a tangent basis held as labels and
+  one array of skew-Hermitian generators;
 - :mod:`skewspec.fekete` — maximal-likelihood configurations by projected
   gradient descent;
-- :mod:`skewspec.sampler` — Metropolis sampling with quadrature validation;
+- :mod:`skewspec.sampler` — Metropolis sampling with quadrature validation
+  (``sample_generic_pair(chain.spectrum(i))`` gives an ambient pair);
 - :mod:`skewspec.cli` — the ``skewspec`` command-line frontend.
 """
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -43,11 +42,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _domain(kind: type, positive: bool):
-    """argparse ``type=``: text to a finite ``kind`` that is positive, or else non-negative."""
+    """argparse ``type=``: text to a ``kind`` that is positive, or else non-negative, and finite.
+
+    Finite means within the double range, so an int too large for a float
+    is rejected too.
+    """
 
     def convert(text: str):
         value = kind(text)
-        if not ((0 < value if positive else 0 <= value) and value < math.inf):
+        if not ((0 < value if positive else 0 <= value) and value <= sys.float_info.max):
             raise ValueError(text)
         return value
 

@@ -4,9 +4,9 @@ The parametrization G maps (unitary coset, skew spectrum) to a generic
 anti-commuting pair. Its derivative dG is assembled as one array from an
 orthonormal tangent basis: three skew-Hermitian directions R_k, S_k, T_k
 per 2x2 block and eight inter-block directions R_{ij,ab}, S_{ij,ab} per
-block pair, imaged by one commutator over their stack, and the 2p spectral
-directions e1_k, e2_k, imaged by index. The Gram determinant det(dG^T dG)
-then has the closed form
+block pair, held as one (4p^2 - p, n, n) generator array and imaged by one
+commutator over it, and the 2p spectral directions e1_k, e2_k, imaged by
+index. The Gram determinant det(dG^T dG) then has the closed form
 
     prod_k 256 x_k^2 y_k^2 (x_k^2 + y_k^2) * prod_{i<j} f(z_i, z_j)^2,
 
@@ -43,105 +43,57 @@ class DegenerateJacobian(RuntimeError):
     """The parametrization is not a chart at the requested spectrum."""
 
 
-@dataclass(frozen=True)
-class TangentBasisElement:
-    """One orthonormal tangent direction.
+def enumerate_tangent_basis(p: int) -> tuple[list[tuple[str, tuple]], np.ndarray]:
+    """The ordered tangent basis at the identity coset: ``(labels, generators)``.
 
-    Unitary directions carry a skew-Hermitian ``matrix`` of unit Frobenius
-    norm; spectral directions carry a unit ``vector`` in R^{2p} (x slots
-    first, then y slots).
-    """
-
-    tag: str
-    indices: tuple
-    matrix: np.ndarray | None = None
-    vector: np.ndarray | None = None
-
-
-def _elementary(n: int, a: int, b: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[a, b] = 1.0
-    return m
-
-
-def enumerate_tangent_basis(p: int) -> list[TangentBasisElement]:
-    """The full ordered tangent basis at the identity coset; 4p^2 + p elements.
-
-    Order: (R_k, S_k, T_k) for k = 1..p, then (R_{ij,ab} for ab in
+    ``labels`` lists ``(tag, indices)`` for all 4p^2 + p directions in the
+    order (R_k, S_k, T_k) for k = 1..p, then (R_{ij,ab} for ab in
     00,10,01,11, then S_{ij,ab}) for i < j, then e1_1..e1_p, e2_1..e2_p.
+    ``generators`` is the complex (4p^2 - p, n, n) stack of the unitary
+    directions' skew-Hermitian matrices, each of unit Frobenius norm, in
+    label order; the 2p spectral directions have none (:func:`assemble_dG`
+    images them by index).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    n = 2 * p
-    s2 = np.sqrt(2.0)
-    basis: list[TangentBasisElement] = []
+    labels: list[tuple[str, tuple]] = []
+    entries = []  # per generator (a, b, u, c, d, v): u at [a, b] and v at [c, d]
     for k in range(1, p + 1):
         a, b = 2 * k - 2, 2 * k - 1  # rows 2k-1, 2k in 1-based terms
-        basis.append(
-            TangentBasisElement("R", (k,), matrix=(_elementary(n, a, b) - _elementary(n, b, a)) / s2)
-        )
-        basis.append(
-            TangentBasisElement(
-                "S", (k,), matrix=1j * (_elementary(n, a, b) + _elementary(n, b, a)) / s2
-            )
-        )
-        basis.append(
-            TangentBasisElement(
-                "T", (k,), matrix=1j * (_elementary(n, a, a) - _elementary(n, b, b)) / s2
-            )
-        )
+        labels += [("R", (k,)), ("S", (k,)), ("T", (k,))]
+        entries += [(a, b, 1, b, a, -1), (a, b, 1j, b, a, 1j), (a, a, 1j, b, b, -1j)]
     for i in range(1, p + 1):
         for j in range(i + 1, p + 1):
-            for alpha, beta in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                a, b = 2 * i - alpha - 1, 2 * j - beta - 1
-                basis.append(
-                    TangentBasisElement(
-                        "Rij",
-                        (i, j, alpha, beta),
-                        matrix=(_elementary(n, a, b) - _elementary(n, b, a)) / s2,
-                    )
-                )
-            for alpha, beta in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                a, b = 2 * i - alpha - 1, 2 * j - beta - 1
-                basis.append(
-                    TangentBasisElement(
-                        "Sij",
-                        (i, j, alpha, beta),
-                        matrix=1j * (_elementary(n, a, b) + _elementary(n, b, a)) / s2,
-                    )
-                )
-    for k in range(1, p + 1):
-        v = np.zeros(2 * p)
-        v[k - 1] = 1.0
-        basis.append(TangentBasisElement("e1", (k,), vector=v))
-    for k in range(1, p + 1):
-        v = np.zeros(2 * p)
-        v[p + k - 1] = 1.0
-        basis.append(TangentBasisElement("e2", (k,), vector=v))
-    return basis
-
-
-def hermitian_coordinates(a: np.ndarray) -> np.ndarray:
-    """Orthonormal real coordinates of a Hermitian matrix (length n^2).
-
-    Diagonal first, then sqrt(2) * Re and sqrt(2) * Im of the strict upper
-    triangle; the 2-norm of the result equals the Frobenius norm. A stack
-    of matrices (the last two axes) gives a stack of coordinate vectors.
-    """
-    iu = np.triu_indices(a.shape[-1], 1)
-    upper = a[..., iu[0], iu[1]]
-    diag = np.real(np.diagonal(a, axis1=-2, axis2=-1))
-    return np.concatenate([diag, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
+            for tag, u, v in (("Rij", 1, -1), ("Sij", 1j, 1j)):
+                for alpha, beta in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                    a, b = 2 * i - alpha - 1, 2 * j - beta - 1
+                    labels.append((tag, (i, j, alpha, beta)))
+                    entries.append((a, b, u, b, a, v))
+    labels += [("e1", (k,)) for k in range(1, p + 1)] + [("e2", (k,)) for k in range(1, p + 1)]
+    a, b, u, c, d, v = zip(*entries)
+    generators = np.zeros((len(entries), 2 * p, 2 * p), dtype=np.complex128)
+    m = np.arange(len(entries))
+    generators[m, a, b] = u
+    generators[m, c, d] = v
+    return labels, generators / np.sqrt(2.0)
 
 
 def ambient_coordinates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian pair (length 2 n^2), or of a stack of pairs."""
-    coords = hermitian_coordinates(np.stack([x, y], axis=-3))
+    """Isometric real coordinates of a Hermitian pair (length 2 n^2), or of a stack of pairs.
+
+    Per matrix: the diagonal first, then sqrt(2) * Re and sqrt(2) * Im of
+    the strict upper triangle, so the 2-norm equals the Frobenius norm.
+    """
+    a = np.stack([x, y], axis=-3)
+    iu = np.triu_indices(a.shape[-1], 1)
+    upper = a[..., iu[0], iu[1]]
+    diag = np.real(np.diagonal(a, axis1=-2, axis2=-1))
+    coords = np.concatenate([diag, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
     return coords.reshape(*coords.shape[:-2], -1)
 
 
 def assemble_dG(s: SkewSpectrum, unitary=None) -> np.ndarray:
-    """The (2 n^2) x (4p^2 + p) real matrix of dG images, column per basis element.
+    """The (2 n^2) x (4p^2 + p) real matrix of dG images, column per basis direction.
 
     A unitary direction S maps to ([S, A_x], [S, B_y]); the spectral
     direction e1_k maps to (A_{delta_k}, 0) and e2_k to (0, B_{delta_k}).
@@ -152,7 +104,7 @@ def assemble_dG(s: SkewSpectrum, unitary=None) -> np.ndarray:
     """
     p, n = s.p, 2 * s.p
     pair = build_block_diag(s)
-    gens = np.array([v.matrix for v in enumerate_tangent_basis(p) if v.matrix is not None])
+    _, gens = enumerate_tangent_basis(p)
     ax = np.zeros((len(gens) + 2 * p, n, n), dtype=np.complex128)
     by = np.zeros_like(ax)
     ax[: len(gens)] = gens @ pair.X - pair.X @ gens
@@ -169,25 +121,18 @@ def assemble_dG(s: SkewSpectrum, unitary=None) -> np.ndarray:
     return ambient_coordinates(ax, by).T
 
 
-def _singular_values(s: SkewSpectrum, unitary=None) -> np.ndarray:
-    """Singular values of dG, descending; the one assembly and SVD behind rank and Gram."""
+def gram_log_determinant(s: SkewSpectrum, unitary=None) -> float:
+    """log det(dG^T dG) from the singular values of dG; overflow-safe for large p.
+
+    Raises :class:`DegenerateJacobian` off the generic stratum and where
+    dG is numerically rank deficient (full rank is 4p^2 + p).
+    """
     if not s.is_generic():
         raise DegenerateJacobian(
             "skew spectrum has coincident x or y coordinates; "
             "the parametrization is a chart only on the generic stratum"
         )
-    return np.linalg.svd(assemble_dG(s, unitary=unitary), compute_uv=False)
-
-
-def jacobian_rank(s: SkewSpectrum) -> int:
-    """Numerical rank of dG (full rank 4p^2 + p on the generic stratum)."""
-    sv = _singular_values(s)
-    return int(np.sum(sv >= RANK_TOL * sv[0]))
-
-
-def gram_log_determinant(s: SkewSpectrum, unitary=None) -> float:
-    """log det(dG^T dG); overflow-safe for large p."""
-    sv = _singular_values(s, unitary=unitary)
+    sv = np.linalg.svd(assemble_dG(s, unitary=unitary), compute_uv=False)
     if sv[-1] < RANK_TOL * sv[0]:
         raise DegenerateJacobian(
             f"dG is rank deficient: smallest singular value {sv[-1]:.3e} "
@@ -221,11 +166,6 @@ def _shape_ratio(s: SkewSpectrum, log_gram: float, gamma: float) -> float:
     norm = math.sqrt(2.0 * terms[0])
     log_ratio = 0.5 * log_gram + w.log_weight(norm) - _log_rho_of(terms, w)
     return float(np.exp(log_ratio))
-
-
-def shape_ratio(s: SkewSpectrum, gamma: float = 1.0) -> float:
-    """sqrt(det Gram) * w(||Z||_F) / exp(log_rho); constant (16^p) over generic s."""
-    return _shape_ratio(s, gram_log_determinant(s), gamma)
 
 
 @dataclass(frozen=True)

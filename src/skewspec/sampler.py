@@ -1,10 +1,11 @@
-"""Metropolis sampling of skew spectra and ambient pair synthesis.
+"""Metropolis sampling of skew spectra.
 
 A symmetric Gaussian random walk on the 2p coordinates targets the
 unnormalized skew-spectrum density; proposals leaving the open quadrant
 are rejected outright (the target vanishes there, so detailed balance is
-preserved). Composing a retained spectrum with an independent Haar
-conjugation yields a random ambient anti-commuting pair. At p = 1 the
+preserved). Passing a retained spectrum, ``chain.spectrum(i)``, to
+:func:`skewspec.ensemble.sample_generic_pair` yields a random ambient
+anti-commuting pair with the chain's spectral marginal. At p = 1 the
 density is cheap to integrate on a grid, which gives an independent CDF
 to validate the chain against.
 """
@@ -18,9 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import WeightSpec, log_rho
-from .ensemble import HermitianPair, SkewSpectrum, build_block_diag, conjugate
+from .ensemble import SkewSpectrum
 from .fekete import grid_initialization
-from .matrixcore import haar_unitary
 
 ADAPT_WINDOW = 200
 ACCEPT_TARGET_LOW = 0.2
@@ -123,19 +123,6 @@ def run_chain(
         seed=seed,
         step_scale=scale,
     )
-
-
-def sample_ambient_pair(chain: ChainReport, index: int, rng=None) -> HermitianPair:
-    """Ambient anti-commuting pair for one retained spectrum.
-
-    Conjugates the block form of ``chain.samples[index]`` by an
-    independent Haar unitary; the spectral marginal of the result is the
-    chain's target.
-    """
-    if not 0 <= index < chain.n_samples:
-        raise IndexError(f"sample index {index} out of range [0, {chain.n_samples})")
-    spectrum = chain.spectrum(index)
-    return conjugate(build_block_diag(spectrum), haar_unitary(2 * spectrum.p, rng))
 
 
 @dataclass(frozen=True)

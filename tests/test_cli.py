@@ -319,6 +319,7 @@ def test_seed_env_invalid(tmp_path, monkeypatch, capsys):
 
 
 SAMPLE = ("--p", "1", "--samples", "10")
+BEYOND_DOUBLE = str(10**400)  # an int literal no float can hold
 USAGE_ERRORS = [
     # (command, the flag at fault, its value or None where it is missing, the other arguments)
     ("verify-jacobian", "--p", "0", ()),
@@ -339,6 +340,8 @@ USAGE_ERRORS = [
     ("density", "--gamma", "nan", ()),
     ("density", "--gamma", "inf", ()),
     ("kbound", "--p", "0", ()),
+    ("kbound", "--p", BEYOND_DOUBLE, ()),
+    ("fekete", "--n", BEYOND_DOUBLE, ()),
 ]
 WRITES_ARTIFACTS = {"verify-jacobian", "fekete", "sample"}
 
@@ -357,7 +360,10 @@ def _argv(tmp_path, command, others):
 @pytest.mark.parametrize(
     "command, flag, value, others",
     USAGE_ERRORS,
-    ids=[f"{c}:{f}={'missing' if v is None else v}" for c, f, v, _ in USAGE_ERRORS],
+    ids=[
+        f"{c}:{f}={'missing' if v is None else '1e400' if v == BEYOND_DOUBLE else v}"
+        for c, f, v, _ in USAGE_ERRORS
+    ],
 )
 def test_usage_errors(tmp_path, capsys, command, flag, value, others):
     bad = () if value is None else (flag, value)

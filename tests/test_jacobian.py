@@ -4,39 +4,38 @@ import pytest
 from skewspec.density import WeightSpec, log_rho, pair_factor_f
 from skewspec.ensemble import SkewSpectrum, build_block_diag, random_generic_spectrum
 from skewspec.jacobian import (
+    RANK_TOL,
     DegenerateJacobian,
     ambient_coordinates,
     assemble_dG,
     closed_form_log_gram,
     enumerate_tangent_basis,
     gram_log_determinant,
-    jacobian_rank,
-    shape_ratio,
     verify_density_shape,
 )
 from skewspec.matrixcore import haar_unitary
 
 
 def test_basis_count_and_tags():
-    basis = enumerate_tangent_basis(1)
-    assert [b.tag for b in basis] == ["R", "S", "T", "e1", "e2"]
-    assert len(enumerate_tangent_basis(2)) == 18
+    labels, _ = enumerate_tangent_basis(1)
+    assert [tag for tag, _ in labels] == ["R", "S", "T", "e1", "e2"]
+    assert len(enumerate_tangent_basis(2)[0]) == 18
     for p in (1, 2, 3, 5):
-        assert len(enumerate_tangent_basis(p)) == 4 * p * p + p
+        labels, generators = enumerate_tangent_basis(p)
+        assert len(labels) == 4 * p * p + p
+        assert generators.shape == (4 * p * p - p, 2 * p, 2 * p)
+        # the generators are the unitary directions, in label order
+        assert all(tag not in ("e1", "e2") for tag, _ in labels[: len(generators)])
 
 
 def test_basis_orthonormal():
-    basis = enumerate_tangent_basis(3)
-    matrices = [b for b in basis if b.matrix is not None]
-    for i, a in enumerate(matrices):
-        # skew-Hermitian, unit Frobenius norm
-        assert np.allclose(a.matrix.conj().T, -a.matrix)
-        for j, b in enumerate(matrices):
-            inner = np.real(np.trace(a.matrix.conj().T @ b.matrix))
-            assert abs(inner - (1.0 if i == j else 0.0)) <= 1e-12
-    vectors = [b.vector for b in basis if b.vector is not None]
-    gram = np.array(vectors) @ np.array(vectors).T
-    assert np.max(np.abs(gram - np.eye(len(vectors)))) <= 1e-12
+    for p in (1, 2, 3, 4):
+        _, generators = enumerate_tangent_basis(p)
+        # skew-Hermitian, and orthonormal under the real Frobenius inner product
+        assert np.array_equal(generators.conj().transpose(0, 2, 1), -generators)
+        flat = generators.reshape(len(generators), -1)
+        gram = np.real(flat.conj() @ flat.T)
+        assert np.max(np.abs(gram - np.eye(len(generators)))) <= 1e-12
 
 
 def test_ambient_coordinates_isometry():
@@ -52,17 +51,19 @@ def test_ambient_coordinates_isometry():
 
 
 def _per_column_dG(s, unitary=None):
-    """dG one basis element at a time: commutator images, then the e1/e2 images."""
+    """dG one basis direction at a time: commutator images, then the e1/e2 images."""
     pair = build_block_diag(s)
     n = 2 * s.p
+    labels, generators = enumerate_tangent_basis(s.p)
     cols = []
-    for v in enumerate_tangent_basis(s.p):
+    for i, (tag, indices) in enumerate(labels):
         ax = np.zeros((n, n), dtype=complex)
         by = np.zeros((n, n), dtype=complex)
-        a = 2 * v.indices[0] - 2
-        if v.matrix is not None:
-            ax, by = v.matrix @ pair.X - pair.X @ v.matrix, v.matrix @ pair.Y - pair.Y @ v.matrix
-        elif v.tag == "e1":
+        a = 2 * indices[0] - 2
+        if i < len(generators):
+            g = generators[i]
+            ax, by = g @ pair.X - pair.X @ g, g @ pair.Y - pair.Y @ g
+        elif tag == "e1":
             ax[a, a], ax[a + 1, a + 1] = 1.0, -1.0
         else:
             by[a, a + 1] = by[a + 1, a] = 1.0
@@ -86,17 +87,16 @@ def test_assemble_dG_matches_per_column_oracle(p, conjugated):
 
 def test_assemble_dG_single_block_images():
     s = SkewSpectrum([(1.7, 0.6), (0.4, 2.2)])
-    basis = enumerate_tangent_basis(2)
-    by_key = {(b.tag, b.indices): b for b in basis}
+    labels, generators = enumerate_tangent_basis(2)
     columns = assemble_dG(s)
-    image = {(b.tag, b.indices): columns[:, i] for i, b in enumerate(basis)}
+    image = {label: columns[:, i] for i, label in enumerate(labels)}
 
     for k in (1, 2):
         x_k, y_k = s.points[k - 1]
         img = image[("S", (k,))]
         # ([S, A_x], 0) with norm 2 x_k
         assert np.linalg.norm(img) == pytest.approx(2.0 * x_k, rel=1e-12)
-        r_k = by_key[("R", (k,))].matrix
+        r_k = generators[labels.index(("R", (k,)))]
         expected = ambient_coordinates(-2j * x_k * r_k, np.zeros((4, 4), dtype=complex))
         assert np.allclose(img, expected, atol=1e-14)
 
@@ -176,24 +176,25 @@ def test_rank_equals_dimension():
     rng = np.random.default_rng(3)
     for p in (1, 2, 3, 4):
         s = random_generic_spectrum(p, rng)
-        assert jacobian_rank(s) == 4 * p * p + p
+        sv = np.linalg.svd(assemble_dG(s), compute_uv=False)
+        assert int(np.sum(sv >= RANK_TOL * sv[0])) == 4 * p * p + p
 
 
 def test_gram_block_structure():
     s = random_generic_spectrum(3, np.random.default_rng(4))
-    basis = enumerate_tangent_basis(3)
+    labels, _ = enumerate_tangent_basis(3)
     columns = assemble_dG(s)
     gram = columns.T @ columns
 
-    def group(element):
-        if element.tag in ("Rij", "Sij"):
-            return ("ij", element.indices[0], element.indices[1])
-        return ("k", element.indices[0])
+    def group(tag, indices):
+        if tag in ("Rij", "Sij"):
+            return ("ij", indices[0], indices[1])
+        return ("k", indices[0])
 
-    groups = [group(b) for b in basis]
+    groups = [group(*label) for label in labels]
     scale = np.max(np.abs(gram))
-    for a in range(len(basis)):
-        for b in range(len(basis)):
+    for a in range(len(labels)):
+        for b in range(len(labels)):
             if groups[a] != groups[b]:
                 assert abs(gram[a, b]) <= 1e-12 * scale
 
@@ -203,9 +204,9 @@ def test_inter_block_determinant_equals_f_squared():
     rng = np.random.default_rng(5)
     for _ in range(100):
         s = random_generic_spectrum(2, rng, low=0.1, high=5.0)
-        basis = enumerate_tangent_basis(2)
+        labels, _ = enumerate_tangent_basis(2)
         columns = assemble_dG(s)
-        idx = [i for i, b in enumerate(basis) if b.tag in ("Rij", "Sij")]
+        idx = [i for i, (tag, _) in enumerate(labels) if tag in ("Rij", "Sij")]
         m = columns[:, idx]
         det = np.linalg.det(m.T @ m)
         f = pair_factor_f(s.points[0], s.points[1])
@@ -222,15 +223,15 @@ def test_determinant_invariant_under_conjugation():
 
 
 def test_shape_ratio_p1_is_16():
-    assert shape_ratio(SkewSpectrum([(1.0, 1.0)])) == pytest.approx(16.0, rel=1e-10)
+    assert verify_density_shape(SkewSpectrum([(1.0, 1.0)])).ratios[0] == pytest.approx(16.0, rel=1e-10)
 
 
 def test_shape_ratio_scale_invariant():
     s = SkewSpectrum([(0.8, 1.4), (2.1, 0.9)])
-    base = shape_ratio(s)
+    base = verify_density_shape(s).ratios[0]
     for t in (0.5, 2.0, 7.0):
         scaled = SkewSpectrum(np.asarray(s.points) * t)
-        assert shape_ratio(scaled) == pytest.approx(base, rel=1e-9)
+        assert verify_density_shape(scaled).ratios[0] == pytest.approx(base, rel=1e-9)
 
 
 def test_verify_density_shape_report():

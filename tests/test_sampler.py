@@ -5,14 +5,13 @@ import pytest
 
 from skewspec.cli import main
 from skewspec.density import WeightSpec, log_rho
-from skewspec.ensemble import extract_skew_spectrum
+from skewspec.ensemble import extract_skew_spectrum, sample_generic_pair
 from skewspec.fekete import grid_initialization
 from skewspec.sampler import (
     _propose_and_decide,
     ks_compare,
     p1_quadrature_cdf,
     run_chain,
-    sample_ambient_pair,
 )
 
 W_HALF = WeightSpec(gamma=0.5)
@@ -193,19 +192,13 @@ def test_run_chain_argument_validation():
 
 def test_sample_ambient_pair_round_trip():
     report = run_chain(2, W_HALF, 50, burn_in=2000, thinning=5, seed=3)
-    pair = sample_ambient_pair(report, 7, rng=4)
+    pair = sample_generic_pair(report.spectrum(7), rng=4)
     assert pair.anticommutation_residual <= 1e-10 * pair.n
     recovered = extract_skew_spectrum(pair)
     stored = report.spectrum(7).sorted()
     assert np.max(np.abs(recovered.points - stored.points) / stored.points) <= 1e-8
     expected_norm = 2.0 * float(np.sum(stored.points**2))
     assert pair.norm_squared == pytest.approx(expected_norm, rel=1e-10)
-
-
-def test_sample_ambient_pair_index_check():
-    report = run_chain(1, W_HALF, 10, burn_in=100, thinning=2, seed=5)
-    with pytest.raises(IndexError):
-        sample_ambient_pair(report, 10)
 
 
 @pytest.mark.parametrize("resolution,rel", [(512, 1e-4), (4096, 2e-6)])
