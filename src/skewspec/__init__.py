@@ -14,8 +14,9 @@ Library layout:
   one array of skew-Hermitian generators;
 - :mod:`skewspec.fekete` — maximal-likelihood configurations by projected
   gradient descent;
-- :mod:`skewspec.sampler` — Metropolis sampling with quadrature validation
-  (``sample_generic_pair(chain.spectrum(i))`` gives an ambient pair);
+- :mod:`skewspec.sampler` — Metropolis sampling, validated at p = 1
+  against the exact marginal CDF (``sample_generic_pair(chain.spectrum(i))``
+  gives an ambient pair);
 - :mod:`skewspec.cli` — the ``skewspec`` command-line frontend.
 """
 

@@ -281,8 +281,8 @@ def cmd_sample(args, parser: _Parser) -> int:
 
     exit_code = EXIT_OK
     if args.p == 1 and report.n_samples >= 1000:
-        table = p1_quadrature_cdf(w)
-        ks = ks_compare(report, table)
+        law = p1_quadrature_cdf(w)
+        ks = ks_compare(report, law)
         passed = ks.x < KS_THRESHOLD and ks.y < KS_THRESHOLD
         _write_json(
             out_dir / "ks.json",
@@ -290,7 +290,7 @@ def cmd_sample(args, parser: _Parser) -> int:
                 "statistic_x": ks.x,
                 "statistic_y": ks.y,
                 "threshold": KS_THRESHOLD,
-                "normalization_c1": table.normalization,
+                "normalization_c1": law.normalization,
                 "passed": passed,
             },
         )
@@ -314,8 +314,13 @@ def cmd_density(args, parser: _Parser) -> int:
         return EXIT_DATA
     w = WeightSpec(gamma=args.gamma)
     rows = []
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        # utf-8-sig strips a byte-order mark, which would make row 1 pass for a header
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        print(f"points file is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_DATA
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

@@ -45,14 +45,10 @@ class WeightSpec:
 
 
 def _points(s) -> np.ndarray:
-    """Coerce a SkewSpectrum, an (p, 2) array, or a flat (x1, y1, ...) row."""
+    """Coerce a SkewSpectrum or a (p, 2) array."""
     if isinstance(s, SkewSpectrum):
         return s.points
     pts = np.asarray(s, dtype=float)
-    if pts.ndim == 1:
-        if pts.size % 2 != 0 or pts.size == 0:
-            raise ValueError(f"flat configuration must have even positive length, got {pts.size}")
-        pts = pts.reshape(-1, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected (p, 2) points, got shape {pts.shape}")
     return pts

@@ -234,9 +234,9 @@ def minimize_tau(p: int, config: OptimizerConfig | None = None, gamma: float = 1
     )
 
 
-def fekete_set(p: int, config: OptimizerConfig | None = None, gamma: float = 1.0) -> SkewSpectrum:
+def fekete_set(p: int, config: OptimizerConfig | None = None) -> SkewSpectrum:
     """Maximal-likelihood configuration rescaled by 1/sqrt(p)."""
-    result = minimize_tau(p, config=config, gamma=gamma)
+    result = minimize_tau(p, config=config)
     return SkewSpectrum(result.points.points / np.sqrt(p))
 
 
@@ -256,16 +256,9 @@ def _commuting_grad(pts: np.ndarray, gamma: float) -> np.ndarray:
     return grad
 
 
-def _commuting_grid(n: int, d: int) -> np.ndarray:
+def _commuting_grid(n: int) -> np.ndarray:
     q = math.isqrt(n - 1) + 1
-    if d == 2:
-        pts = np.array([(i, j) for i in range(1, q + 1) for j in range(1, q + 1)][:n], dtype=float)
-    else:
-        # centered 1-d ladder replicated in extra dimensions with tiny tilts
-        pts = np.zeros((n, d))
-        pts[:, 0] = np.arange(1, n + 1, dtype=float)
-        for j in range(1, d):
-            pts[:, j] = 0.01 * np.arange(n) * (j + 1)
+    pts = np.array([(i, j) for i in range(1, q + 1) for j in range(1, q + 1)][:n], dtype=float)
     return pts - np.mean(pts, axis=0)
 
 
@@ -276,14 +269,17 @@ def minimize_commuting(
 
     No positivity constraint; iterates are clamped to the box of
     half-width 4 sqrt(n). gamma = 1/2 reproduces the reference circle of
-    radius sqrt(2n) in the figure comparison.
+    radius sqrt(2n) in the figure comparison. The points are planar: any
+    ``d`` other than 2 is rejected.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if d != 2:
+        raise ValueError(f"only planar (d = 2) configurations are supported, got d = {d}")
     cfg = config or OptimizerConfig()
     half_width = 4.0 * np.sqrt(n)
     z, f, gnorm, iters, trace, conv = _multistart(
-        _commuting_grid(n, d),
+        _commuting_grid(n),
         lambda start, rng: start + 0.1 * rng.standard_normal(start.shape),
         lambda z: -log_kappa_commuting(z, gamma),
         lambda z: _commuting_grad(z, gamma),

@@ -5,15 +5,15 @@ unnormalized skew-spectrum density; proposals leaving the open quadrant
 are rejected outright (the target vanishes there, so detailed balance is
 preserved). Passing a retained spectrum, ``chain.spectrum(i)``, to
 :func:`skewspec.ensemble.sample_generic_pair` yields a random ambient
-anti-commuting pair with the chain's spectral marginal. At p = 1 the
-density is cheap to integrate on a grid, which gives an independent CDF
-to validate the chain against.
+anti-commuting pair with the chain's spectral marginal. At p = 1 each
+coordinate's marginal CDF has a closed form, an incomplete gamma
+function, which gives an exact law to validate the chain against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +36,7 @@ class ChainReport:
     burn_in: int
     thinning: int
     seed: int
-    step_scale: float = field(default=0.0)
+    step_scale: float
 
     @property
     def n_samples(self) -> int:
@@ -125,71 +125,35 @@ def run_chain(
     )
 
 
+# numpy has no erfc, and the runtime dependency is numpy only
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 @dataclass(frozen=True)
-class QuadratureTable:
-    """Marginal CDFs of the p = 1 density on the grid of [0, L], with its normalization constant."""
+class P1Marginal:
+    """The exact law of either coordinate of the p = 1 density.
 
-    grid: np.ndarray
-    cdf_x: np.ndarray
-    cdf_y: np.ndarray
-    normalization: float
-    box_size: float
-    gamma: float
-
-
-def _p1_integrand(x, y, gamma):
-    r2 = x * x + y * y
-    return np.exp(-gamma * r2) * x * y * np.sqrt(r2)
-
-
-def _cumulative_trapezoid(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    mids = 0.5 * h * (np.take(values, range(1, values.shape[axis]), axis=axis)
-                      + np.take(values, range(0, values.shape[axis] - 1), axis=axis))
-    out = np.cumsum(mids, axis=axis)
-    pad = [(0, 0)] * values.ndim
-    pad[axis] = (1, 0)
-    return np.pad(out, pad)
-
-
-def p1_quadrature_cdf(w: WeightSpec, grid_resolution: int = 512) -> QuadratureTable:
-    """Trapezoid quadrature of the p = 1 density with normalization.
-
-    The box [0, L]^2 is grown by doubling until the mass outside it
-    (bounded by the radial tail of the integrand over the quarter plane)
-    is below 1e-10 of the total.
+    Integrating e^{-gamma r^2} x y r over y leaves
+    x Gamma(3/2, gamma x^2) / (2 gamma^{3/2}), so with s = sqrt(gamma) t the CDF is
+    erf(s) - (2/sqrt(pi)) s e^{-s^2} + (2/3) s^2 erfc(s). The density is
+    symmetric in x and y, so both coordinates share it. ``normalization``
+    is 1 over the integrand's mass on the quadrant, 16 gamma^{5/2} / (3 sqrt(pi)).
+    ``cdf`` evaluates 1 minus the upper tail, which keeps it monotone where
+    it rounds to 1.
     """
-    if grid_resolution < 64:
-        raise ValueError("grid_resolution must be >= 64")
-    gamma = w.gamma
 
-    # radial form: integral over the quarter plane of e^{-g r^2} r^4 cos sin
-    def radial_mass(lo: float) -> float:
-        r = np.linspace(lo, lo + 14.0 / np.sqrt(gamma), 4096)
-        return 0.5 * float(np.trapezoid(np.exp(-gamma * r * r) * r**4, r))
+    gamma: float
+    normalization: float
 
-    total = radial_mass(0.0)
-    box = 2.0 / np.sqrt(gamma)
-    while radial_mass(box) > 1e-10 * total:
-        box *= 2.0
+    def cdf(self, t) -> np.ndarray:
+        s = math.sqrt(self.gamma) * np.asarray(t, dtype=float)
+        upper = (1.0 - 2.0 / 3.0 * s * s) * _erfc(s) + 2.0 / math.sqrt(math.pi) * s * np.exp(-s * s)
+        return 1.0 - upper
 
-    t = np.linspace(0.0, box, grid_resolution)
-    h = t[1] - t[0]
-    values = _p1_integrand(t[:, None], t[None, :], gamma)
-    joint = _cumulative_trapezoid(_cumulative_trapezoid(values, h, 0), h, 1)
-    mass = joint[-1, -1]
-    # the marginal CDFs are the last column and the last row of the joint one
-    cdf_x = joint[:, -1] / mass
-    cdf_y = joint[-1, :] / mass
-    cdf_x /= cdf_x[-1]
-    cdf_y /= cdf_y[-1]
-    return QuadratureTable(
-        grid=t,
-        cdf_x=cdf_x,
-        cdf_y=cdf_y,
-        normalization=1.0 / float(mass),
-        box_size=float(box),
-        gamma=gamma,
-    )
+
+def p1_quadrature_cdf(w: WeightSpec) -> P1Marginal:
+    """The exact marginal law of the p = 1 density under ``w``."""
+    return P1Marginal(gamma=w.gamma, normalization=16.0 * w.gamma**2.5 / (3.0 * math.sqrt(math.pi)))
 
 
 class KSResult(NamedTuple):
@@ -197,16 +161,16 @@ class KSResult(NamedTuple):
     y: float
 
 
-def _ks_statistic(data: np.ndarray, grid: np.ndarray, cdf: np.ndarray) -> float:
+def _ks_statistic(data: np.ndarray, cdf) -> float:
     d = np.sort(data)
-    ref = np.interp(d, grid, cdf)
+    ref = cdf(d)
     n = d.size
     steps = np.arange(1, n + 1) / n
     return float(max(np.max(steps - ref), np.max(ref - (steps - 1.0 / n))))
 
 
-def ks_compare(samples, table: QuadratureTable) -> KSResult:
-    """One-sample KS statistics of both marginals against the quadrature CDF.
+def ks_compare(samples, law: P1Marginal) -> KSResult:
+    """One-sample KS statistics of both marginals against the exact marginal CDF.
 
     ``samples`` is a ChainReport at p = 1 or an (m, 2) array; at least
     1000 samples are required for the statistic to be meaningful.
@@ -217,13 +181,8 @@ def ks_compare(samples, table: QuadratureTable) -> KSResult:
         data = samples.samples[:, 0, :]
     else:
         data = np.asarray(samples, dtype=float)
-        if data.ndim == 3 and data.shape[1] == 1:
-            data = data[:, 0, :]
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError(f"expected (m, 2) samples, got shape {data.shape}")
     if data.shape[0] < 1000:
         raise ValueError(f"need at least 1000 samples, got {data.shape[0]}")
-    return KSResult(
-        x=_ks_statistic(data[:, 0], table.grid, table.cdf_x),
-        y=_ks_statistic(data[:, 1], table.grid, table.cdf_y),
-    )
+    return KSResult(x=_ks_statistic(data[:, 0], law.cdf), y=_ks_statistic(data[:, 1], law.cdf))

@@ -179,6 +179,8 @@ def test_sample_p1_with_ks(tmp_path):
     assert code == EXIT_OK
     ks = read_json(out / "ks.json")
     assert ks["passed"] and ks["statistic_x"] < 0.05 and ks["statistic_y"] < 0.05
+    # the exact normalization of the p = 1 integrand at gamma = 1/2
+    assert ks["normalization_c1"] == 16.0 * 0.5**2.5 / (3.0 * math.sqrt(math.pi))
     chain = read_json(out / "chain.json")
     assert chain["n_samples"] == 1500
     assert 0.0 < chain["acceptance_rate"] < 1.0
@@ -219,6 +221,12 @@ def test_density_accepts_header_row(tmp_path, capsys):
     assert run_cli("density", "--points", str(csv)) == EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 2
 
+    # a byte-order mark does not turn the first data row into a header
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf1,1\n2,3\n")
+    assert run_cli("density", "--points", str(bom)) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
 
 def test_density_data_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
@@ -235,6 +243,13 @@ def test_density_data_errors(tmp_path, capsys):
     assert run_cli("density", "--points", str(odd)) == EXIT_DATA
 
     assert run_cli("density", "--points", str(tmp_path / "missing.csv")) == EXIT_DATA
+
+    capsys.readouterr()
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"1,1\n\xff,2\n")
+    assert run_cli("density", "--points", str(binary)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and len(err.splitlines()) == 1
 
 
 def test_density_underflow_exits_numerical(tmp_path, capsys):

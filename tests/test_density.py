@@ -276,3 +276,6 @@ def test_weight_spec_validation():
     for gamma in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             WeightSpec(gamma=gamma)
+    # points come as a (p, 2) array; a flat (x1, y1, ...) row is rejected
+    with pytest.raises(ValueError, match="expected"):
+        log_rho(np.array([1.0, 2.0, 3.0, 4.0]), WeightSpec(gamma=1.0))

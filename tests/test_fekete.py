@@ -129,6 +129,12 @@ def test_minimize_commuting_n2_symmetric():
     assert result.grad_norm_final <= 1e-8
 
 
+def test_minimize_commuting_is_planar():
+    for d in (1, 3):
+        with pytest.raises(ValueError, match="planar"):
+            minimize_commuting(4, d=d)
+
+
 def test_minimize_commuting_trace_monotone():
     result = minimize_commuting(6, d=2, gamma=0.5, config=OptimizerConfig(grad_tol=1e-6, restarts=2, seed=5))
     assert np.all(np.diff(result.trace[:, 1]) <= 0)

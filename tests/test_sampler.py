@@ -201,63 +201,67 @@ def test_sample_ambient_pair_round_trip():
     assert pair.norm_squared == pytest.approx(expected_norm, rel=1e-10)
 
 
-@pytest.mark.parametrize("resolution,rel", [(512, 1e-4), (4096, 2e-6)])
-def test_quadrature_normalization_against_closed_form(resolution, rel):
-    # total mass of the p=1 integrand over the quarter plane is
-    # (1/2) int_0^inf r^4 e^{-gamma r^2} dr = (3/16) sqrt(pi / gamma^5);
-    # the trapezoid rule converges at O(h^2)
-    for gamma in (0.5, 1.0):
-        table = p1_quadrature_cdf(WeightSpec(gamma=gamma), grid_resolution=resolution)
-        closed = 16.0 * gamma**2.5 / (3.0 * np.sqrt(np.pi))
-        assert table.normalization == pytest.approx(closed, rel=rel)
-        assert table.cdf_x[-1] == pytest.approx(1.0, abs=1e-12)
-        assert table.cdf_y[-1] == pytest.approx(1.0, abs=1e-12)
+def _trapezoid_marginal(gamma, resolution):
+    """An independent oracle: 2-D cumulative trapezoid of e^{-gamma r^2} x y r.
+
+    Returns the grid on [0, L], the x-marginal CDF on it and the total mass;
+    the error is O(h^2).
+    """
+    # the mass beyond radius 8 / sqrt(gamma) is below 1e-24 of the total
+    t = np.linspace(0.0, 8.0 / np.sqrt(gamma), resolution)
+    h = t[1] - t[0]
+    x, y = t[:, None], t[None, :]
+    r2 = x * x + y * y
+    values = np.exp(-gamma * r2) * x * y * np.sqrt(r2)
+    weights = np.full(resolution, h)
+    weights[[0, -1]] = 0.5 * h
+    inner = values @ weights  # integral over y at each grid x
+    cumulative = np.concatenate([[0.0], np.cumsum(0.5 * h * (inner[1:] + inner[:-1]))])
+    return t, cumulative / cumulative[-1], cumulative[-1]
 
 
-def test_quadrature_symmetric_in_x_and_y():
-    table = p1_quadrature_cdf(W_HALF, grid_resolution=256)
-    assert np.allclose(table.cdf_x, table.cdf_y, atol=1e-12)
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_exact_marginal_against_trapezoid(gamma):
+    law = p1_quadrature_cdf(WeightSpec(gamma=gamma))
+    t, cdf, mass = _trapezoid_marginal(gamma, 1024)
+    assert law.normalization == pytest.approx(1.0 / mass, rel=2e-5)
+    assert law.normalization == 16.0 * gamma**2.5 / (3.0 * np.sqrt(np.pi))
+    assert np.max(np.abs(law.cdf(t) - cdf)) <= 1e-5
 
-
-def test_quadrature_mode_location():
-    # the integrand peaks at x = y = sqrt(3 / (4 gamma)); gamma = 1/2 puts it
-    # at sqrt(3/2), matching the tau stationary point
-    table = p1_quadrature_cdf(W_HALF, grid_resolution=512)
-    from skewspec.sampler import _p1_integrand
-
-    t = table.grid
-    values = _p1_integrand(t[:, None], t[None, :], table.gamma)
-    i, j = np.unravel_index(np.argmax(values), values.shape)
-    cell = t[1] - t[0]
-    assert abs(t[i] - np.sqrt(1.5)) <= cell
-    assert abs(t[j] - np.sqrt(1.5)) <= cell
+    assert law.cdf(0.0) == 0.0
+    assert law.cdf(1e3) == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.diff(law.cdf(t)) >= 0.0)
 
 
 def test_ks_self_consistency():
     rng = np.random.default_rng(7)
     data = np.abs(rng.standard_normal((2000, 2))) + 0.1
     xs = np.sort(data[:, 0])
-    # reference CDF built from the sample itself: statistic collapses to ~1/n
-    grid = np.concatenate([[0.0], xs])
-    cdf = np.concatenate([[0.0], np.arange(1, xs.size + 1) / xs.size])
+    # reference CDF built from the sample itself: statistic collapses to 1/n
+
+    def empirical(t):
+        return np.searchsorted(xs, t, side="right") / xs.size
 
     from skewspec.sampler import _ks_statistic
 
-    assert _ks_statistic(data[:, 0], grid, cdf) <= 2.0 / xs.size + 1e-9
+    assert _ks_statistic(data[:, 0], empirical) <= 2.0 / xs.size + 1e-9
 
 
 def test_ks_compare_validation():
-    table = p1_quadrature_cdf(W_HALF, grid_resolution=128)
+    law = p1_quadrature_cdf(W_HALF)
     with pytest.raises(ValueError, match="1000"):
-        ks_compare(np.ones((10, 2)), table)
+        ks_compare(np.ones((10, 2)), law)
+    # a chain's (m, 1, 2) array is not accepted: pass the ChainReport
+    with pytest.raises(ValueError, match="expected"):
+        ks_compare(np.ones((2000, 1, 2)), law)
 
 
 def test_chain_matches_quadrature_and_negative_control():
-    table = p1_quadrature_cdf(W_HALF)
+    law = p1_quadrature_cdf(W_HALF)
     good = run_chain(1, W_HALF, 4000, burn_in=5000, thinning=5, seed=8)
-    ks = ks_compare(good, table)
+    ks = ks_compare(good, law)
     assert ks.x < 0.05 and ks.y < 0.05
 
     bad = run_chain(1, WeightSpec(gamma=1.0), 4000, burn_in=5000, thinning=5, seed=9)
-    ks_bad = ks_compare(bad, table)
+    ks_bad = ks_compare(bad, law)
     assert ks_bad.x > 0.1 and ks_bad.y > 0.1
