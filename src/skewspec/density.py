@@ -15,8 +15,8 @@ calibrated to: its quadratic term is (1/2) sum |z_k|^2, which corresponds
 to the Gaussian weight exp(-||Z||_F^2 / 4). With the WeightSpec convention
 w(t) = exp(-gamma t^2 / 2), ``-log_rho`` at gamma has quadratic term
 gamma * sum |z_k|^2, so -log_rho(z, WeightSpec(gamma)) = tau(z, 2 gamma)
-exactly, with no constant between them. Both parametrizations are kept
-verbatim; neither is "corrected" toward the other.
+bit for bit while 2 gamma is finite: both scale the kernel's sum |z_k|^2
+by the same double. Both are kept verbatim; neither is "corrected".
 """
 
 from __future__ import annotations
@@ -32,16 +32,13 @@ from .ensemble import SkewSpectrum
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Radial weight w(t) = exp(-gamma t^2 / 2), applied to t = ||Z||_F."""
+    """Radial weight w = exp(-gamma ||Z||_F^2 / 2) = exp(-gamma sum_k |z_k|^2)."""
 
     gamma: float
 
     def __post_init__(self):
         if not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be finite and positive")
-
-    def log_weight(self, t: float) -> float:
-        return -0.5 * self.gamma * t * t
 
 
 def _points(s) -> np.ndarray:
@@ -159,7 +156,7 @@ def _log_rho_of(terms, w: WeightSpec) -> float:
     if terms is None:
         return -math.inf
     sq_sum, log_point, log_pairs = terms
-    return w.log_weight(math.sqrt(2.0 * sq_sum)) + log_point + log_pairs
+    return -w.gamma * sq_sum + log_point + log_pairs
 
 
 def _tau_of(terms, gamma: float) -> float:
@@ -228,8 +225,8 @@ def log_kappa_commuting(lambdas, gamma: float) -> float:
     eigenvalues give -inf.
     """
     pts = np.asarray(lambdas, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2:
+        raise ValueError(f"expected (n, d) eigenvalues, got shape {pts.shape}")
     n = pts.shape[0]
     quad = -gamma * float(np.sum(pts * pts))
     if n < 2:

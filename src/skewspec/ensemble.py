@@ -35,8 +35,6 @@ class SkewSpectrum:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 2)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError(f"expected p >= 1 points with 2 coordinates, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):

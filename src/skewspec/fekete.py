@@ -93,7 +93,11 @@ def grid_initialization(p: int) -> SkewSpectrum:
 
 
 def _k_constraint_lhs(k: float, p: int) -> float:
-    return 0.5 * k * k - (3 * p + 4 * p * p) * math.log(k) - 0.5 * p * p * math.log(400.0) - 4 * p * p
+    # in doubles throughout, so a p whose 4 p^2 leaves their range gives inf, not OverflowError
+    lhs = 0.5 * k * k - (3.0 * p + 4.0 * p * p) * math.log(k) - 0.5 * p * p * math.log(400.0) - 4.0 * p * p
+    if not math.isfinite(lhs):
+        raise FloatingPointError("the length-bound constraint is not finite in double precision at this p")
+    return lhs
 
 
 def solve_K_bound(p: int) -> float:
@@ -101,7 +105,8 @@ def solve_K_bound(p: int) -> float:
 
     The left side is increasing in K on [3p, infinity), so bisection after
     doubling out a bracket finds the root; any configuration with
-    tau <= 4p^2 then has all points of length at most K.
+    tau <= 4p^2 then has all points of length at most K. Raises
+    FloatingPointError where the constraint is not finite in double precision.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -113,6 +118,8 @@ def solve_K_bound(p: int) -> float:
         hi *= 2.0
     while hi - lo > K_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles
         if _k_constraint_lhs(mid, p) > 0:
             hi = mid
         else:
@@ -257,8 +264,7 @@ def _commuting_grad(pts: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _commuting_grid(n: int) -> np.ndarray:
-    q = math.isqrt(n - 1) + 1
-    pts = np.array([(i, j) for i in range(1, q + 1) for j in range(1, q + 1)][:n], dtype=float)
+    pts = grid_initialization(n).points
     return pts - np.mean(pts, axis=0)
 
 

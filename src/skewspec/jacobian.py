@@ -26,12 +26,11 @@ consistent with the commutator table and with S_k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import WeightSpec, _kernel, _log_rho_of
+from .density import WeightSpec, _kernel, log_rho
 from .ensemble import SkewSpectrum, build_block_diag
 from .matrixcore import check_unitary
 
@@ -157,17 +156,6 @@ def closed_form_log_gram(s: SkewSpectrum) -> float:
     return float(s.p * np.log(256.0) + 2.0 * (log_point + log_pairs))
 
 
-def _shape_ratio(s: SkewSpectrum, log_gram: float, gamma: float) -> float:
-    w = WeightSpec(gamma=gamma)
-    terms = _kernel(s.points)
-    if terms is None:
-        raise DegenerateJacobian("density vanishes at this spectrum")
-    # ||Z||_F^2 = 2 sum_k |z_k|^2, the kernel's first term
-    norm = math.sqrt(2.0 * terms[0])
-    log_ratio = 0.5 * log_gram + w.log_weight(norm) - _log_rho_of(terms, w)
-    return float(np.exp(log_ratio))
-
-
 @dataclass(frozen=True)
 class DensityShapeReport:
     """Shape-test outcome: the recorded ratios and their spread.
@@ -192,8 +180,9 @@ def verify_density_shape(spectra, gamma: float = 1.0) -> DensityShapeReport:
     """
     if isinstance(spectra, SkewSpectrum):
         spectra = [spectra]
+    w = WeightSpec(gamma=gamma)
     log_gram = np.array([gram_log_determinant(s) for s in spectra])
-    ratios = np.array([_shape_ratio(s, g, gamma) for s, g in zip(spectra, log_gram)])
+    ratios = np.exp([0.5 * g - gamma * np.sum(s.points**2) - log_rho(s, w) for s, g in zip(spectra, log_gram)])
     mean = float(np.mean(ratios))
     cv = float(np.std(ratios) / mean) if mean != 0 else np.inf
     return DensityShapeReport(

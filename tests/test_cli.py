@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skewspec
 from skewspec.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -305,6 +310,25 @@ def test_kbound_prints_the_bisected_constraint(capsys):
     k_line, lhs_line = capsys.readouterr().out.splitlines()
     k = float(k_line.split("=")[1])
     assert lhs_line == f"lhs={_k_constraint_lhs(k, 43)!r}"
+
+
+def test_kbound_returns_where_doubles_are_coarser_than_its_tolerance():
+    # beyond K ~ 2^33 adjacent doubles lie further apart than the bisection
+    # width; a child process makes a hang fail the test instead of the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(skewspec.__file__).parents[1]))
+    argv = [sys.executable, "-m", "skewspec.cli", "kbound", "--p", str(10**9)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == EXIT_OK
+    _, lhs_line = done.stdout.splitlines()
+    assert float(lhs_line.split("=")[1]) > 0
+
+
+def test_kbound_beyond_double_precision(capsys):
+    # 4 p^2 does not fit a double: one numerical-failure line, no traceback
+    assert run_cli("kbound", "--p", str(10**160)) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: ")
 
 
 def test_seed_env_default(tmp_path, monkeypatch, capsys):

@@ -203,10 +203,8 @@ configurations = st.integers(1, 6).flatmap(
 def test_tau_equals_minus_log_rho_at_half_gamma(pts, gamma):
     t = tau(pts, gamma)
     assume(np.isfinite(t))
-    expected = -log_rho(pts, WeightSpec(gamma / 2.0))
-    # relative to the largest term, which bounds the rounding of both sides
-    scale = max(1.0, abs(t), 0.5 * gamma * float(np.sum(pts * pts)))
-    assert abs(t - expected) <= 1e-12 * scale
+    # both forms scale the kernel's sum |z_k|^2 by the same double
+    assert -log_rho(pts, WeightSpec(gamma / 2.0)) == t
 
 
 @PROPERTY_SETTINGS
@@ -269,6 +267,9 @@ def test_log_kappa_examples():
     two = log_kappa_commuting(np.array([[0.0, 0.0], [1.0, 0.0]]), gamma=0.5)
     assert two == pytest.approx(-0.5, rel=1e-14)
     assert log_kappa_commuting(np.array([[1.0, 2.0], [1.0, 2.0]]), gamma=1.0) == -np.inf
+    # eigenvalues come as an (n, d) array; a flat vector is not read as d = 1
+    with pytest.raises(ValueError):
+        log_kappa_commuting(np.array([0.0, 1.0]), gamma=0.5)
 
 
 def test_weight_spec_validation():

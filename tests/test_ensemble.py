@@ -27,6 +27,9 @@ def test_skew_spectrum_validation():
         SkewSpectrum([(-1.0, 2.0)])
     with pytest.raises(ValueError):
         SkewSpectrum(np.zeros((0, 2)))
+    # a flat (x1, y1, ...) row is not reshaped
+    with pytest.raises(ValueError):
+        SkewSpectrum([1.0, 3.0, 2.0, 4.0])
 
 
 def test_skew_spectrum_genericity_and_sorting():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewspec.density import WeightSpec, log_rho, pair_factor_f
+from skewspec.density import WeightSpec, log_rho, pair_factor_f, tau
 from skewspec.ensemble import SkewSpectrum, build_block_diag, random_generic_spectrum
 from skewspec.jacobian import (
     RANK_TOL,
@@ -170,6 +170,9 @@ def test_closed_form_log_gram_finite_at_large_scale():
     value = closed_form_log_gram(s)
     assert np.isfinite(value)
     assert value == pytest.approx(expected, rel=1e-12)
+    # at 9e153, 2 sum |z_k|^2 overflows a double while sum |z_k|^2 does not
+    big = np.array([[9e153, 9e153]])
+    assert log_rho(big, WeightSpec(gamma=1.0)) == -tau(big, 2.0) == pytest.approx(-1.62e308, rel=1e-12)
 
 
 def test_rank_equals_dimension():

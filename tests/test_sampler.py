@@ -134,7 +134,7 @@ PINNED_CHAINS = [
         "9199f7f49fbd050b3402f8f75331553e09faa14c1db32448aa0788c6b486e473",
         0.53,
         0.72,
-        "b32e168fb9e9b4325d6d2a5497fd46242356d20c2a65901d597902fdb6202c8c",
+        "dbacc71dc2311991b9f28d40a7e57971b8d60bb9fe87a4689926b061cd3606f7",
     ),
     (
         3,
@@ -142,7 +142,7 @@ PINNED_CHAINS = [
         "d99e356d76fed4416ef55640e0822cbe37404ef41559c0bdf0acfe6eb78a3dc2",
         0.30666666666666664,
         0.72,
-        "79b9df14491b5ca6d2299b980478ffad031010549585537f888fb70a759aefc6",
+        "a139ffe4fc4bc91c6527d055633a1bfc2910ad4192b689407cf6a00078bbc8c9",
     ),
 ]
 
