@@ -7,13 +7,13 @@ Library layout:
 - :mod:`skewspec.ensemble` — building, conjugating, and spectrally
   decomposing anti-commuting pairs;
 - :mod:`skewspec.density` — the skew-spectrum density (``log_rho`` returns a
-  float, -inf where the density vanishes), tau, its gradient, and the
-  commuting-pair reference density;
+  float, -inf where the density vanishes), tau and its gradient from one
+  pass over the pairs, and the commuting-pair reference density;
 - :mod:`skewspec.jacobian` — numerical verification of the parametrization
   Jacobian against its closed form, from a tangent basis held as labels and
   one array of skew-Hermitian generators;
 - :mod:`skewspec.fekete` — maximal-likelihood configurations by projected
-  gradient descent;
+  L-BFGS;
 - :mod:`skewspec.sampler` — Metropolis sampling, validated at p = 1
   against the exact marginal CDF (``sample_generic_pair(chain.spectrum(i))``
   gives an ambient pair);
@@ -29,6 +29,7 @@ from .density import (
     log_rho,
     pair_factor_f,
     tau,
+    tau_and_grad,
 )
 from .ensemble import (
     HermitianPair,
@@ -90,5 +91,6 @@ __all__ = [
     "solve_K_bound",
     "spacing_stats",
     "tau",
+    "tau_and_grad",
     "verify_density_shape",
 ]

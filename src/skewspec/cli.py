@@ -22,7 +22,7 @@ from .density import WeightSpec, log_rho_and_tau
 from .ensemble import SkewSpectrum, random_generic_spectrum
 from .fekete import OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
 from .fekete import _k_constraint_lhs
-from .jacobian import JACOBIAN_TOL, DegenerateJacobian, closed_form_log_gram, verify_density_shape
+from .jacobian import JACOBIAN_TOL, DegenerateJacobian, verify_density_shape
 from .sampler import ks_compare, p1_quadrature_cdf, run_chain
 
 EXIT_OK = 0
@@ -31,6 +31,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 KS_THRESHOLD = 0.05
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,8 +63,8 @@ def _domain(kind: type, positive: bool):
 _seed = _domain(int, positive=False)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _fmt(value) -> str:
+    return repr(value) if isinstance(value, int) else repr(float(value))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -89,6 +90,11 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, artif
             "seed": getattr(args, "seed", None),
             "artifacts": sorted(artifacts + ["manifest.json"]),
             "versions": f"skewspec {__version__}",
+            "environment": {
+                "numpy": np.__version__,
+                "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+                "cpu_count": os.cpu_count(),
+            },
             "wall_time_seconds": time.perf_counter() - started,
         },
     )
@@ -181,8 +187,7 @@ def cmd_verify_jacobian(args, parser: _Parser) -> int:
         report = {"error": str(exc), **given}
         print(f"degenerate Jacobian: {exc}", file=sys.stderr)
     else:
-        log_closed = [closed_form_log_gram(s) for s in spectra]
-        max_rel = max(abs(float(np.exp(g - c)) - 1.0) for g, c in zip(shape.log_gram, log_closed))
+        max_rel = max(abs(float(np.exp(g - c)) - 1.0) for g, c in zip(shape.log_gram, shape.log_closed_form))
         report = {
             "p": spectra[0].p,
             "max_rel_err": max_rel,
@@ -192,7 +197,7 @@ def cmd_verify_jacobian(args, parser: _Parser) -> int:
         if args.spectrum is not None:
             report["spectrum"] = [list(map(float, z)) for z in spectra[0].points]
             report["gram"] = _exp_or_none(float(shape.log_gram[0]))
-            report["closed_form"] = _exp_or_none(log_closed[0])
+            report["closed_form"] = _exp_or_none(float(shape.log_closed_form[0]))
             report["shape_ratio"] = float(shape.ratios[0])
         else:
             report.update(given, shape_coefficient_of_variation=shape.coefficient_of_variation)
@@ -246,10 +251,16 @@ def cmd_fekete(args, parser: _Parser) -> int:
     )
 
     _write_csv(out_dir / "points.csv", ["x", "y"], points)
+    # one row per accepted iterate of the best restart
+    _write_csv(
+        out_dir / "trace.csv",
+        ["iteration", "objective", "max_norm"],
+        ((int(k), objective, norm) for k, objective, norm in result.trace),
+    )
     _write_json(out_dir / "stats.json", stats)
     with open(out_dir / "figure.svg", "w") as fh:
         fh.write(_svg_scatter(points, float(reference_radius), args.mode))
-    _write_manifest(out_dir, "fekete", args, ["points.csv", "stats.json", "figure.svg"], started)
+    _write_manifest(out_dir, "fekete", args, ["points.csv", "trace.csv", "stats.json", "figure.svg"], started)
     print(
         f"{args.mode} n={args.n}: objective {result.tau_final:.6f}, "
         f"max norm {stats['max_norm']:.4f}, reference radius {reference_radius:.4f}"

@@ -98,7 +98,8 @@ def _kernel(pts: np.ndarray, grad: bool = False):
     be represented: a pair factor of distinct points that rounds to 0, or
     a point or pair log that is not finite. Otherwise returns the triple
     (sum_k |z_k|^2, sum_k log(x_k y_k |z_k|), sum_{i<j} log f(z_i, z_j)),
-    or with ``grad`` the x and y gradients of the pair sum instead.
+    and with ``grad`` the pair (triple, (x, y) gradients of the pair sum)
+    from the same pass over the unordered pairs.
     """
     if (pts <= 0.0).any():
         return None
@@ -106,25 +107,18 @@ def _kernel(pts: np.ndarray, grad: bool = False):
     p = pts.shape[0]
     log_pairs, pair_grad = 0.0, (0.0, 0.0)
     if p > 1:
-        if grad:
-            # every ordered pair, as (p, p) arrays whose rows sum to the gradient
-            i, j = np.s_[:, None], np.s_[None, :]
-        else:
-            # every unordered pair once
-            i, j = _pair_index(p)
+        i, j = _pair_index(p)
         xi, xj, yi, yj = x[i], x[j], y[i], y[j]
         dx, sx, dy, sy = xi - xj, xi + xj, yi - yj, yi + yj
         dx2, sx2, dy2, sy2 = dx * dx, sx * sx, dy * dy, sy * sy
-        # the four factors as rows of one (4, ...) array, so the value path
-        # takes their logs in place
+        # the four factors as rows of one (4, m) array, so their logs are
+        # taken in place
         f = np.empty((4,) + dx.shape)
         f1, f2, f3, f4 = f
         np.add(dx2, dy2, out=f1)
         np.add(sx2, dy2, out=f2)
         np.add(dx2, sy2, out=f3)
         np.add(sx2, sy2, out=f4)
-        if grad:
-            np.fill_diagonal(f1, 1.0)  # a point is no pair with itself
         # for positive coordinates |dx| <= sx and |dy| <= sy, and rounding
         # keeps that order, so f1 is the smallest factor
         vanishing = f1 <= 0.0
@@ -133,23 +127,23 @@ def _kernel(pts: np.ndarray, grad: bool = False):
                 return None  # coincident points
             raise FloatingPointError("a pair factor of distinct points underflows to 0")
         if grad:
-            inv1, inv2, inv3, inv4 = 1.0 / f1, 1.0 / f2, 1.0 / f3, 1.0 / f4
-            for inv in (inv1, inv2, inv3, inv4):
-                np.fill_diagonal(inv, 0.0)
+            inv1, inv2, inv3, inv4 = 1.0 / f
+            # d/dx_i of the pair's log f is a + b and d/dx_j is b - a, with a
+            # from the dx factors and b from the sx factors; likewise in y
+            ax, bx = 2.0 * dx * (inv1 + inv3), 2.0 * sx * (inv2 + inv4)
+            ay, by = 2.0 * dy * (inv1 + inv2), 2.0 * sy * (inv3 + inv4)
             pair_grad = (
-                np.sum(2.0 * dx * (inv1 + inv3) + 2.0 * sx * (inv2 + inv4), axis=1),
-                np.sum(2.0 * dy * (inv1 + inv2) + 2.0 * sy * (inv3 + inv4), axis=1),
+                np.bincount(i, ax + bx, p) + np.bincount(j, bx - ax, p),
+                np.bincount(i, ay + by, p) + np.bincount(j, by - ay, p),
             )
-        else:
-            # one (4, m) sum: its order fixes the bits of every seeded artifact
-            log_pairs = float(np.log(f, out=f).sum())
-    if grad:
-        return pair_grad
+        # one (4, m) sum: its order fixes the bits of every seeded artifact
+        log_pairs = float(np.log(f, out=f).sum())
     r2 = x * x + y * y
     log_point = float((np.log(x) + np.log(y) + 0.5 * np.log(r2)).sum())
     if not math.isfinite(log_point + log_pairs):
         raise FloatingPointError("a density term is not finite at this scale")
-    return float(r2.sum()), log_point, log_pairs
+    terms = float(r2.sum()), log_point, log_pairs
+    return (terms, pair_grad) if grad else terms
 
 
 def _log_rho_of(terms, w: WeightSpec) -> float:
@@ -195,25 +189,38 @@ def log_rho_and_tau(s, w: WeightSpec) -> tuple[float, float]:
     return _log_rho_of(terms, w), _tau_of(terms, 1.0)
 
 
-def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
-    """Analytic gradient of :func:`tau`, shape (p, 2).
+def tau_and_grad(s, gamma: float = 1.0) -> tuple[float, np.ndarray | None]:
+    """``tau(s, gamma)`` and its analytic gradient, shape (p, 2), from one pass over the pairs.
 
     d tau / d x_k = gamma x_k - 1/x_k - x_k/(x_k^2+y_k^2)
                     - sum_{l != k} d/dx_k log f(z_k, z_l),
-    and symmetrically in y. Raises ValueError where tau is infinite, and
-    FloatingPointError where a term of the gradient is not finite.
+    and symmetrically in y. The value is bit for bit :func:`tau`'s. Returns
+    (inf, None) where tau is infinite, and raises FloatingPointError where
+    a term of the gradient is not finite.
     """
     pts = _points(s)
-    pair_grad = _kernel(pts, grad=True)
-    if pair_grad is None:
-        raise ValueError("tau is infinite at this configuration; gradient undefined")
+    out = _kernel(pts, grad=True)
+    if out is None:
+        return np.inf, None
+    terms, (pair_x, pair_y) = out
     x, y = pts[:, 0], pts[:, 1]
     r2 = x * x + y * y
-    gx = gamma * x - 1.0 / x - x / r2 - pair_grad[0]
-    gy = gamma * y - 1.0 / y - y / r2 - pair_grad[1]
+    gx = gamma * x - 1.0 / x - x / r2 - pair_x
+    gy = gamma * y - 1.0 / y - y / r2 - pair_y
     g = np.column_stack([gx, gy])
     if not np.isfinite(g).all():
         raise FloatingPointError("a gradient term is not finite at this scale")
+    return _tau_of(terms, gamma), g
+
+
+def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
+    """Analytic gradient of :func:`tau`, shape (p, 2); see :func:`tau_and_grad`.
+
+    Raises ValueError where tau is infinite.
+    """
+    g = tau_and_grad(s, gamma)[1]
+    if g is None:
+        raise ValueError("tau is infinite at this configuration; gradient undefined")
     return g
 
 
@@ -224,17 +231,28 @@ def log_kappa_commuting(lambdas, gamma: float) -> float:
     Euclidean norms in R^d; the constant is omitted, and coincident
     eigenvalues give -inf.
     """
+    return log_kappa_and_grad(lambdas, gamma)[0]
+
+
+def log_kappa_and_grad(lambdas, gamma: float) -> tuple[float, np.ndarray | None]:
+    """:func:`log_kappa_commuting` and its (n, d) gradient from one pass over the pairs.
+
+    Returns (-inf, None) where the value is -inf.
+    """
     pts = np.asarray(lambdas, dtype=float)
     if pts.ndim != 2:
         raise ValueError(f"expected (n, d) eigenvalues, got shape {pts.shape}")
     n = pts.shape[0]
-    quad = -gamma * float(np.sum(pts * pts))
+    value, g = -gamma * float(np.sum(pts * pts)), -2.0 * gamma * pts
     if n < 2:
-        return quad
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist_sq = np.sum(diff * diff, axis=2)
-    gaps = dist_sq[_pair_index(n)]
+        return value, g
+    i, j = _pair_index(n)
+    diff = pts[i] - pts[j]
+    gaps = np.sum(diff * diff, axis=1)
     if np.any(gaps <= 0.0):
-        return -math.inf
-    return quad + float(np.sum(np.log(gaps)))
-
+        return -math.inf, None
+    # d/d lambda_i of log |lambda_i - lambda_j|^2 is 2 diff / gap, and minus that for lambda_j
+    pair = 2.0 * diff / gaps[:, None]
+    for k in range(pts.shape[1]):
+        g[:, k] += np.bincount(i, pair[:, k], n) - np.bincount(j, pair[:, k], n)
+    return value + float(np.sum(np.log(gaps))), g

@@ -1,28 +1,32 @@
 """Maximal-likelihood (Fekete) point configurations.
 
 Minimizes the negative log density ``tau`` over the open quadrant by
-projected gradient descent with Armijo backtracking, starting from an
-integer grid whose tau value is provably at most n^2. An a-priori length
-bound K (any configuration with tau <= 4p^2 stays inside radius K) keeps
-the iterates in a compact box. The same optimizer drives the commuting
-reference case used for the figure comparison.
+projected L-BFGS (the two-loop recursion of Liu and Nocedal, 1989) with
+Armijo backtracking, one value-and-gradient pass per trial point,
+starting from an integer grid whose tau value is provably at most n^2. An
+a-priori length bound K (any configuration with tau <= 4p^2 stays inside
+radius K) keeps the iterates in a compact box. The same optimizer drives
+the commuting reference case used for the figure comparison.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .density import grad_tau, log_kappa_commuting, tau
+from .density import log_kappa_and_grad, tau_and_grad
 from .ensemble import SkewSpectrum
 
 
-# projected-gradient line search: the largest step, the Armijo constant,
-# the backtracking factor, and the lower clamp of anti-mode coordinates
+# projected L-BFGS: the steepest-descent step taken while no curvature pair
+# is stored, the number of pairs kept, the Armijo constant, the backtracking
+# factor, and the lower clamp of anti-mode coordinates
 STEP_INIT = 0.1
+LBFGS_MEMORY = 10
 ARMIJO_C = 1e-4
 SHRINK = 0.5
 BOUNDARY_FLOOR = 1e-8
@@ -31,7 +35,7 @@ K_TOL = 1e-6  # bisection width of the length bound K
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Projected-gradient settings; defaults suit log-barrier landscapes."""
+    """Optimizer settings; defaults suit log-barrier landscapes."""
 
     max_iters: int = 50_000
     grad_tol: float | None = None  # None: 1e-6 * p at solve time
@@ -137,57 +141,86 @@ def _tie_tol(value: float) -> float:
     return 1e-12 * max(1.0, abs(value))
 
 
-def _descend(z0, value_fn, grad_fn, lower, upper, config, grad_tol):
-    """Projected gradient descent with Armijo backtracking on one start.
+def _two_loop(g, memory):
+    """The L-BFGS direction -H g from the (s, y, 1 / s.y) pairs in ``memory``, oldest first."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alpha = rho * np.vdot(s, q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, _ = memory[-1]
+    q *= np.vdot(s, y) / np.vdot(y, y)
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - rho * np.vdot(y, q)) * s
+    return -q
 
-    Returns (points, value, grad_inf_norm, iterations, trace, converged);
-    value is +inf when the start itself is infeasible.
+
+def _line_search(fun, z, f, g, direction, eta, lower, upper):
+    """Backtrack from ``eta`` along ``direction`` until the projected step passes Armijo.
+
+    Returns (z_new, f_new, g_new), or None when no step down to 1e-18 does.
+    """
+    while eta > 1e-18:
+        z_new = np.clip(z + eta * direction, lower, upper)
+        f_new, g_new = fun(z_new)
+        # the projected step must point downhill, so the trace never rises
+        slope = float(np.vdot(g, z_new - z))
+        if np.isfinite(f_new) and slope < 0.0 and f_new <= f + ARMIJO_C * slope:
+            return z_new, f_new, g_new
+        eta *= SHRINK
+    return None
+
+
+def _descend(z0, fun, lower, upper, config, grad_tol):
+    """Projected L-BFGS with Armijo backtracking on one start.
+
+    ``fun(z)`` returns (value, gradient), the gradient None where the
+    value is infinite. The quasi-Newton step is tried first at unit
+    length; where it is no descent direction or its line search fails,
+    the memory resets and a steepest-descent step from ``STEP_INIT`` is
+    taken instead. Returns (points, value, grad_inf_norm, iterations,
+    trace, converged); value is +inf when the start itself is infeasible.
     """
     z = np.clip(z0, lower, upper)
-    f = value_fn(z)
+    f, g = fun(z)
     if not np.isfinite(f):
         return z, np.inf, np.inf, 0, np.zeros((0, 3)), False
     trace = [(0, f, _max_norm(z))]
-    eta = STEP_INIT
-    converged = False
+    memory = deque(maxlen=LBFGS_MEMORY)  # (step, gradient change, 1 / curvature) triples
     iteration = 0
     stalled = 0
-    g = grad_fn(z)
     for iteration in range(1, config.max_iters + 1):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= grad_tol:
-            converged = True
+        if float(np.max(np.abs(g))) <= grad_tol:
             iteration -= 1
             break
-        # warm-started step: retry one notch above the last accepted step
-        eta = min(STEP_INIT, eta / SHRINK)
-        gsq = float(np.sum(g * g))
-        accepted = False
-        while eta > 1e-18:
-            z_new = np.clip(z - eta * g, lower, upper)
-            f_new = value_fn(z_new)
-            if np.isfinite(f_new) and f_new <= f - ARMIJO_C * eta * gsq:
-                accepted = True
+        found = None
+        if memory:
+            direction = _two_loop(g, memory)
+            if np.vdot(g, direction) < 0.0:
+                found = _line_search(fun, z, f, g, direction, 1.0, lower, upper)
+        if found is None:
+            memory.clear()
+            found = _line_search(fun, z, f, g, -g, STEP_INIT, lower, upper)
+            if found is None:
                 break
-            eta *= SHRINK
-        if not accepted:
-            break
+        z_new, f_new, g_new = found
         # the required decrease can round to zero near the optimum; stop once
         # iterates cease to make numerical progress
-        if np.array_equal(z_new, z):
-            break
         stalled = stalled + 1 if f_new >= f else 0
-        z, f = z_new, f_new
+        step, change = z_new - z, g_new - g
+        curvature = float(np.vdot(step, change))
+        if curvature > 0.0:
+            memory.append((step, change, 1.0 / curvature))
+        z, f, g = z_new, f_new, g_new
+        trace.append((iteration, f, _max_norm(z)))
         if stalled >= 10:
             break
-        g = grad_fn(z)
-        trace.append((iteration, f, _max_norm(z)))
-    gnorm = float(np.max(np.abs(grad_fn(z))))
-    converged = converged or gnorm <= grad_tol
-    return z, f, gnorm, iteration, np.array(trace), converged
+    gnorm = float(np.max(np.abs(g)))
+    return z, f, gnorm, iteration, np.array(trace), gnorm <= grad_tol
 
 
-def _multistart(start, perturb, value_fn, grad_fn, lower, upper, cfg):
+def _multistart(start, perturb, fun, lower, upper, cfg):
     """Best ``_descend`` result over ``cfg.restarts`` starts.
 
     Restart 0 descends from ``start`` itself; restart r > 0 from
@@ -201,7 +234,7 @@ def _multistart(start, perturb, value_fn, grad_fn, lower, upper, cfg):
     best = None
     for r in range(cfg.restarts):
         z0 = start.copy() if r == 0 else perturb(start, np.random.default_rng(streams[r]))
-        result = _descend(z0, value_fn, grad_fn, lower, upper, cfg, grad_tol)
+        result = _descend(z0, fun, lower, upper, cfg, grad_tol)
         f = result[1]
         if np.isfinite(f) and (best is None or f < best[1] - _tie_tol(best[1])):
             best = result
@@ -223,8 +256,7 @@ def minimize_tau(p: int, config: OptimizerConfig | None = None, gamma: float = 1
     z, f, gnorm, iters, trace, conv = _multistart(
         grid_initialization(p).points,
         lambda start, rng: start * np.exp(0.1 * rng.standard_normal(start.shape)),
-        lambda z: tau(z, gamma),
-        lambda z: grad_tau(z, gamma),
+        lambda z: tau_and_grad(z, gamma),
         BOUNDARY_FLOOR,
         k_bound,
         cfg,
@@ -247,20 +279,10 @@ def fekete_set(p: int, config: OptimizerConfig | None = None) -> SkewSpectrum:
     return SkewSpectrum(result.points.points / np.sqrt(p))
 
 
-def _commuting_grad(pts: np.ndarray, gamma: float) -> np.ndarray:
-    """Gradient of -log_kappa_commuting; raises where the objective is infinite."""
-    n = pts.shape[0]
-    grad = 2.0 * gamma * pts
-    if n > 1:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist2 = np.sum(diff * diff, axis=2)
-        np.fill_diagonal(dist2, 1.0)
-        if np.any(dist2 <= 0.0):
-            raise ValueError("objective is infinite; gradient undefined")
-        inv = 1.0 / dist2
-        np.fill_diagonal(inv, 0.0)
-        grad -= 2.0 * np.einsum("klj,kl->kj", diff, inv)
-    return grad
+def _commuting_objective(z, gamma):
+    """-log_kappa_commuting and its gradient, the gradient None where the value is infinite."""
+    value, grad = log_kappa_and_grad(z, gamma)
+    return -value, None if grad is None else -grad
 
 
 def _commuting_grid(n: int) -> np.ndarray:
@@ -287,8 +309,7 @@ def minimize_commuting(
     z, f, gnorm, iters, trace, conv = _multistart(
         _commuting_grid(n),
         lambda start, rng: start + 0.1 * rng.standard_normal(start.shape),
-        lambda z: -log_kappa_commuting(z, gamma),
-        lambda z: _commuting_grad(z, gamma),
+        lambda z: _commuting_objective(z, gamma),
         -half_width,
         half_width,
         cfg,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import WeightSpec, _kernel, log_rho
+from .density import WeightSpec, _kernel, _log_rho_of
 from .ensemble import SkewSpectrum, build_block_diag
 from .matrixcore import check_unitary
 
@@ -149,11 +149,14 @@ def closed_form_log_gram(s: SkewSpectrum) -> float:
     is 4(x^2+y^2) * 4x^2 * 4y^2 * 4, the last 4 from the two
     sqrt(2)-length spectral columns.
     """
-    terms = _kernel(s.points)
+    return _closed_form_of(_kernel(s.points), s.p)
+
+
+def _closed_form_of(terms, p: int) -> float:
     if terms is None:
         return -np.inf
     _, log_point, log_pairs = terms
-    return float(s.p * np.log(256.0) + 2.0 * (log_point + log_pairs))
+    return float(p * np.log(256.0) + 2.0 * (log_point + log_pairs))
 
 
 @dataclass(frozen=True)
@@ -161,11 +164,14 @@ class DensityShapeReport:
     """Shape-test outcome: the recorded ratios and their spread.
 
     ``log_gram`` holds log det(dG^T dG) of each spectrum, the one Gram
-    factorization the ratio was computed from.
+    factorization the ratio was computed from, and ``log_closed_form``
+    :func:`closed_form_log_gram` of each, from the same density terms as
+    the ratio.
     """
 
     ratios: np.ndarray
     log_gram: np.ndarray
+    log_closed_form: np.ndarray
     mean: float
     coefficient_of_variation: float
     passed: bool
@@ -182,12 +188,16 @@ def verify_density_shape(spectra, gamma: float = 1.0) -> DensityShapeReport:
         spectra = [spectra]
     w = WeightSpec(gamma=gamma)
     log_gram = np.array([gram_log_determinant(s) for s in spectra])
-    ratios = np.exp([0.5 * g - gamma * np.sum(s.points**2) - log_rho(s, w) for s, g in zip(spectra, log_gram)])
+    terms = [_kernel(s.points) for s in spectra]
+    ratios = np.exp(
+        [0.5 * g - gamma * np.sum(s.points**2) - _log_rho_of(t, w) for s, g, t in zip(spectra, log_gram, terms)]
+    )
     mean = float(np.mean(ratios))
     cv = float(np.std(ratios) / mean) if mean != 0 else np.inf
     return DensityShapeReport(
         ratios=ratios,
         log_gram=log_gram,
+        log_closed_form=np.array([_closed_form_of(t, s.p) for s, t in zip(spectra, terms)]),
         mean=mean,
         coefficient_of_variation=cv,
         passed=bool(cv <= JACOBIAN_TOL),

@@ -7,6 +7,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,9 @@ def test_verify_jacobian_random_trials(tmp_path):
     manifest = read_json(out / "manifest.json")
     assert "report.json" in manifest["artifacts"]
     assert manifest["seed"] == 3
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+    assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
 
 def test_verify_jacobian_pinned_spectrum(tmp_path):
@@ -145,6 +149,15 @@ def test_fekete_anti_outputs(tmp_path):
     with open(out / "points.csv") as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "x,y" and len(lines) == 5  # header + p = 4 points
+
+    # the best restart's descent, from its start to the returned point
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == "iteration,objective,max_norm"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(len(rows)))
+    assert float(rows[-1][1]) == stats["tau_final"]
+    assert float(rows[-1][2]) == pytest.approx(stats["max_norm"], rel=1e-12)
+    assert "trace.csv" in read_json(out / "manifest.json")["artifacts"]
 
     root = ET.parse(out / "figure.svg").getroot()
     points = [e for e in root.iter() if e.get("class") == "point"]

@@ -10,13 +10,15 @@ from skewspec.density import (
     WeightSpec,
     grad_tau,
     lemma_d1_bounds,
+    log_kappa_and_grad,
     log_kappa_commuting,
     log_rho,
     pair_factor_f,
     tau,
+    tau_and_grad,
 )
 from skewspec.ensemble import SkewSpectrum, build_block_diag, random_generic_spectrum
-from skewspec.fekete import _commuting_grad, grid_initialization
+from skewspec.fekete import grid_initialization
 from skewspec.jacobian import closed_form_log_gram
 
 
@@ -230,6 +232,46 @@ def test_grad_tau_matches_finite_differences_property(pts):
     assert np.linalg.norm(analytic - numeric) <= 1e-6 * max(1.0, np.linalg.norm(analytic))
 
 
+def ordered_pair_grad_tau(pts, gamma):
+    """grad_tau written out over every ordered pair as (p, p) arrays whose rows sum to the pair terms."""
+    x, y = pts[:, 0], pts[:, 1]
+    dx, sx = x[:, None] - x[None, :], x[:, None] + x[None, :]
+    dy, sy = y[:, None] - y[None, :], y[:, None] + y[None, :]
+    off = ~np.eye(pts.shape[0], dtype=bool)
+    inv1, inv2, inv3, inv4 = (np.where(off, 1.0 / np.where(off, f, 1.0), 0.0) for f in (
+        dx * dx + dy * dy, sx * sx + dy * dy, dx * dx + sy * sy, sx * sx + sy * sy))
+    r2 = x * x + y * y
+    gx = gamma * x - 1.0 / x - x / r2 - np.sum(2.0 * dx * (inv1 + inv3) + 2.0 * sx * (inv2 + inv4), axis=1)
+    gy = gamma * y - 1.0 / y - y / r2 - np.sum(2.0 * dy * (inv1 + inv2) + 2.0 * sy * (inv3 + inv4), axis=1)
+    return np.column_stack([gx, gy])
+
+
+@PROPERTY_SETTINGS
+@given(configurations, st.floats(0.1, 4.0))
+def test_tau_and_grad_is_one_pass_of_tau_and_the_ordered_pair_gradient(pts, gamma):
+    value, g = tau_and_grad(pts, gamma)
+    assert value == tau(pts, gamma)
+    assume(g is not None)
+    expected = ordered_pair_grad_tau(pts, gamma)
+    assert np.linalg.norm(g - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_log_kappa_grad_matches_central_differences():
+    rng = np.random.default_rng(9)
+    for n, gamma in ((1, 0.5), (2, 1.0), (7, 0.5), (20, 0.3)):
+        pts = rng.normal(size=(n, 2))
+        value, analytic = log_kappa_and_grad(pts, gamma)
+        assert value == log_kappa_commuting(pts, gamma)
+        numeric = np.zeros_like(pts)
+        for idx in np.ndindex(pts.shape):
+            up, down = pts.copy(), pts.copy()
+            up[idx] += 1e-6
+            down[idx] -= 1e-6
+            numeric[idx] = (log_kappa_commuting(up, gamma) - log_kappa_commuting(down, gamma)) / 2e-6
+        assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(analytic)
+    assert log_kappa_and_grad(np.array([[1.0, 2.0], [1.0, 2.0]]), 1.0) == (-np.inf, None)
+
+
 def orbit(pts):
     """The 4p images of the points under x -> -x, y -> -y and z -> -z, the points first."""
     return np.concatenate([pts, pts * [-1.0, 1.0], pts * [1.0, -1.0], -pts])
@@ -253,7 +295,7 @@ def test_log_rho_is_quarter_log_kappa_of_orbit(pts, gamma):
 def test_grad_tau_is_commuting_grad_of_orbit(pts, gamma):
     assume(np.isfinite(tau(pts)))
     analytic = grad_tau(pts, 2.0 * gamma)
-    expected = _commuting_grad(orbit(pts), gamma)[: pts.shape[0]]
+    expected = -log_kappa_and_grad(orbit(pts), gamma)[1][: pts.shape[0]]
     assert np.linalg.norm(analytic - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
 

@@ -100,6 +100,16 @@ def test_minimize_tau_more_restarts_never_worse():
     assert many.tau_final <= few.tau_final + 1e-12
 
 
+def test_minimize_tau_p25_converges_within_200_iterations():
+    # the anti n = 50 solve of the benchmark: projected gradient descent took
+    # 3246 iterations to a minimum at tau = -4705.4934; L-BFGS must converge
+    # far sooner, to that minimum or one within 1e-4 relative of it
+    result = minimize_tau(25, OptimizerConfig(restarts=1))
+    assert result.converged
+    assert result.iterations <= 200
+    assert abs(result.tau_final / -4705.4934 - 1.0) <= 1e-4
+
+
 def test_fekete_set_scaling():
     config = OptimizerConfig(grad_tol=1e-8, restarts=2, seed=3)
     assert np.allclose(fekete_set(1, config).points, np.sqrt(1.5), atol=1e-6)
