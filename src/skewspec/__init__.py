@@ -12,8 +12,8 @@ Library layout:
 - :mod:`skewspec.jacobian` — numerical verification of the parametrization
   Jacobian against its closed form, from a tangent basis held as labels and
   one array of skew-Hermitian generators;
-- :mod:`skewspec.fekete` — maximal-likelihood configurations by projected
-  L-BFGS;
+- :mod:`skewspec.fekete` — maximal-likelihood configurations by
+  unconstrained L-BFGS;
 - :mod:`skewspec.sampler` — Metropolis sampling, validated at p = 1
   against the exact marginal CDF (``sample_generic_pair(chain.spectrum(i))``
   gives an ambient pair);
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 from .density import (
     WeightSpec,
     grad_tau,
-    log_kappa_commuting,
+    log_kappa_and_grad,
     log_rho,
     pair_factor_f,
     tau,
@@ -79,7 +79,7 @@ __all__ = [
     "haar_unitary",
     "hermitian_eig",
     "ks_compare",
-    "log_kappa_commuting",
+    "log_kappa_and_grad",
     "log_rho",
     "minimize_commuting",
     "minimize_tau",

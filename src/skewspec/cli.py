@@ -20,10 +20,10 @@ import numpy as np
 from . import __version__
 from .density import WeightSpec, log_rho_and_tau
 from .ensemble import SkewSpectrum, random_generic_spectrum
-from .fekete import OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
+from .fekete import DEFAULT_GAMMA, OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
 from .fekete import _k_constraint_lhs
 from .jacobian import JACOBIAN_TOL, DegenerateJacobian, verify_density_shape
-from .sampler import ks_compare, p1_quadrature_cdf, run_chain
+from .sampler import KS_MIN_SAMPLES, ks_compare, p1_quadrature_cdf, run_chain
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
@@ -212,7 +212,7 @@ def cmd_fekete(args, parser: _Parser) -> int:
     started = time.perf_counter()
     if args.mode == "anti" and args.n % 2 != 0:
         parser.error("--n must be even in anti mode (n = 2p)")
-    gamma = args.gamma if args.gamma is not None else (1.0 if args.mode == "anti" else 0.5)
+    gamma = args.gamma if args.gamma is not None else DEFAULT_GAMMA[args.mode]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -285,13 +285,13 @@ def cmd_sample(args, parser: _Parser) -> int:
         "acceptance_rate": report.acceptance_rate,
         "burn_in": report.burn_in,
         "thinning": report.thinning,
-        "seed": report.seed,
+        "seed": args.seed,
         "step_scale": report.step_scale,
     }
     artifacts = ["samples.csv", "chain.json"]
 
     exit_code = EXIT_OK
-    if args.p == 1 and report.n_samples >= 1000:
+    if args.p == 1 and report.n_samples >= KS_MIN_SAMPLES:
         law = p1_quadrature_cdf(w)
         ks = ks_compare(report, law)
         passed = ks.x < KS_THRESHOLD and ks.y < KS_THRESHOLD
@@ -310,7 +310,7 @@ def cmd_sample(args, parser: _Parser) -> int:
         if not passed:
             exit_code = EXIT_NUMERICAL
     elif args.p == 1:
-        chain_info["ks_check"] = "skipped (needs >= 1000 retained samples)"
+        chain_info["ks_check"] = f"skipped (needs >= {KS_MIN_SAMPLES} retained samples)"
 
     _write_json(out_dir / "chain.json", chain_info)
     _write_manifest(out_dir, "sample", args, artifacts, started)

@@ -224,20 +224,13 @@ def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
     return g
 
 
-def log_kappa_commuting(lambdas, gamma: float) -> float:
-    """Log of the commuting-pair joint eigenvalue density.
-
-    exp(-gamma sum |lambda_j|^2) * prod_{i<j} |lambda_i - lambda_j|^2 with
-    Euclidean norms in R^d; the constant is omitted, and coincident
-    eigenvalues give -inf.
-    """
-    return log_kappa_and_grad(lambdas, gamma)[0]
-
-
 def log_kappa_and_grad(lambdas, gamma: float) -> tuple[float, np.ndarray | None]:
-    """:func:`log_kappa_commuting` and its (n, d) gradient from one pass over the pairs.
+    """Log of the commuting-pair joint eigenvalue density and its (n, d) gradient.
 
-    Returns (-inf, None) where the value is -inf.
+    The density is exp(-gamma sum |lambda_j|^2) * prod_{i<j} |lambda_i - lambda_j|^2
+    with Euclidean norms in R^d; the constant is omitted. Value and gradient
+    come from one pass over the pairs. Coincident eigenvalues give
+    (-inf, None).
     """
     pts = np.asarray(lambdas, dtype=float)
     if pts.ndim != 2:

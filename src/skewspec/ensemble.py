@@ -108,11 +108,6 @@ class HermitianPair:
     def n(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def norm_squared(self) -> float:
-        """||X||_F^2 + ||Y||_F^2 (the pair Frobenius norm squared)."""
-        return frobenius_norm(self.X) ** 2 + frobenius_norm(self.Y) ** 2
-
 
 def build_block_diag(s: SkewSpectrum) -> HermitianPair:
     """Assemble the canonical block-diagonal pair for a skew spectrum.

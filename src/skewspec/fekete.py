@@ -1,12 +1,13 @@
 """Maximal-likelihood (Fekete) point configurations.
 
 Minimizes the negative log density ``tau`` over the open quadrant by
-projected L-BFGS (the two-loop recursion of Liu and Nocedal, 1989) with
-Armijo backtracking, one value-and-gradient pass per trial point,
-starting from an integer grid whose tau value is provably at most n^2. An
-a-priori length bound K (any configuration with tau <= 4p^2 stays inside
-radius K) keeps the iterates in a compact box. The same optimizer drives
-the commuting reference case used for the figure comparison.
+L-BFGS (the two-loop recursion of Liu and Nocedal, 1989) with Armijo
+backtracking, one value-and-gradient pass per trial point, starting from
+an integer grid whose tau value is provably at most n^2. Nothing clamps
+the iterates: tau is +inf off the open quadrant, so the line search
+rejects a trial point there, and both objectives are coercive, so a
+descent stays in a compact sublevel set. The same optimizer drives the
+commuting reference case used for the figure comparison.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from .density import log_kappa_and_grad, tau_and_grad
 from .ensemble import SkewSpectrum
 
 
-# projected L-BFGS: the steepest-descent step taken while no curvature pair
-# is stored, the number of pairs kept, the Armijo constant, the backtracking
-# factor, and the lower clamp of anti-mode coordinates
+# L-BFGS: the steepest-descent step taken while no curvature pair is
+# stored, the number of pairs kept, the Armijo constant, and the
+# backtracking factor
 STEP_INIT = 0.1
 LBFGS_MEMORY = 10
 ARMIJO_C = 1e-4
 SHRINK = 0.5
-BOUNDARY_FLOOR = 1e-8
 K_TOL = 1e-6  # bisection width of the length bound K
+DEFAULT_GAMMA = {"anti": 1.0, "commuting": 0.5}  # confinement coefficient of each mode when none is given
 
 
 @dataclass(frozen=True)
@@ -156,15 +157,17 @@ def _two_loop(g, memory):
     return -q
 
 
-def _line_search(fun, z, f, g, direction, eta, lower, upper):
-    """Backtrack from ``eta`` along ``direction`` until the projected step passes Armijo.
+def _line_search(fun, z, f, g, direction, eta):
+    """Backtrack from ``eta`` along ``direction`` until the step passes Armijo.
 
-    Returns (z_new, f_new, g_new), or None when no step down to 1e-18 does.
+    A trial point where the objective is not finite (off the open quadrant
+    in anti mode) is rejected like any other. Returns (z_new, f_new,
+    g_new), or None when no step down to 1e-18 does.
     """
     while eta > 1e-18:
-        z_new = np.clip(z + eta * direction, lower, upper)
+        z_new = z + eta * direction
         f_new, g_new = fun(z_new)
-        # the projected step must point downhill, so the trace never rises
+        # the rounded step must still point downhill, so the trace never rises
         slope = float(np.vdot(g, z_new - z))
         if np.isfinite(f_new) and slope < 0.0 and f_new <= f + ARMIJO_C * slope:
             return z_new, f_new, g_new
@@ -172,8 +175,8 @@ def _line_search(fun, z, f, g, direction, eta, lower, upper):
     return None
 
 
-def _descend(z0, fun, lower, upper, config, grad_tol):
-    """Projected L-BFGS with Armijo backtracking on one start.
+def _descend(z, fun, config, grad_tol):
+    """L-BFGS with Armijo backtracking on one start.
 
     ``fun(z)`` returns (value, gradient), the gradient None where the
     value is infinite. The quasi-Newton step is tried first at unit
@@ -182,7 +185,6 @@ def _descend(z0, fun, lower, upper, config, grad_tol):
     taken instead. Returns (points, value, grad_inf_norm, iterations,
     trace, converged); value is +inf when the start itself is infeasible.
     """
-    z = np.clip(z0, lower, upper)
     f, g = fun(z)
     if not np.isfinite(f):
         return z, np.inf, np.inf, 0, np.zeros((0, 3)), False
@@ -198,10 +200,10 @@ def _descend(z0, fun, lower, upper, config, grad_tol):
         if memory:
             direction = _two_loop(g, memory)
             if np.vdot(g, direction) < 0.0:
-                found = _line_search(fun, z, f, g, direction, 1.0, lower, upper)
+                found = _line_search(fun, z, f, g, direction, 1.0)
         if found is None:
             memory.clear()
-            found = _line_search(fun, z, f, g, -g, STEP_INIT, lower, upper)
+            found = _line_search(fun, z, f, g, -g, STEP_INIT)
             if found is None:
                 break
         z_new, f_new, g_new = found
@@ -220,7 +222,7 @@ def _descend(z0, fun, lower, upper, config, grad_tol):
     return z, f, gnorm, iteration, np.array(trace), gnorm <= grad_tol
 
 
-def _multistart(start, perturb, fun, lower, upper, cfg):
+def _multistart(start, perturb, fun, cfg):
     """Best ``_descend`` result over ``cfg.restarts`` starts.
 
     Restart 0 descends from ``start`` itself; restart r > 0 from
@@ -234,7 +236,7 @@ def _multistart(start, perturb, fun, lower, upper, cfg):
     best = None
     for r in range(cfg.restarts):
         z0 = start.copy() if r == 0 else perturb(start, np.random.default_rng(streams[r]))
-        result = _descend(z0, fun, lower, upper, cfg, grad_tol)
+        result = _descend(z0, fun, cfg, grad_tol)
         f = result[1]
         if np.isfinite(f) and (best is None or f < best[1] - _tie_tol(best[1])):
             best = result
@@ -243,22 +245,22 @@ def _multistart(start, perturb, fun, lower, upper, cfg):
     return best
 
 
-def minimize_tau(p: int, config: OptimizerConfig | None = None, gamma: float = 1.0) -> FeketeResult:
+def minimize_tau(p: int, config: OptimizerConfig | None = None, gamma: float = DEFAULT_GAMMA["anti"]) -> FeketeResult:
     """Best local minimizer of tau over `restarts` perturbed grid starts.
 
     Restart 0 descends from the exact grid initialization; later restarts
     multiply it by log-normal noise (sigma = 0.1). The lowest tau wins,
     ties resolved by restart index, so a fixed seed gives bit-identical
-    output. Points are returned sorted ascending in x.
+    output. Points are returned sorted ascending in x. ``K_bound`` is the
+    length bound at ``gamma``: tau at gamma is tau at 1 of sqrt(gamma) z
+    plus a constant, so the bound scales as 1/sqrt(gamma).
     """
     cfg = config or OptimizerConfig()
-    k_bound = solve_K_bound(p)
+    k_bound = solve_K_bound(p) / math.sqrt(gamma)
     z, f, gnorm, iters, trace, conv = _multistart(
         grid_initialization(p).points,
         lambda start, rng: start * np.exp(0.1 * rng.standard_normal(start.shape)),
         lambda z: tau_and_grad(z, gamma),
-        BOUNDARY_FLOOR,
-        k_bound,
         cfg,
     )
     order = np.argsort(z[:, 0], kind="stable")
@@ -280,7 +282,7 @@ def fekete_set(p: int, config: OptimizerConfig | None = None) -> SkewSpectrum:
 
 
 def _commuting_objective(z, gamma):
-    """-log_kappa_commuting and its gradient, the gradient None where the value is infinite."""
+    """The negated log_kappa_and_grad, the gradient None where the value is infinite."""
     value, grad = log_kappa_and_grad(z, gamma)
     return -value, None if grad is None else -grad
 
@@ -291,27 +293,23 @@ def _commuting_grid(n: int) -> np.ndarray:
 
 
 def minimize_commuting(
-    n: int, d: int = 2, gamma: float = 0.5, config: OptimizerConfig | None = None
+    n: int, d: int = 2, gamma: float = DEFAULT_GAMMA["commuting"], config: OptimizerConfig | None = None
 ) -> CommutingResult:
     """Minimize the negative log of the commuting joint-eigenvalue density.
 
-    No positivity constraint; iterates are clamped to the box of
-    half-width 4 sqrt(n). gamma = 1/2 reproduces the reference circle of
-    radius sqrt(2n) in the figure comparison. The points are planar: any
-    ``d`` other than 2 is rejected.
+    Unconstrained over the plane; gamma = 1/2 reproduces the reference
+    circle of radius sqrt(2n) in the figure comparison. The points are
+    planar: any ``d`` other than 2 is rejected.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if d != 2:
         raise ValueError(f"only planar (d = 2) configurations are supported, got d = {d}")
     cfg = config or OptimizerConfig()
-    half_width = 4.0 * np.sqrt(n)
     z, f, gnorm, iters, trace, conv = _multistart(
         _commuting_grid(n),
         lambda start, rng: start + 0.1 * rng.standard_normal(start.shape),
         lambda z: _commuting_objective(z, gamma),
-        -half_width,
-        half_width,
         cfg,
     )
     order = np.lexsort(z.T[::-1])

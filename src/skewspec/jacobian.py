@@ -180,12 +180,10 @@ class DensityShapeReport:
 def verify_density_shape(spectra, gamma: float = 1.0) -> DensityShapeReport:
     """Check sqrt(Gram det) * w equals exp(log_rho) up to a single constant.
 
-    ``spectra`` is one SkewSpectrum or a sequence of them (all the same p);
-    the ratio is recorded per spectrum and the report passes when the
-    coefficient of variation is within ``JACOBIAN_TOL``.
+    ``spectra`` is a sequence of SkewSpectrum (all the same p); the ratio
+    is recorded per spectrum and the report passes when the coefficient of
+    variation is within ``JACOBIAN_TOL``.
     """
-    if isinstance(spectra, SkewSpectrum):
-        spectra = [spectra]
     w = WeightSpec(gamma=gamma)
     log_gram = np.array([gram_log_determinant(s) for s in spectra])
     terms = [_kernel(s.points) for s in spectra]

@@ -19,10 +19,6 @@ EIG_RESIDUAL_TOL = 1e-10
 class EigendecompositionError(RuntimeError):
     """Eigensolver failed to meet the residual contract."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a square complex128 matrix, n >= 1."""
@@ -63,8 +59,8 @@ def hermitian_eig(a):
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     ``A @ V == V @ diag(lam)`` to ``EIG_RESIDUAL_TOL * max(1, ||A||_F)``. The
     eigenvector matrix is unitary to the same class of tolerance. Raises
-    :class:`EigendecompositionError` carrying the residual if the solver
-    fails the contract.
+    :class:`EigendecompositionError`, its message stating the residual, if
+    the solver fails the contract.
     """
     m = check_hermitian(a)
     try:
@@ -75,8 +71,7 @@ def hermitian_eig(a):
     residual = float(np.linalg.norm(m @ v - v * lam[None, :]))
     if residual > EIG_RESIDUAL_TOL * scale:
         raise EigendecompositionError(
-            f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL * scale:.3e}",
-            residual=residual,
+            f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL * scale:.3e}"
         )
     check_unitary(v)
     return lam, v

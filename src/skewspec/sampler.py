@@ -25,6 +25,7 @@ from .fekete import grid_initialization
 ADAPT_WINDOW = 200
 ACCEPT_TARGET_LOW = 0.2
 ACCEPT_TARGET_HIGH = 0.4
+KS_MIN_SAMPLES = 1000  # fewest samples for which the KS statistic is meaningful
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class ChainReport:
     acceptance_rate: float
     burn_in: int
     thinning: int
-    seed: int
     step_scale: float
 
     @property
@@ -120,7 +120,6 @@ def run_chain(
         acceptance_rate=accepted_total / proposed_total,
         burn_in=burn_in,
         thinning=thinning,
-        seed=seed,
         step_scale=scale,
     )
 
@@ -169,20 +168,14 @@ def _ks_statistic(data: np.ndarray, cdf) -> float:
     return float(max(np.max(steps - ref), np.max(ref - (steps - 1.0 / n))))
 
 
-def ks_compare(samples, law: P1Marginal) -> KSResult:
-    """One-sample KS statistics of both marginals against the exact marginal CDF.
+def ks_compare(chain: ChainReport, law: P1Marginal) -> KSResult:
+    """One-sample KS statistics of both marginals of a p = 1 chain against the exact marginal CDF.
 
-    ``samples`` is a ChainReport at p = 1 or an (m, 2) array; at least
-    1000 samples are required for the statistic to be meaningful.
+    At least ``KS_MIN_SAMPLES`` retained samples are required.
     """
-    if isinstance(samples, ChainReport):
-        if samples.p != 1:
-            raise ValueError("KS comparison is defined for p = 1 chains")
-        data = samples.samples[:, 0, :]
-    else:
-        data = np.asarray(samples, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError(f"expected (m, 2) samples, got shape {data.shape}")
-    if data.shape[0] < 1000:
-        raise ValueError(f"need at least 1000 samples, got {data.shape[0]}")
+    if chain.p != 1:
+        raise ValueError("KS comparison is defined for p = 1 chains")
+    if chain.n_samples < KS_MIN_SAMPLES:
+        raise ValueError(f"need at least {KS_MIN_SAMPLES} samples, got {chain.n_samples}")
+    data = chain.samples[:, 0, :]
     return KSResult(x=_ks_statistic(data[:, 0], law.cdf), y=_ks_statistic(data[:, 1], law.cdf))

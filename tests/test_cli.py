@@ -166,6 +166,15 @@ def test_fekete_anti_outputs(tmp_path):
     assert refs[0].tag.endswith("path")  # quarter-circle arc
 
 
+def test_fekete_small_gamma_converges(tmp_path):
+    # --max-iters bounds the run where the solve does not converge
+    argv = ["fekete", "--n", "20", "--gamma", "0.01", "--restarts", "1", "--max-iters", "500"]
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+    stats = read_json(tmp_path / "stats.json")
+    assert stats["converged"]
+    assert stats["max_norm"] <= stats["K_bound"]
+
+
 def test_fekete_rerun_is_byte_identical(tmp_path):
     args = ["fekete", "--n", "6", "--restarts", "2", "--grad-tol", "1e-4", "--seed", "5"]
     assert run_cli(*args, "--out", str(tmp_path / "a")) == EXIT_OK

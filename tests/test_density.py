@@ -11,7 +11,6 @@ from skewspec.density import (
     grad_tau,
     lemma_d1_bounds,
     log_kappa_and_grad,
-    log_kappa_commuting,
     log_rho,
     pair_factor_f,
     tau,
@@ -20,6 +19,7 @@ from skewspec.density import (
 from skewspec.ensemble import SkewSpectrum, build_block_diag, random_generic_spectrum
 from skewspec.fekete import grid_initialization
 from skewspec.jacobian import closed_form_log_gram
+from skewspec.matrixcore import frobenius_norm
 
 
 def test_pair_factor_examples():
@@ -126,7 +126,8 @@ def test_tau_identity_against_constructed_pair():
         s = random_generic_spectrum(int(rng.integers(1, 6)), rng)
         pair = build_block_diag(s)
         r = np.sqrt(s.x**2 + s.y**2)
-        expected = 0.25 * pair.norm_squared - float(np.sum(np.log(s.x * s.y * r)))
+        norm_squared = frobenius_norm(pair.X) ** 2 + frobenius_norm(pair.Y) ** 2
+        expected = 0.25 * norm_squared - float(np.sum(np.log(s.x * s.y * r)))
         for i in range(s.p):
             for j in range(i + 1, s.p):
                 expected -= np.log(pair_factor_f(s.points[i], s.points[j]))
@@ -260,14 +261,13 @@ def test_log_kappa_grad_matches_central_differences():
     rng = np.random.default_rng(9)
     for n, gamma in ((1, 0.5), (2, 1.0), (7, 0.5), (20, 0.3)):
         pts = rng.normal(size=(n, 2))
-        value, analytic = log_kappa_and_grad(pts, gamma)
-        assert value == log_kappa_commuting(pts, gamma)
+        analytic = log_kappa_and_grad(pts, gamma)[1]
         numeric = np.zeros_like(pts)
         for idx in np.ndindex(pts.shape):
             up, down = pts.copy(), pts.copy()
             up[idx] += 1e-6
             down[idx] -= 1e-6
-            numeric[idx] = (log_kappa_commuting(up, gamma) - log_kappa_commuting(down, gamma)) / 2e-6
+            numeric[idx] = (log_kappa_and_grad(up, gamma)[0] - log_kappa_and_grad(down, gamma)[0]) / 2e-6
         assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(analytic)
     assert log_kappa_and_grad(np.array([[1.0, 2.0], [1.0, 2.0]]), 1.0) == (-np.inf, None)
 
@@ -285,7 +285,7 @@ def test_log_rho_is_quarter_log_kappa_of_orbit(pts, gamma):
     value = log_rho(pts, WeightSpec(gamma))
     assume(np.isfinite(value))
     p = pts.shape[0]
-    expected = 0.25 * log_kappa_commuting(orbit(pts), gamma) - 3 * p * np.log(2.0)
+    expected = 0.25 * log_kappa_and_grad(orbit(pts), gamma)[0] - 3 * p * np.log(2.0)
     scale = max(1.0, abs(value), gamma * float(np.sum(pts * pts)))
     assert abs(value - expected) <= 1e-12 * scale
 
@@ -305,13 +305,13 @@ def test_grad_tau_rejects_infinite_tau():
 
 
 def test_log_kappa_examples():
-    assert log_kappa_commuting(np.array([[3.0, 4.0]]), gamma=1.0) == pytest.approx(-25.0)
-    two = log_kappa_commuting(np.array([[0.0, 0.0], [1.0, 0.0]]), gamma=0.5)
+    assert log_kappa_and_grad(np.array([[3.0, 4.0]]), gamma=1.0)[0] == pytest.approx(-25.0)
+    two = log_kappa_and_grad(np.array([[0.0, 0.0], [1.0, 0.0]]), gamma=0.5)[0]
     assert two == pytest.approx(-0.5, rel=1e-14)
-    assert log_kappa_commuting(np.array([[1.0, 2.0], [1.0, 2.0]]), gamma=1.0) == -np.inf
+    assert log_kappa_and_grad(np.array([[1.0, 2.0], [1.0, 2.0]]), gamma=1.0)[0] == -np.inf
     # eigenvalues come as an (n, d) array; a flat vector is not read as d = 1
     with pytest.raises(ValueError):
-        log_kappa_commuting(np.array([0.0, 1.0]), gamma=0.5)
+        log_kappa_and_grad(np.array([0.0, 1.0]), gamma=0.5)
 
 
 def test_weight_spec_validation():

@@ -167,12 +167,34 @@ def test_spacing_stats():
 
 
 def test_lemma_e2_along_trace():
+    # tau at gamma is tau at 1 of sqrt(gamma) z plus (3p/2 + 2p(p - 1)) log gamma,
+    # so the lemma holds on the solver's own trace with K rescaled by 1/sqrt(gamma)
     p = 3
-    result = minimize_tau(p, OptimizerConfig(grad_tol=1e-6, restarts=2, seed=6))
-    k = solve_K_bound(p)
-    for _, tau_val, max_norm in result.trace:
-        if tau_val <= 4 * p * p:
-            assert max_norm <= k + 1e-9
+    for gamma in (1.0, 0.01, 4.0):
+        result = minimize_tau(p, OptimizerConfig(grad_tol=1e-6, restarts=2, seed=6), gamma=gamma)
+        assert result.K_bound == solve_K_bound(p) / math.sqrt(gamma)
+        shift = (1.5 * p + 2 * p * (p - 1)) * math.log(gamma)
+        for _, tau_val, max_norm in result.trace:
+            if tau_val - shift <= 4 * p * p:
+                assert max_norm <= result.K_bound + 1e-9
+
+
+def test_minimize_tau_small_gamma_reaches_the_reference_radius():
+    # the optimum radius grows like 1/sqrt(gamma): at gamma = 0.01 it is ten
+    # times the gamma = 1 radius
+    p, gamma = 10, 0.01
+    result = minimize_tau(p, OptimizerConfig(restarts=1, max_iters=500), gamma=gamma)
+    assert result.converged
+    ratio = spacing_stats(result.points).max_norm / (2.0 * math.sqrt(2 * p / gamma))
+    assert 0.8 <= ratio <= 1.0
+
+
+def test_minimize_commuting_small_gamma_reaches_the_reference_radius():
+    n, gamma = 20, 0.01
+    result = minimize_commuting(n, gamma=gamma, config=OptimizerConfig(restarts=1))
+    assert result.converged
+    ratio = spacing_stats(result.points).max_norm / math.sqrt(n / gamma)
+    assert 0.8 <= ratio <= 1.0
 
 
 def test_optimizer_config_validation():

@@ -226,15 +226,15 @@ def test_determinant_invariant_under_conjugation():
 
 
 def test_shape_ratio_p1_is_16():
-    assert verify_density_shape(SkewSpectrum([(1.0, 1.0)])).ratios[0] == pytest.approx(16.0, rel=1e-10)
+    assert verify_density_shape([SkewSpectrum([(1.0, 1.0)])]).ratios[0] == pytest.approx(16.0, rel=1e-10)
 
 
 def test_shape_ratio_scale_invariant():
     s = SkewSpectrum([(0.8, 1.4), (2.1, 0.9)])
-    base = verify_density_shape(s).ratios[0]
+    base = verify_density_shape([s]).ratios[0]
     for t in (0.5, 2.0, 7.0):
         scaled = SkewSpectrum(np.asarray(s.points) * t)
-        assert verify_density_shape(scaled).ratios[0] == pytest.approx(base, rel=1e-9)
+        assert verify_density_shape([scaled]).ratios[0] == pytest.approx(base, rel=1e-9)
 
 
 def test_verify_density_shape_report():
@@ -245,6 +245,6 @@ def test_verify_density_shape_report():
     assert report.coefficient_of_variation <= 1e-8
     assert report.mean == pytest.approx(256.0, rel=1e-10)
 
-    single = verify_density_shape(spectra[0], gamma=2.0)
+    single = verify_density_shape(spectra[:1], gamma=2.0)
     assert single.ratios.shape == (1,)
     assert single.passed

@@ -7,7 +7,9 @@ from skewspec.cli import main
 from skewspec.density import WeightSpec, log_rho
 from skewspec.ensemble import extract_skew_spectrum, sample_generic_pair
 from skewspec.fekete import grid_initialization
+from skewspec.matrixcore import frobenius_norm
 from skewspec.sampler import (
+    ChainReport,
     _propose_and_decide,
     ks_compare,
     p1_quadrature_cdf,
@@ -198,7 +200,7 @@ def test_sample_ambient_pair_round_trip():
     stored = report.spectrum(7).sorted()
     assert np.max(np.abs(recovered.points - stored.points) / stored.points) <= 1e-8
     expected_norm = 2.0 * float(np.sum(stored.points**2))
-    assert pair.norm_squared == pytest.approx(expected_norm, rel=1e-10)
+    assert frobenius_norm(pair.X) ** 2 + frobenius_norm(pair.Y) ** 2 == pytest.approx(expected_norm, rel=1e-10)
 
 
 def _trapezoid_marginal(gamma, resolution):
@@ -249,11 +251,14 @@ def test_ks_self_consistency():
 
 def test_ks_compare_validation():
     law = p1_quadrature_cdf(W_HALF)
+
+    def chain(m, p):
+        return ChainReport(samples=np.ones((m, p, 2)), acceptance_rate=0.3, burn_in=0, thinning=1, step_scale=0.5)
+
     with pytest.raises(ValueError, match="1000"):
-        ks_compare(np.ones((10, 2)), law)
-    # a chain's (m, 1, 2) array is not accepted: pass the ChainReport
-    with pytest.raises(ValueError, match="expected"):
-        ks_compare(np.ones((2000, 1, 2)), law)
+        ks_compare(chain(10, 1), law)
+    with pytest.raises(ValueError, match="p = 1"):
+        ks_compare(chain(2000, 2), law)
 
 
 def test_chain_matches_quadrature_and_negative_control():
