@@ -20,7 +20,7 @@ Library layout:
 - :mod:`skewspec.cli` — the ``skewspec`` command-line frontend.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .density import (
     WeightSpec,

@@ -9,7 +9,9 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import WeightSpec, log_rho_and_tau
+from .density import UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, _tau_of
 from .ensemble import SkewSpectrum, random_generic_spectrum
 from .fekete import DEFAULT_GAMMA, OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
 from .fekete import _k_constraint_lhs
@@ -31,6 +33,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 KS_THRESHOLD = 0.05
+DENSITY_PAIR_TERMS = 1 << 16  # pair terms per kernel call of `density`, which bounds its temporaries
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -287,6 +290,10 @@ def cmd_sample(args, parser: _Parser) -> int:
         "thinning": report.thinning,
         "seed": args.seed,
         "step_scale": report.step_scale,
+        "kernel_calls": report.kernel_calls,
+        "transitions_per_kernel_call": report.transitions / report.kernel_calls,
+        # one [step, window acceptance rate, scale from that step on] row per burn-in window
+        "adaptation": [list(row) for row in report.adaptation],
     }
     artifacts = ["samples.csv", "chain.json"]
 
@@ -355,13 +362,19 @@ def cmd_density(args, parser: _Parser) -> int:
         return EXIT_DATA
 
     print("log_rho,tau")
-    # a log that underflows to -inf raises FloatingPointError in the kernel;
-    # numpy's divide warning would only repeat it
-    with np.errstate(divide="ignore"):
-        for values in rows:
+    # one kernel call per run of rows of equal p, split where the run's pair
+    # terms would exceed DENSITY_PAIR_TERMS
+    for _, run in itertools.groupby(rows, key=len):
+        run = list(run)
+        p = len(run[0]) // 2
+        size = max(1, DENSITY_PAIR_TERMS // max(1, p * (p - 1) // 2))
+        for start in range(0, len(run), size):
+            terms = _kernel(np.array(run[start : start + size]).reshape(-1, p, 2))
             # log_rho at --gamma, tau at gamma = 1
-            value, t = log_rho_and_tau(np.array(values).reshape(-1, 2), w)
-            print(f"{_fmt(value)},{_fmt(t)}")
+            for value, t in zip(_log_rho_of(terms, w).tolist(), _tau_of(terms, 1.0).tolist()):
+                if math.isnan(value):
+                    raise FloatingPointError(UNREPRESENTABLE)
+                print(f"{_fmt(value)},{_fmt(t)}")
     return EXIT_OK
 
 

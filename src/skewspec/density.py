@@ -29,6 +29,8 @@ import numpy as np
 
 from .ensemble import SkewSpectrum
 
+UNREPRESENTABLE = "a density term cannot be represented at this scale"
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -90,70 +92,113 @@ def _pair_index(p: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _kernel(pts: np.ndarray, grad: bool = False):
-    """The one evaluation of the density's terms at a (p, 2) configuration.
+@functools.lru_cache(maxsize=16)
+def _stack_pair_index(p: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pair_index` for each configuration of a flattened (b, p) stack, shape (b, m).
 
-    Returns None where the density vanishes (a nonpositive coordinate or
-    two coincident points). Raises FloatingPointError where a term cannot
-    be represented: a pair factor of distinct points that rounds to 0, or
-    a point or pair log that is not finite. Otherwise returns the triple
-    (sum_k |z_k|^2, sum_k log(x_k y_k |z_k|), sum_{i<j} log f(z_i, z_j)),
-    and with ``grad`` the pair (triple, (x, y) gradients of the pair sum)
-    from the same pass over the unordered pairs.
+    Cached per (p, b) and read-only, like :func:`_pair_index`.
     """
-    if (pts <= 0.0).any():
-        return None
-    x, y = pts[:, 0], pts[:, 1]
-    p = pts.shape[0]
-    log_pairs, pair_grad = 0.0, (0.0, 0.0)
+    i, j = _pair_index(p)
+    offset = p * np.arange(b)[:, None]
+    gi, gj = offset + i, offset + j
+    gi.flags.writeable = False
+    gj.flags.writeable = False
+    return gi, gj
+
+
+# a flagged column takes logs of zeros and negatives; the decorator form of
+# errstate costs about half of the context-manager form per call
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _kernel(stack: np.ndarray, grad: bool = False):
+    """The one evaluation of the density's terms at a (B, p, 2) stack of configurations.
+
+    Returns a (3, B) array whose rows are sum_k |z_k|^2, sum_k log(x_k y_k
+    |z_k|) and sum_{i<j} log f(z_i, z_j), each column bit for bit what a
+    stack of that one configuration gives. The kernel does not raise; it
+    flags a column by its point term, with the other two terms 0: -inf where
+    the density vanishes (a nonpositive coordinate or two coincident
+    points), NaN where a term cannot be represented (a pair factor of
+    distinct points that rounds to 0, or a point or pair log that is not
+    finite). With ``grad`` the stack holds one configuration, and the pair
+    (terms, (p, 2) gradient of the pair sum) comes from the same pass over
+    the unordered pairs.
+    """
+    b, p = stack.shape[:2]
+    terms, pair_grad = np.zeros((3, b)), np.zeros((p, 2)) if grad else None
+    # each configuration's least coordinate; fmin skips a NaN, so a
+    # nonpositive coordinate still shows
+    least = np.fmin.reduce(stack.reshape(b, -1), axis=1)
+    if p > 1 and np.maximum.reduce(least) <= 0.0:
+        terms[1] = -np.inf  # every column vanishes, so no pair term is needed
+        return (terms, pair_grad) if grad else terms
+    x, y = stack[..., 0], stack[..., 1]
+    sq_sum, log_point, log_pairs = terms
     if p > 1:
-        i, j = _pair_index(p)
-        xi, xj, yi, yj = x[i], x[j], y[i], y[j]
+        gi, gj = _stack_pair_index(p, b)
+        flat_x, flat_y = x.reshape(-1), y.reshape(-1)
+        xi, xj, yi, yj = flat_x[gi], flat_x[gj], flat_y[gi], flat_y[gj]
         dx, sx, dy, sy = xi - xj, xi + xj, yi - yj, yi + yj
         dx2, sx2, dy2, sy2 = dx * dx, sx * sx, dy * dy, sy * sy
-        # the four factors as rows of one (4, m) array, so their logs are
-        # taken in place
-        f = np.empty((4,) + dx.shape)
-        f1, f2, f3, f4 = f
-        np.add(dx2, dy2, out=f1)
-        np.add(sx2, dy2, out=f2)
-        np.add(dx2, sy2, out=f3)
-        np.add(sx2, sy2, out=f4)
-        # for positive coordinates |dx| <= sx and |dy| <= sy, and rounding
-        # keeps that order, so f1 is the smallest factor
-        vanishing = f1 <= 0.0
-        if vanishing.any():
-            if ((dx[vanishing] == 0.0) & (dy[vanishing] == 0.0)).any():
-                return None  # coincident points
-            raise FloatingPointError("a pair factor of distinct points underflows to 0")
+        # the four factors as (4, m) rows of each configuration, so their
+        # logs are taken in place
+        f = np.empty((b, 4, gi.shape[1]))
+        np.add(dx2, dy2, out=f[:, 0])
+        np.add(sx2, dy2, out=f[:, 1])
+        np.add(dx2, sy2, out=f[:, 2])
+        np.add(sx2, sy2, out=f[:, 3])
         if grad:
-            inv1, inv2, inv3, inv4 = 1.0 / f
+            i, j = _pair_index(p)
+            inv1, inv2, inv3, inv4 = 1.0 / f[0]
             # d/dx_i of the pair's log f is a + b and d/dx_j is b - a, with a
             # from the dx factors and b from the sx factors; likewise in y
-            ax, bx = 2.0 * dx * (inv1 + inv3), 2.0 * sx * (inv2 + inv4)
-            ay, by = 2.0 * dy * (inv1 + inv2), 2.0 * sy * (inv3 + inv4)
-            pair_grad = (
-                np.bincount(i, ax + bx, p) + np.bincount(j, bx - ax, p),
-                np.bincount(i, ay + by, p) + np.bincount(j, by - ay, p),
-            )
-        # one (4, m) sum: its order fixes the bits of every seeded artifact
-        log_pairs = float(np.log(f, out=f).sum())
+            ax, bx = 2.0 * dx[0] * (inv1 + inv3), 2.0 * sx[0] * (inv2 + inv4)
+            ay, by = 2.0 * dy[0] * (inv1 + inv2), 2.0 * sy[0] * (inv3 + inv4)
+            np.add(np.bincount(i, ax + bx, p), np.bincount(j, bx - ax, p), out=pair_grad[:, 0])
+            np.add(np.bincount(i, ay + by, p), np.bincount(j, by - ay, p), out=pair_grad[:, 1])
+        # one sum over each configuration's contiguous (4, m) block: its
+        # order fixes the bits of every seeded artifact
+        np.add.reduce(np.log(f, out=f).reshape(b, -1), axis=1, out=log_pairs)
     r2 = x * x + y * y
-    log_point = float((np.log(x) + np.log(y) + 0.5 * np.log(r2)).sum())
-    if not math.isfinite(log_point + log_pairs):
-        raise FloatingPointError("a density term is not finite at this scale")
-    terms = float(r2.sum()), log_point, log_pairs
+    np.add.reduce(np.log(x) + np.log(y) + 0.5 * np.log(r2), axis=1, out=log_point)
+    np.add.reduce(r2, axis=1, out=sq_sum)
+    # a zero pair factor or a log of a nonpositive coordinate leaves its
+    # column non-finite, and so their sum, which needs no further test where
+    # it is finite
+    total = log_point + log_pairs
+    if not math.isfinite(np.add.reduce(total)):
+        finite = np.isfinite(total)
+        vanishes = least <= 0.0
+        if p > 1:
+            vanishes |= ((dx == 0.0) & (dy == 0.0)).any(axis=1)  # coincident points
+        terms[:, ~finite] = [[0.0], [np.nan], [0.0]]
+        log_point[vanishes] = -np.inf  # a vanishing column is never finite
     return (terms, pair_grad) if grad else terms
 
 
-def _log_rho_of(terms, w: WeightSpec) -> float:
+def _terms(pts: np.ndarray, grad: bool = False):
+    """The kernel at one (p, 2) configuration, as a triple of floats.
+
+    Returns None where the density vanishes and raises FloatingPointError
+    where a term cannot be represented; with ``grad`` the pair (triple, pair
+    gradients) as :func:`_kernel` gives it.
+    """
+    out = _kernel(pts[None], grad)
+    sq_sum, log_point, log_pairs = (out[0] if grad else out)[:, 0].tolist()
+    if math.isnan(log_point):
+        raise FloatingPointError(UNREPRESENTABLE)
+    terms = None if log_point == -math.inf else (sq_sum, log_point, log_pairs)
+    return (terms, out[1]) if grad else terms
+
+
+def _log_rho_of(terms, w: WeightSpec):
+    """log_rho from kernel terms: a float from :func:`_terms`, or per row from :func:`_kernel`."""
     if terms is None:
         return -math.inf
     sq_sum, log_point, log_pairs = terms
     return -w.gamma * sq_sum + log_point + log_pairs
 
 
-def _tau_of(terms, gamma: float) -> float:
+def _tau_of(terms, gamma: float):
     if terms is None:
         return np.inf
     sq_sum, log_point, log_pairs = terms
@@ -167,7 +212,7 @@ def log_rho(s, w: WeightSpec) -> float:
     with a vanishing factor (nonpositive coordinate, coincident points)
     give -inf.
     """
-    return _log_rho_of(_kernel(_points(s)), w)
+    return _log_rho_of(_terms(_points(s)), w)
 
 
 def tau(s, gamma: float = 1.0) -> float:
@@ -180,13 +225,7 @@ def tau(s, gamma: float = 1.0) -> float:
     and length bounds of the Fekete module are calibrated to. Returns
     +inf when any log argument vanishes.
     """
-    return _tau_of(_kernel(_points(s)), gamma)
-
-
-def log_rho_and_tau(s, w: WeightSpec) -> tuple[float, float]:
-    """``log_rho(s, w)`` and ``tau(s)`` (at gamma = 1) from one evaluation of the terms."""
-    terms = _kernel(_points(s))
-    return _log_rho_of(terms, w), _tau_of(terms, 1.0)
+    return _tau_of(_terms(_points(s)), gamma)
 
 
 def tau_and_grad(s, gamma: float = 1.0) -> tuple[float, np.ndarray | None]:
@@ -199,15 +238,12 @@ def tau_and_grad(s, gamma: float = 1.0) -> tuple[float, np.ndarray | None]:
     a term of the gradient is not finite.
     """
     pts = _points(s)
-    out = _kernel(pts, grad=True)
-    if out is None:
+    terms, pair_grad = _terms(pts, grad=True)
+    if terms is None:
         return np.inf, None
-    terms, (pair_x, pair_y) = out
     x, y = pts[:, 0], pts[:, 1]
     r2 = x * x + y * y
-    gx = gamma * x - 1.0 / x - x / r2 - pair_x
-    gy = gamma * y - 1.0 / y - y / r2 - pair_y
-    g = np.column_stack([gx, gy])
+    g = gamma * pts - 1.0 / pts - pts / r2[:, None] - pair_grad
     if not np.isfinite(g).all():
         raise FloatingPointError("a gradient term is not finite at this scale")
     return _tau_of(terms, gamma), g

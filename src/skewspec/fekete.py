@@ -39,7 +39,7 @@ class OptimizerConfig:
     """Optimizer settings; defaults suit log-barrier landscapes."""
 
     max_iters: int = 50_000
-    grad_tol: float | None = None  # None: 1e-6 * p at solve time
+    grad_tol: float | None = None  # None: 1e-6 per point, scaled with gamma at solve time
     restarts: int = 8
     seed: int = 0
 
@@ -222,16 +222,22 @@ def _descend(z, fun, config, grad_tol):
     return z, f, gnorm, iteration, np.array(trace), gnorm <= grad_tol
 
 
-def _multistart(start, perturb, fun, cfg):
+def _multistart(start, perturb, fun, cfg, gamma, mode):
     """Best ``_descend`` result over ``cfg.restarts`` starts.
 
     Restart 0 descends from ``start`` itself; restart r > 0 from
     ``perturb(start, rng)`` with the r-th stream spawned from the seed.
     The lowest value wins, ties resolved by restart index, so a fixed seed
     gives bit-identical output. The default gradient tolerance is 1e-6
-    per point.
+    per point at the mode's default gamma, times sqrt(gamma / default):
+    the objective at gamma is the objective at the default of a copy
+    rescaled by sqrt(gamma / default), plus a constant, so its gradient
+    carries that factor and every gamma stops at the same relative accuracy.
     """
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-6 * start.shape[0]
+    if cfg.grad_tol is not None:
+        grad_tol = cfg.grad_tol
+    else:
+        grad_tol = 1e-6 * start.shape[0] * math.sqrt(gamma / DEFAULT_GAMMA[mode])
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best = None
     for r in range(cfg.restarts):
@@ -262,6 +268,8 @@ def minimize_tau(p: int, config: OptimizerConfig | None = None, gamma: float = D
         lambda start, rng: start * np.exp(0.1 * rng.standard_normal(start.shape)),
         lambda z: tau_and_grad(z, gamma),
         cfg,
+        gamma,
+        "anti",
     )
     order = np.argsort(z[:, 0], kind="stable")
     return FeketeResult(
@@ -311,6 +319,8 @@ def minimize_commuting(
         lambda start, rng: start + 0.1 * rng.standard_normal(start.shape),
         lambda z: _commuting_objective(z, gamma),
         cfg,
+        gamma,
+        "commuting",
     )
     order = np.lexsort(z.T[::-1])
     return CommutingResult(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import WeightSpec, _kernel, _log_rho_of
+from .density import UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, _terms
 from .ensemble import SkewSpectrum, build_block_diag
 from .matrixcore import check_unitary
 
@@ -149,14 +149,14 @@ def closed_form_log_gram(s: SkewSpectrum) -> float:
     is 4(x^2+y^2) * 4x^2 * 4y^2 * 4, the last 4 from the two
     sqrt(2)-length spectral columns.
     """
-    return _closed_form_of(_kernel(s.points), s.p)
+    return float(_closed_form_of(_terms(s.points), s.p))
 
 
-def _closed_form_of(terms, p: int) -> float:
+def _closed_form_of(terms, p: int):
     if terms is None:
         return -np.inf
     _, log_point, log_pairs = terms
-    return float(p * np.log(256.0) + 2.0 * (log_point + log_pairs))
+    return p * np.log(256.0) + 2.0 * (log_point + log_pairs)
 
 
 @dataclass(frozen=True)
@@ -186,16 +186,18 @@ def verify_density_shape(spectra, gamma: float = 1.0) -> DensityShapeReport:
     """
     w = WeightSpec(gamma=gamma)
     log_gram = np.array([gram_log_determinant(s) for s in spectra])
-    terms = [_kernel(s.points) for s in spectra]
-    ratios = np.exp(
-        [0.5 * g - gamma * np.sum(s.points**2) - _log_rho_of(t, w) for s, g, t in zip(spectra, log_gram, terms)]
-    )
+    stack = np.stack([s.points for s in spectra])
+    terms = _kernel(stack)
+    if np.isnan(terms[1]).any():
+        raise FloatingPointError(UNREPRESENTABLE)
+    sq_norms = (stack**2).reshape(len(stack), -1).sum(axis=1)
+    ratios = np.exp(0.5 * log_gram - gamma * sq_norms - _log_rho_of(terms, w))
     mean = float(np.mean(ratios))
     cv = float(np.std(ratios) / mean) if mean != 0 else np.inf
     return DensityShapeReport(
         ratios=ratios,
         log_gram=log_gram,
-        log_closed_form=np.array([_closed_form_of(t, s.p) for s, t in zip(spectra, terms)]),
+        log_closed_form=_closed_form_of(terms, stack.shape[1]),
         mean=mean,
         coefficient_of_variation=cv,
         passed=bool(cv <= JACOBIAN_TOL),

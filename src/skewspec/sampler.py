@@ -8,6 +8,14 @@ preserved). Passing a retained spectrum, ``chain.spectrum(i)``, to
 anti-commuting pair with the chain's spectral marginal. At p = 1 each
 coordinate's marginal CDF has a closed form, an incomplete gamma
 function, which gives an exact law to validate the chain against.
+
+The chain prefetches (Brockwell 2006, Parallel MCMC simulation by
+pre-fetching): from the current state it evaluates the next few proposals
+in one call of the density kernel, as if each were rejected, and keeps the
+transitions up to the first acceptance. Transition t takes increment row t
+and uniform t of two streams spawned from the seed, whether its proposal is
+evaluated or not, so the chain is plain sequential Metropolis and its
+output does not depend on the prefetch depth.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import WeightSpec, log_rho
+from .density import UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, log_rho
 from .ensemble import SkewSpectrum
 from .fekete import grid_initialization
 
@@ -26,17 +34,34 @@ ADAPT_WINDOW = 200
 ACCEPT_TARGET_LOW = 0.2
 ACCEPT_TARGET_HIGH = 0.4
 KS_MIN_SAMPLES = 1000  # fewest samples for which the KS statistic is meaningful
+PREFETCH_DEPTH = 8  # most proposals evaluated per kernel call
+# pair terms per kernel call below which a call's cost is mostly numpy's
+# per-call overhead; the depth falls from PREFETCH_DEPTH to 1 as p grows past it
+PREFETCH_PAIR_TERMS = 2048
+DRAW_BLOCK = 1024  # transitions whose increments and uniforms are drawn at once
+
+
+def _prefetch_depth(p: int) -> int:
+    """Proposals evaluated per kernel call at p points, from PREFETCH_DEPTH down to 1."""
+    return max(1, min(PREFETCH_DEPTH, PREFETCH_PAIR_TERMS // max(1, p * (p - 1) // 2)))
 
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Retained (post burn-in, thinned) samples and chain statistics."""
+    """Retained (post burn-in, thinned) samples and chain statistics.
+
+    ``kernel_calls`` counts the density kernel calls of the transitions, and
+    ``adaptation`` holds one (step, window acceptance rate, scale from that
+    step on) row per burn-in adaptation window.
+    """
 
     samples: np.ndarray  # (n_samples, p, 2)
     acceptance_rate: float
     burn_in: int
     thinning: int
     step_scale: float
+    kernel_calls: int = 0
+    adaptation: tuple = ()
 
     @property
     def n_samples(self) -> int:
@@ -46,22 +71,32 @@ class ChainReport:
     def p(self) -> int:
         return self.samples.shape[1]
 
+    @property
+    def transitions(self) -> int:
+        return self.burn_in + self.n_samples * self.thinning
+
     def spectrum(self, index: int) -> SkewSpectrum:
         return SkewSpectrum(self.samples[index])
 
 
-def _propose_and_decide(pts, log_density, step_scale, w, rng):
-    """One random-walk transition on raw coordinates; returns (pts, log, accepted)."""
-    proposal = pts + step_scale * rng.standard_normal(pts.shape)
-    # log_rho is not finite outside the open quadrant, so such a proposal
-    # is rejected without drawing a uniform
-    candidate = log_rho(proposal, w)
-    if not math.isfinite(candidate):
-        return pts, log_density, False
-    delta = candidate - log_density
-    if delta >= 0.0 or np.log(rng.uniform()) < delta:
-        return proposal, candidate, True
-    return pts, log_density, False
+def _prefetch(pts, log_density, proposals, log_u, w):
+    """Metropolis transitions from ``pts`` over a batch of proposals, up to the first acceptance.
+
+    Transition t of the batch accepts proposal t iff log_u[t] < log_rho(proposal t) -
+    ``log_density``; all proposals are evaluated in one kernel call, as if every
+    earlier one were rejected. Returns (transitions consumed, accepted, state,
+    its log density). Raises FloatingPointError where a consumed proposal's
+    density cannot be represented; a proposal past the acceptance never raises.
+    """
+    # a short batch is cheaper to decide in Python floats, the same doubles
+    for k, terms in enumerate(zip(*_kernel(proposals).tolist())):
+        candidate = _log_rho_of(terms, w)
+        # a NaN candidate fails the comparison and so ends the batch too
+        if not candidate - log_density <= log_u[k]:
+            if math.isnan(candidate):
+                raise FloatingPointError(UNREPRESENTABLE)
+            return k + 1, True, proposals[k], candidate
+    return len(proposals), False, pts, log_density
 
 
 def run_chain(
@@ -77,7 +112,10 @@ def run_chain(
     During burn-in the proposal scale adapts every 200 steps toward an
     acceptance rate of 0.3 +/- 0.1 and is frozen afterwards, so the
     retained samples come from a fixed (reversible) kernel. The reported
-    acceptance rate covers the sampling phase only.
+    acceptance rate covers the sampling phase only. Transition t accepts
+    iff log u_t < log_rho(proposal_t) - log_rho(state), so a proposal
+    outside the quadrant is a rejection; one whose density cannot be
+    represented raises FloatingPointError.
     """
     if p < 1 or n_samples < 1:
         raise ValueError("p and n_samples must be >= 1")
@@ -88,39 +126,63 @@ def run_chain(
     if burn_in < 0 or thinning < 1:
         raise ValueError("burn_in must be >= 0 and thinning >= 1")
 
-    rng = np.random.default_rng(seed)
+    normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
+    normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
+    depth = _prefetch_depth(p)
     pts = np.array(grid_initialization(p).points)
     log_density = log_rho(pts, w)
     scale = 0.5
-
-    window_accepts = 0
-    for step in range(1, burn_in + 1):
-        pts, log_density, accepted = _propose_and_decide(pts, log_density, scale, w, rng)
-        window_accepts += int(accepted)
-        if step % ADAPT_WINDOW == 0:
-            rate = window_accepts / ADAPT_WINDOW
-            if rate > ACCEPT_TARGET_HIGH:
-                scale *= 1.2
-            elif rate < ACCEPT_TARGET_LOW:
-                scale /= 1.2
-            window_accepts = 0
+    total = burn_in + n_samples * thinning
 
     samples = np.empty((n_samples, p, 2))
-    accepted_total = 0
-    proposed_total = 0
-    for i in range(n_samples):
-        for _ in range(thinning):
-            pts, log_density, accepted = _propose_and_decide(pts, log_density, scale, w, rng)
-            accepted_total += int(accepted)
-            proposed_total += 1
-        samples[i] = pts
+    retained = 0
+    next_retained = burn_in + thinning  # transitions made when the next sample is retained
+    window_accepts = accepted_total = kernel_calls = 0
+    adaptation = []
+    made = block_end = 0
+    while made < total:
+        if made == block_end:
+            steps = normals.standard_normal((DRAW_BLOCK, p, 2))
+            with np.errstate(divide="ignore"):  # a uniform of 0 accepts any finite proposal
+                log_u = np.log(uniforms.random(DRAW_BLOCK)).tolist()
+            block_start, block_end = made, made + DRAW_BLOCK
+        # a batch ends at an adaptation boundary, at the end of burn-in and
+        # at the end of the drawn block
+        stop = min(burn_in, (made // ADAPT_WINDOW + 1) * ADAPT_WINDOW) if made < burn_in else total
+        first = made - block_start
+        batch = min(depth, stop - made, block_end - made)
+        proposals = pts + scale * steps[first : first + batch]
+        before = pts
+        batch_log_u = log_u[first : first + batch]
+        consumed, accepted, pts, log_density = _prefetch(pts, log_density, proposals, batch_log_u, w)
+        kernel_calls += 1
+        made += consumed
+        if made <= burn_in:
+            window_accepts += accepted
+            if made % ADAPT_WINDOW == 0:
+                rate = window_accepts / ADAPT_WINDOW
+                if rate > ACCEPT_TARGET_HIGH:
+                    scale *= 1.2
+                elif rate < ACCEPT_TARGET_LOW:
+                    scale /= 1.2
+                adaptation.append((made, rate, scale))
+                window_accepts = 0
+        else:
+            accepted_total += accepted
+            # states before the batch's last transition are the state it started from
+            while next_retained <= made:
+                samples[retained] = pts if next_retained == made else before
+                retained += 1
+                next_retained += thinning
 
     return ChainReport(
         samples=samples,
-        acceptance_rate=accepted_total / proposed_total,
+        acceptance_rate=accepted_total / (n_samples * thinning),
         burn_in=burn_in,
         thinning=thinning,
         step_scale=scale,
+        kernel_calls=kernel_calls,
+        adaptation=tuple(adaptation),
     )
 
 

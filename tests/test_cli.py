@@ -175,6 +175,20 @@ def test_fekete_small_gamma_converges(tmp_path):
     assert stats["max_norm"] <= stats["K_bound"]
 
 
+@pytest.mark.parametrize("mode", ["anti", "commuting"])
+def test_fekete_default_grad_tol_scales_with_gamma(tmp_path, mode):
+    # the default tolerance is 1e-6 per point times sqrt(gamma / default
+    # gamma): a large gamma converges without a hand-scaled --grad-tol, and
+    # a tiny gamma, whose gradients are below 1e-6 per point long before the
+    # optimum, is not declared converged until it reaches the optimum radius
+    argv = ["fekete", "--n", "50", "--mode", mode, "--restarts", "2", "--seed", "1"]
+    assert run_cli(*argv, "--gamma", "1e8", "--out", str(tmp_path / "large")) == EXIT_OK
+    assert read_json(tmp_path / "large" / "stats.json")["converged"]
+    assert run_cli(*argv, "--gamma", "1e-30", "--out", str(tmp_path / "small")) == EXIT_OK
+    small = read_json(tmp_path / "small" / "stats.json")
+    assert small["converged"] and small["max_norm"] >= 0.5 * small["reference_radius"]
+
+
 def test_fekete_rerun_is_byte_identical(tmp_path):
     args = ["fekete", "--n", "6", "--restarts", "2", "--grad-tol", "1e-4", "--seed", "5"]
     assert run_cli(*args, "--out", str(tmp_path / "a")) == EXIT_OK
@@ -226,6 +240,12 @@ def test_sample_p3_schema(tmp_path):
     assert len(lines) == 21
     assert all(len(line.split(",")) == 6 for line in lines[1:])
     assert not (out / "ks.json").exists()
+    # the chain's prefetching and its one adaptation window are recorded
+    chain = read_json(out / "chain.json")
+    assert 1 <= chain["kernel_calls"] <= 240
+    assert chain["transitions_per_kernel_call"] == 240 / chain["kernel_calls"]
+    [(step, rate, scale)] = chain["adaptation"]
+    assert step == 200 and 0.0 <= rate <= 1.0 and scale == chain["step_scale"]
 
 
 def test_density_rows(tmp_path, capsys):

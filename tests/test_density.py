@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from skewspec.density import (
     WeightSpec,
+    _kernel,
+    _log_rho_of,
     grad_tau,
     lemma_d1_bounds,
     log_kappa_and_grad,
@@ -101,6 +103,37 @@ def test_kernel_fails_loudly_at_tiny_scale():
     coincident = np.array([[1.0, 2.0], [1.0, 2.0]]) * 1e-170
     assert log_rho(coincident, w) == -np.inf
     assert tau(coincident) == np.inf
+
+
+def log_rho_stack(stack, w):
+    return _log_rho_of(_kernel(stack), w)
+
+
+def test_stacked_rows_equal_single_calls():
+    # every row of a stacked kernel call is the single call's value bit for
+    # bit, including the flagged rows: -inf outside the quadrant or at
+    # coincident points, NaN where the single call raises
+    w = WeightSpec(gamma=0.7)
+    rng = np.random.default_rng(5)
+    for p in range(1, 101):
+        stack = rng.uniform(0.05, 5.0, (5, p, 2))
+        stack[1, 0, rng.integers(2)] = -0.5
+        if p > 1:
+            stack[2, -1] = stack[2, 0]
+            stack[3] = (np.arange(p)[:, None] + [1.0, 2.0]) * 1e-170  # distinct points
+        rows = log_rho_stack(stack, w)
+        for config, row in zip(stack, rows):
+            if np.isnan(row):
+                with pytest.raises(FloatingPointError):
+                    log_rho(config, w)
+            else:
+                assert log_rho(config, w) == row
+        assert rows[1] == -np.inf
+        if p > 1:
+            assert rows[2] == -np.inf and np.isnan(rows[3])
+        for b in (1, 2, 64):
+            batch = rng.uniform(0.05, 5.0, (b, p, 2))
+            assert np.array_equal(log_rho_stack(batch, w), [log_rho(c, w) for c in batch])
 
 
 def test_tau_p1_example():

@@ -9,32 +9,23 @@ from skewspec.ensemble import extract_skew_spectrum, sample_generic_pair
 from skewspec.fekete import grid_initialization
 from skewspec.matrixcore import frobenius_norm
 from skewspec.sampler import (
+    ADAPT_WINDOW,
+    ACCEPT_TARGET_HIGH,
+    ACCEPT_TARGET_LOW,
     ChainReport,
-    _propose_and_decide,
+    _prefetch,
     ks_compare,
     p1_quadrature_cdf,
     run_chain,
 )
 
 W_HALF = WeightSpec(gamma=0.5)
-
-
-class FixedDraws:
-    """A generator stand-in: every step is zero and every uniform is ``u``."""
-
-    def __init__(self, u=None):
-        self.u = u
-
-    def standard_normal(self, shape):
-        return np.zeros(shape)
-
-    def uniform(self):
-        assert self.u is not None, "a transition with delta >= 0 draws no uniform"
-        return self.u
+# a log-uniform just below 0: every transition with delta >= 0 accepts
+LOG_U_NEAR_ONE = np.log(np.nextafter(1.0, 0.0))
 
 
 def test_propose_and_decide_is_metropolis_rule():
-    # a zero step proposes the current points, so the log density cached for
+    # the proposal is the current points, so the log density cached for
     # them sets the difference delta that the rule compares against log(u);
     # hand-computed cases of accepting with probability min(1, exp(delta))
     pts = grid_initialization(2).points
@@ -49,7 +40,9 @@ def test_propose_and_decide_is_metropolis_rule():
     ]
     for delta, u, accepted in cases:
         cached = target - delta
-        _, out_log, got = _propose_and_decide(pts, cached, 0.5, W_HALF, FixedDraws(u))
+        log_u = LOG_U_NEAR_ONE if u is None else np.log(u)
+        consumed, got, _, out_log = _prefetch(pts, cached, pts[None], np.array([log_u]), W_HALF)
+        assert consumed == 1
         assert got is accepted
         assert out_log == (target if accepted else cached)
 
@@ -61,9 +54,11 @@ def test_propose_and_decide_rejects_outside_quadrant():
     log_density = log_rho(pts, W_HALF)
     rejected = 0
     for seed in range(20):
-        out, out_log, accepted = _propose_and_decide(
-            pts, log_density, 200.0, W_HALF, np.random.default_rng(seed)
-        )
+        rng = np.random.default_rng(seed)
+        proposals = pts + 200.0 * rng.standard_normal((1, 1, 2))
+        log_u = np.log(rng.uniform(size=1))
+        consumed, accepted, out, out_log = _prefetch(pts, log_density, proposals, log_u, W_HALF)
+        assert consumed == 1
         if not accepted:
             rejected += 1
             assert np.array_equal(out, pts)
@@ -71,31 +66,129 @@ def test_propose_and_decide_rejects_outside_quadrant():
     assert rejected >= 18
 
 
+def _batches(p, seed, n_batches, depth=4):
+    """Prefetched transitions from the p-point grid start: yields (consumed, accepted, pts, log density)."""
+    pts = grid_initialization(p).points
+    log_density = log_rho(pts, W_HALF)
+    rng = np.random.default_rng(seed)
+    for _ in range(n_batches):
+        proposals = pts + 0.5 * rng.standard_normal((depth, p, 2))
+        log_u = np.log(rng.uniform(size=depth))
+        consumed, accepted, pts, log_density = _prefetch(pts, log_density, proposals, log_u, W_HALF)
+        yield consumed, accepted, pts, log_density
+
+
 def test_initial_state_consistent_cache():
     # the chain starts at the grid configuration with its log density cached;
-    # every transition from there keeps that cache equal to log_rho
-    pts = grid_initialization(3).points
-    log_density = log_rho(pts, W_HALF)
-    assert np.isfinite(log_density)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        pts, log_density, _ = _propose_and_decide(pts, log_density, 0.5, W_HALF, rng)
-        assert log_density == pytest.approx(log_rho(pts, W_HALF), rel=1e-12)
+    # every batch of transitions from there keeps that cache equal to log_rho
+    assert np.isfinite(log_rho(grid_initialization(3).points, W_HALF))
+    for _, _, pts, log_density in _batches(3, seed=3, n_batches=20):
+        assert log_density == log_rho(pts, W_HALF)
 
 
 def test_metropolis_trajectory_stays_finite():
-    pts = grid_initialization(2).points
-    log_density = log_rho(pts, W_HALF)
-    rng = np.random.default_rng(6)
-    accepted_total = 0
-    for _ in range(200):
-        pts, log_density, accepted = _propose_and_decide(pts, log_density, 0.5, W_HALF, rng)
+    accepted_total = transitions = 0
+    for consumed, accepted, pts, log_density in _batches(2, seed=6, n_batches=100):
+        transitions += consumed
         accepted_total += int(accepted)
+        assert 1 <= consumed <= 4
         assert np.isfinite(log_density)
         assert np.all(pts > 0)
-    assert 0 < accepted_total <= 200
+    assert 0 < accepted_total <= transitions
     # cached log density stays consistent with the configuration
-    assert log_density == pytest.approx(log_rho(pts, W_HALF), rel=1e-12)
+    assert log_density == log_rho(pts, W_HALF)
+
+
+def test_speculative_nan_row_does_not_raise():
+    # a row whose density cannot be represented raises only where the chain
+    # consumes it, never past the transition that accepts
+    pts = grid_initialization(2).points
+    log_density = log_rho(pts, W_HALF)
+    tiny = np.array([[1.0, 2.0], [3.0, 1.5]]) * 1e-170
+    outside = -pts
+    log_u = np.full(2, LOG_U_NEAR_ONE)
+    consumed, accepted, out, _ = _prefetch(pts, log_density, np.stack([pts, tiny]), log_u, W_HALF)
+    assert (consumed, accepted) == (1, True) and np.array_equal(out, pts)
+    for proposals in ([tiny, pts], [outside, tiny]):
+        with pytest.raises(FloatingPointError):
+            _prefetch(pts, log_density, np.stack(proposals), log_u, W_HALF)
+
+
+def _same_chain(a: ChainReport, b: ChainReport) -> bool:
+    return (
+        np.array_equal(a.samples, b.samples)
+        and (a.acceptance_rate, a.step_scale, a.adaptation) == (b.acceptance_rate, b.step_scale, b.adaptation)
+    )
+
+
+@pytest.mark.parametrize("p,burn_in,thinning", [(1, 450, 1), (3, 650, 1), (3, 410, 7)])
+def test_chain_independent_of_prefetch_depth(monkeypatch, p, burn_in, thinning):
+    # transition t takes row t of each stream whatever the batch, so the depth
+    # and the draw block size change the number of kernel calls, not a bit
+    import skewspec.sampler
+
+    monkeypatch.setattr(skewspec.sampler, "PREFETCH_DEPTH", 1)
+    reference = run_chain(p, W_HALF, 60, burn_in=burn_in, thinning=thinning, seed=21)
+    assert reference.kernel_calls == reference.transitions
+    for depth, block in [(2, 1024), (8, 1024), (32, 1024), (8, 7)]:
+        monkeypatch.setattr(skewspec.sampler, "PREFETCH_DEPTH", depth)
+        monkeypatch.setattr(skewspec.sampler, "DRAW_BLOCK", block)
+        chain = run_chain(p, W_HALF, 60, burn_in=burn_in, thinning=thinning, seed=21)
+        assert _same_chain(chain, reference)
+        assert chain.kernel_calls < reference.kernel_calls
+
+
+def _sequential_metropolis(p, w, n_samples, burn_in, thinning, seed):
+    """One transition at a time on the chain's two streams, as run_chain's docstring states it."""
+    normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
+    normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
+    pts = grid_initialization(p).points
+    log_density = log_rho(pts, w)
+    scale = 0.5
+    window_accepts = accepted_total = 0
+    samples = []
+    for step in range(1, burn_in + n_samples * thinning + 1):
+        proposal = pts + scale * normals.standard_normal((p, 2))
+        log_u = np.log(uniforms.random())
+        candidate = log_rho(proposal, w)
+        accepted = bool(log_u < candidate - log_density)
+        if accepted:
+            pts, log_density = proposal, candidate
+        if step <= burn_in:
+            window_accepts += accepted
+            if step % ADAPT_WINDOW == 0:
+                rate = window_accepts / ADAPT_WINDOW
+                if rate > ACCEPT_TARGET_HIGH:
+                    scale *= 1.2
+                elif rate < ACCEPT_TARGET_LOW:
+                    scale /= 1.2
+                window_accepts = 0
+        else:
+            accepted_total += accepted
+            if (step - burn_in) % thinning == 0:
+                samples.append(pts)
+    return np.array(samples), accepted_total / (n_samples * thinning), scale
+
+
+@pytest.mark.parametrize("depth", [1, 8])
+def test_chain_is_sequential_metropolis(monkeypatch, depth):
+    import skewspec.sampler
+
+    monkeypatch.setattr(skewspec.sampler, "PREFETCH_DEPTH", depth)
+    for p, burn_in, thinning in [(1, 450, 1), (3, 400, 3)]:
+        chain = run_chain(p, W_HALF, 50, burn_in=burn_in, thinning=thinning, seed=4)
+        samples, acceptance, scale = _sequential_metropolis(p, W_HALF, 50, burn_in, thinning, seed=4)
+        assert np.array_equal(chain.samples, samples)
+        assert (chain.acceptance_rate, chain.step_scale) == (acceptance, scale)
+
+
+def test_chain_reports_kernel_calls_and_adaptation():
+    chain = run_chain(3, W_HALF, 20, burn_in=650, thinning=5, seed=2)
+    assert chain.transitions == 750
+    assert 1 <= chain.kernel_calls < chain.transitions
+    assert [row[0] for row in chain.adaptation] == [200, 400, 600]
+    assert chain.adaptation[-1][2] == chain.step_scale
+    assert all(0.0 <= rate <= 1.0 for _, rate, _ in chain.adaptation)
 
 
 def test_run_chain_defaults_and_acceptance():
@@ -126,32 +219,35 @@ def test_run_chain_stationarity_between_segments():
 
 
 # sha256 of the samples (little-endian float64), the acceptance rate, the
-# step scale, and the stdout of `density --gamma 0.5` on the samples. Recorded
-# with numpy 2.4 on x86-64 with AVX-512; numpy's log kernels differ between
-# instruction sets, so the digests can differ on another processor.
+# step scale, and the stdout of `density --gamma 0.5` on the samples, in the
+# layout of two spawned streams (increments, uniforms) that every prefetch
+# depth shares. Recorded with numpy 2.4 on x86-64 with AVX-512; numpy's log
+# kernels differ between instruction sets, so the digests can differ on
+# another processor.
 PINNED_CHAINS = [
     (
         1,
         dict(n_samples=300, burn_in=400, thinning=5, seed=11),
-        "9199f7f49fbd050b3402f8f75331553e09faa14c1db32448aa0788c6b486e473",
-        0.53,
+        "58747d48912243a12047a8992a0879cf2493d752adf5f3abefd417c2e9a02a8d",
+        0.5186666666666667,
         0.72,
-        "dbacc71dc2311991b9f28d40a7e57971b8d60bb9fe87a4689926b061cd3606f7",
+        "9f7cdf6328bf53d21c86f678631f43646fbccbfd95d1c92c06284f1879d34dc4",
     ),
     (
         3,
         dict(n_samples=100, burn_in=600, thinning=6, seed=12),
-        "d99e356d76fed4416ef55640e0822cbe37404ef41559c0bdf0acfe6eb78a3dc2",
-        0.30666666666666664,
-        0.72,
-        "a139ffe4fc4bc91c6527d055633a1bfc2910ad4192b689407cf6a00078bbc8c9",
+        "497ec5046f5b79d699d91c2f0ff92ff528705eaf8c72998504f0a0e4ba36edf7",
+        0.3433333333333333,
+        0.6,
+        "398385fe02cc8f6e3cc661dc1d73c96ae5b5c9f6471623332337c553e0c61255",
     ),
 ]
 
 
 @pytest.mark.parametrize("p,kwargs,samples_sha,acceptance,scale,density_sha", PINNED_CHAINS, ids=["p1", "p3"])
 def test_chain_bits_pinned(tmp_path, capsys, p, kwargs, samples_sha, acceptance, scale, density_sha):
-    # a faster transition must not move a single bit of a seeded chain
+    # a faster transition must not move a single bit of a seeded chain, and
+    # neither may the prefetch depth
     report = run_chain(p, W_HALF, **kwargs)
     assert hashlib.sha256(report.samples.astype("<f8").tobytes()).hexdigest() == samples_sha
     assert report.acceptance_rate == acceptance
