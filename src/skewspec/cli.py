@@ -70,11 +70,11 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, int) else repr(float(value))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
+    """Rows of Python ints and floats, as ``tolist()`` gives them, each written as :func:`_fmt` would."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -253,12 +253,12 @@ def cmd_fekete(args, parser: _Parser) -> int:
         }
     )
 
-    _write_csv(out_dir / "points.csv", ["x", "y"], points)
+    _write_csv(out_dir / "points.csv", ["x", "y"], points.tolist())
     # one row per accepted iterate of the best restart
     _write_csv(
         out_dir / "trace.csv",
         ["iteration", "objective", "max_norm"],
-        ((int(k), objective, norm) for k, objective, norm in result.trace),
+        [(int(k), objective, norm) for k, objective, norm in result.trace.tolist()],
     )
     _write_json(out_dir / "stats.json", stats)
     with open(out_dir / "figure.svg", "w") as fh:
@@ -280,7 +280,7 @@ def cmd_sample(args, parser: _Parser) -> int:
     report = run_chain(args.p, w, args.samples, burn_in=args.burnin, thinning=args.thin, seed=args.seed)
 
     header = [f"{c}{k}" for k in range(1, args.p + 1) for c in ("x", "y")]
-    _write_csv(out_dir / "samples.csv", header, report.samples.reshape(report.n_samples, -1))
+    _write_csv(out_dir / "samples.csv", header, report.samples.reshape(report.n_samples, -1).tolist())
     chain_info = {
         "p": args.p,
         "gamma": args.gamma,
@@ -353,7 +353,7 @@ def cmd_density(args, parser: _Parser) -> int:
         if len(values) % 2 != 0 or not values:
             print(f"line {lineno}: expected an even number of coordinates", file=sys.stderr)
             return EXIT_DATA
-        if not all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
             print(f"line {lineno}: coordinates must be finite", file=sys.stderr)
             return EXIT_DATA
         rows.append(values)
@@ -363,7 +363,7 @@ def cmd_density(args, parser: _Parser) -> int:
 
     print("log_rho,tau")
     # one kernel call per run of rows of equal p, split where the run's pair
-    # terms would exceed DENSITY_PAIR_TERMS
+    # terms would exceed DENSITY_PAIR_TERMS, and one write of its lines
     for _, run in itertools.groupby(rows, key=len):
         run = list(run)
         p = len(run[0]) // 2
@@ -371,10 +371,12 @@ def cmd_density(args, parser: _Parser) -> int:
         for start in range(0, len(run), size):
             terms = _kernel(np.array(run[start : start + size]).reshape(-1, p, 2))
             # log_rho at --gamma, tau at gamma = 1
-            for value, t in zip(_log_rho_of(terms, w).tolist(), _tau_of(terms, 1.0).tolist()):
-                if math.isnan(value):
-                    raise FloatingPointError(UNREPRESENTABLE)
-                print(f"{_fmt(value)},{_fmt(t)}")
+            values = _log_rho_of(terms, w).tolist()
+            printable = next((k for k, value in enumerate(values) if math.isnan(value)), len(values))
+            lines = zip(values[:printable], _tau_of(terms, 1.0).tolist())
+            sys.stdout.write("".join(f"{value!r},{t!r}\n" for value, t in lines))
+            if printable < len(values):
+                raise FloatingPointError(UNREPRESENTABLE)
     return EXIT_OK
 
 

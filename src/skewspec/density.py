@@ -93,17 +93,23 @@ def _pair_index(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def _stack_pair_index(p: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_pair_index` for each configuration of a flattened (b, p) stack, shape (b, m).
+def _stack_pair_index(p: int, b: int) -> np.ndarray:
+    """Where each pair's coordinates lie in a flattened (b, p, 2) stack, shape (2, 2, b, m).
 
-    Cached per (p, b) and read-only, like :func:`_pair_index`.
+    Entry [0] holds (x_i, y_i) and entry [1] holds (x_j, y_j) for every
+    unordered pair i < j of each configuration. Cached per (p, b) and
+    read-only, like :func:`_pair_index`.
     """
     i, j = _pair_index(p)
-    offset = p * np.arange(b)[:, None]
-    gi, gj = offset + i, offset + j
-    gi.flags.writeable = False
-    gj.flags.writeable = False
-    return gi, gj
+    offset = 2 * p * np.arange(b)[:, None]
+    index = np.array([[offset + 2 * i, offset + 2 * i + 1], [offset + 2 * j, offset + 2 * j + 1]])
+    index.flags.writeable = False
+    return index
+
+
+# the columns of a flagged configuration: no weight or pair term, and the
+# point term that carries the flag
+_FLAG = np.array([[0.0], [np.nan], [0.0]])
 
 
 # a flagged column takes logs of zeros and negatives; the decorator form of
@@ -131,46 +137,47 @@ def _kernel(stack: np.ndarray, grad: bool = False):
     if p > 1 and np.maximum.reduce(least) <= 0.0:
         terms[1] = -np.inf  # every column vanishes, so no pair term is needed
         return (terms, pair_grad) if grad else terms
-    x, y = stack[..., 0], stack[..., 1]
     sq_sum, log_point, log_pairs = terms
     if p > 1:
-        gi, gj = _stack_pair_index(p, b)
-        flat_x, flat_y = x.reshape(-1), y.reshape(-1)
-        xi, xj, yi, yj = flat_x[gi], flat_x[gj], flat_y[gi], flat_y[gj]
-        dx, sx, dy, sy = xi - xj, xi + xj, yi - yj, yi + yj
-        dx2, sx2, dy2, sy2 = dx * dx, sx * sx, dy * dy, sy * sy
+        ends = stack.reshape(-1).take(_stack_pair_index(p, b))
+        d, s = ends[0] - ends[1], ends[0] + ends[1]  # (dx, dy) and (sx, sy)
+        (dx2, dy2), (sx2, sy2) = d * d, s * s
         # the four factors as (4, m) rows of each configuration, so their
         # logs are taken in place
-        f = np.empty((b, 4, gi.shape[1]))
+        f = np.empty((b, 4, d.shape[2]))
         np.add(dx2, dy2, out=f[:, 0])
         np.add(sx2, dy2, out=f[:, 1])
         np.add(dx2, sy2, out=f[:, 2])
         np.add(sx2, sy2, out=f[:, 3])
         if grad:
             i, j = _pair_index(p)
+            (dx, dy), (sx, sy) = d[:, 0], s[:, 0]
             inv1, inv2, inv3, inv4 = 1.0 / f[0]
             # d/dx_i of the pair's log f is a + b and d/dx_j is b - a, with a
             # from the dx factors and b from the sx factors; likewise in y
-            ax, bx = 2.0 * dx[0] * (inv1 + inv3), 2.0 * sx[0] * (inv2 + inv4)
-            ay, by = 2.0 * dy[0] * (inv1 + inv2), 2.0 * sy[0] * (inv3 + inv4)
+            ax, bx = 2.0 * dx * (inv1 + inv3), 2.0 * sx * (inv2 + inv4)
+            ay, by = 2.0 * dy * (inv1 + inv2), 2.0 * sy * (inv3 + inv4)
             np.add(np.bincount(i, ax + bx, p), np.bincount(j, bx - ax, p), out=pair_grad[:, 0])
             np.add(np.bincount(i, ay + by, p), np.bincount(j, by - ay, p), out=pair_grad[:, 1])
         # one sum over each configuration's contiguous (4, m) block: its
         # order fixes the bits of every seeded artifact
         np.add.reduce(np.log(f, out=f).reshape(b, -1), axis=1, out=log_pairs)
-    r2 = x * x + y * y
-    np.add.reduce(np.log(x) + np.log(y) + 0.5 * np.log(r2), axis=1, out=log_point)
+    # each operation on the whole stack, then the x and y halves combined
+    squares, logs = stack * stack, np.log(stack)
+    r2 = squares[..., 0] + squares[..., 1]
+    np.add.reduce(logs[..., 0] + logs[..., 1] + 0.5 * np.log(r2), axis=1, out=log_point)
     np.add.reduce(r2, axis=1, out=sq_sum)
     # a zero pair factor or a log of a nonpositive coordinate leaves its
     # column non-finite, and so their sum, which needs no further test where
     # it is finite
     total = log_point + log_pairs
     if not math.isfinite(np.add.reduce(total)):
-        finite = np.isfinite(total)
+        flagged = ~np.isfinite(total)
         vanishes = least <= 0.0
-        if p > 1:
-            vanishes |= ((dx == 0.0) & (dy == 0.0)).any(axis=1)  # coincident points
-        terms[:, ~finite] = [[0.0], [np.nan], [0.0]]
+        np.copyto(terms, _FLAG, where=flagged)
+        # only a flagged column with every coordinate positive can hold coincident points
+        if p > 1 and (flagged > vanishes).any():
+            vanishes |= ((d[0] == 0.0) & (d[1] == 0.0)).any(axis=1)
         log_point[vanishes] = -np.inf  # a vanishing column is never finite
     return (terms, pair_grad) if grad else terms
 

@@ -10,16 +10,27 @@ coordinate's marginal CDF has a closed form, an incomplete gamma
 function, which gives an exact law to validate the chain against.
 
 The chain prefetches (Brockwell 2006, Parallel MCMC simulation by
-pre-fetching): from the current state it evaluates the next few proposals
-in one call of the density kernel, as if each were rejected, and keeps the
-transitions up to the first acceptance. Transition t takes increment row t
-and uniform t of two streams spawned from the seed, whether its proposal is
-evaluated or not, so the chain is plain sequential Metropolis and its
-output does not depend on the prefetch depth.
+pre-fetching; Strid 2010, Efficient parallelisation of Metropolis-Hastings
+algorithms using a prefetching approach). The transitions ahead of the
+current state form a binary tree: each proposal is either rejected, and the
+next one starts from the same state, or accepted, and the next one starts
+from it. One call of the density kernel evaluates the nodes of that tree
+with the highest path probability at the nominal acceptance rate 0.3 (the
+static prefetch tree), and the chain walks the tree until it reaches a
+transition the tree does not hold. Up to 4 nodes the tree is the all-reject
+spine of Brockwell's prefetching. Transition t takes increment row t and
+uniform t of two streams spawned from the seed, whether its proposal is
+evaluated or not, and each node is formed exactly as sequential Metropolis
+forms that proposal, so the chain is plain sequential Metropolis and its
+output does not depend on the tree.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,16 +45,80 @@ ADAPT_WINDOW = 200
 ACCEPT_TARGET_LOW = 0.2
 ACCEPT_TARGET_HIGH = 0.4
 KS_MIN_SAMPLES = 1000  # fewest samples for which the KS statistic is meaningful
-PREFETCH_DEPTH = 8  # most proposals evaluated per kernel call
+PREFETCH_NODES = 32  # most proposals evaluated per kernel call
 # pair terms per kernel call below which a call's cost is mostly numpy's
-# per-call overhead; the depth falls from PREFETCH_DEPTH to 1 as p grows past it
+# per-call overhead; the nodes fall from PREFETCH_NODES to 1 as p grows past it
 PREFETCH_PAIR_TERMS = 2048
 DRAW_BLOCK = 1024  # transitions whose increments and uniforms are drawn at once
 
 
-def _prefetch_depth(p: int) -> int:
-    """Proposals evaluated per kernel call at p points, from PREFETCH_DEPTH down to 1."""
-    return max(1, min(PREFETCH_DEPTH, PREFETCH_PAIR_TERMS // max(1, p * (p - 1) // 2)))
+def _prefetch_nodes(p: int) -> int:
+    """Proposals evaluated per kernel call at p points, from PREFETCH_NODES down to 1."""
+    return max(1, min(PREFETCH_NODES, PREFETCH_PAIR_TERMS // max(1, p * (p - 1) // 2)))
+
+
+class _Tree(NamedTuple):
+    """A static prefetch tree, its nodes numbered by generation.
+
+    Node n proposes increment ``step[n]``, the transition it stands for,
+    from its base: the state the walk starts from for the ``spine`` nodes
+    0 .. spine - 1, which follow a run of rejections, and otherwise the node
+    whose acceptance it follows. A node's generation is its count of
+    accepted ancestors; each generation past the spine is one (start, end,
+    base) slice of ``generations``, with the base node of each of its nodes.
+    ``reject`` and ``accept`` give each node's child for either outcome, -1
+    where the tree does not hold that transition, and ``depth`` is one past
+    the latest transition it holds.
+    """
+
+    step: np.ndarray
+    spine: int
+    generations: tuple
+    reject: tuple
+    accept: tuple
+    depth: int
+
+
+@functools.lru_cache(maxsize=256)
+def _tree(n_nodes: int, depth: int) -> _Tree:
+    """The ``n_nodes`` most probable nodes among the next ``depth`` transitions.
+
+    Each transition is taken to accept with probability a = 0.3, the middle
+    of the adaptation's target, so a node at transition t after k
+    acceptances is reached with probability a^k (1 - a)^(t - k). Nodes of
+    equal probability are taken in the order they were found. Cached per
+    (n_nodes, depth) and read-only.
+    """
+    rate = (ACCEPT_TARGET_LOW + ACCEPT_TARGET_HIGH) / 2
+    found = []  # (generation, transition, base) as taken, base -1 for the start
+    order = itertools.count(1)
+    heap = [(-1.0, 0, 0, 0, -1)]  # (-path probability, order found, generation, transition, base)
+    while heap and len(found) < n_nodes:
+        neg_prob, _, generation, t, base = heapq.heappop(heap)
+        found.append((generation, t, base))
+        if t + 1 < depth:
+            heapq.heappush(heap, (neg_prob * (1.0 - rate), next(order), generation, t + 1, base))
+            heapq.heappush(heap, (neg_prob * rate, next(order), generation + 1, t + 1, len(found) - 1))
+    # renumber by generation; the sort is stable, so the spine keeps t = 0, 1, ...
+    by_generation = sorted(range(len(found)), key=lambda n: found[n][0])
+    number = {old: new for new, old in enumerate(by_generation)} | {-1: -1}
+    generation, step, base = zip(*((found[n][0], found[n][1], number[found[n][2]]) for n in by_generation))
+    bounds = [bisect.bisect_left(generation, g) for g in range(generation[-1] + 2)]
+    index = {(t, b): n for n, (t, b) in enumerate(zip(step, base))}
+    return _Tree(
+        step=_read_only(step),
+        spine=bounds[1],
+        generations=tuple((s, e, _read_only(base[s:e])) for s, e in zip(bounds[1:], bounds[2:])),
+        reject=tuple(index.get((t + 1, b), -1) for t, b in zip(step, base)),
+        accept=tuple(index.get((t + 1, n), -1) for n, t in enumerate(step)),
+        depth=1 + max(step),
+    )
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -79,24 +154,48 @@ class ChainReport:
         return SkewSpectrum(self.samples[index])
 
 
-def _prefetch(pts, log_density, proposals, log_u, w):
-    """Metropolis transitions from ``pts`` over a batch of proposals, up to the first acceptance.
+def _walk(tree: _Tree, stack, terms, w, pts, log_density, log_u):
+    """Sequential Metropolis from ``pts`` through a tree whose node n is ``stack[n]`` with kernel terms ``terms[:, n]``.
 
-    Transition t of the batch accepts proposal t iff log_u[t] < log_rho(proposal t) -
-    ``log_density``; all proposals are evaluated in one kernel call, as if every
-    earlier one were rejected. Returns (transitions consumed, accepted, state,
-    its log density). Raises FloatingPointError where a consumed proposal's
-    density cannot be represented; a proposal past the acceptance never raises.
+    Transition k accepts node n iff log_u[k] < log_rho(node n) - ``log_density``,
+    so a -inf or NaN node is a rejection; the walk ends at the first
+    transition the tree does not hold. Returns (transitions consumed, the
+    (transition, state) of each acceptance, the state, its log density).
+    Raises FloatingPointError where a consumed node's density cannot be
+    represented; a node the walk does not reach never raises.
     """
-    # a short batch is cheaper to decide in Python floats, the same doubles
-    for k, terms in enumerate(zip(*_kernel(proposals).tolist())):
-        candidate = _log_rho_of(terms, w)
-        # a NaN candidate fails the comparison and so ends the batch too
-        if not candidate - log_density <= log_u[k]:
-            if math.isnan(candidate):
-                raise FloatingPointError(UNREPRESENTABLE)
-            return k + 1, True, proposals[k], candidate
-    return len(proposals), False, pts, log_density
+    sq_sum, log_point, log_pairs = terms.tolist()
+    accepted = []
+    node = k = 0
+    while node >= 0:
+        # only the nodes the walk reaches: the same doubles as _log_rho_of(terms, w)[node]
+        candidate = _log_rho_of((sq_sum[node], log_point[node], log_pairs[node]), w)
+        if log_u[k] < candidate - log_density:
+            log_density = candidate
+            accepted.append((k, stack[node]))
+            node = tree.accept[node]
+        elif candidate != candidate:
+            raise FloatingPointError(UNREPRESENTABLE)
+        else:
+            node = tree.reject[node]
+        k += 1
+    return k, accepted, accepted[-1][1] if accepted else pts, log_density
+
+
+def _prefetch(pts, log_density, increments, log_u, w, n_nodes):
+    """Metropolis transitions from ``pts`` over a batch of scaled increments, with one kernel call.
+
+    Transition t proposes its state plus ``increments[t]``. The kernel
+    evaluates the ``n_nodes`` most probable of these proposals (see
+    :func:`_tree`), each formed as increment + base, the same doubles as the
+    base + increment of sequential Metropolis, and :func:`_walk` decides them.
+    """
+    tree = _tree(n_nodes, len(increments))
+    stack = increments.take(tree.step, 0)  # take is faster than indexing on small arrays
+    stack[: tree.spine] += pts
+    for start, end, base in tree.generations:
+        stack[start:end] += stack.take(base, 0)
+    return _walk(tree, stack, _kernel(stack), w, pts, log_density, log_u)
 
 
 def run_chain(
@@ -128,7 +227,8 @@ def run_chain(
 
     normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
     normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
-    depth = _prefetch_depth(p)
+    n_nodes = _prefetch_nodes(p)
+    reach = _tree(n_nodes, n_nodes).depth  # no node lies further ahead
     pts = np.array(grid_initialization(p).points)
     log_density = log_rho(pts, w)
     scale = 0.5
@@ -139,26 +239,31 @@ def run_chain(
     next_retained = burn_in + thinning  # transitions made when the next sample is retained
     window_accepts = accepted_total = kernel_calls = 0
     adaptation = []
-    made = block_end = 0
+    made = block_end = span_end = 0
     while made < total:
         if made == block_end:
             steps = normals.standard_normal((DRAW_BLOCK, p, 2))
             with np.errstate(divide="ignore"):  # a uniform of 0 accepts any finite proposal
                 log_u = np.log(uniforms.random(DRAW_BLOCK)).tolist()
             block_start, block_end = made, made + DRAW_BLOCK
-        # a batch ends at an adaptation boundary, at the end of burn-in and
-        # at the end of the drawn block
-        stop = min(burn_in, (made // ADAPT_WINDOW + 1) * ADAPT_WINDOW) if made < burn_in else total
-        first = made - block_start
-        batch = min(depth, stop - made, block_end - made)
-        proposals = pts + scale * steps[first : first + batch]
+        if made == span_end:
+            # a span, and so every batch, ends at an adaptation boundary, at
+            # the end of burn-in and at the end of the drawn block; the scale
+            # holds over a span, so its increments are scaled at once
+            stop = min(burn_in, (made // ADAPT_WINDOW + 1) * ADAPT_WINDOW) if made < burn_in else total
+            span_start, span_end = made, min(stop, block_end)
+            increments = scale * steps[made - block_start : span_end - block_start]
+            span_log_u = log_u[made - block_start : span_end - block_start]
+        first = made - span_start
+        batch = min(reach, span_end - made)
         before = pts
-        batch_log_u = log_u[first : first + batch]
-        consumed, accepted, pts, log_density = _prefetch(pts, log_density, proposals, batch_log_u, w)
+        consumed, accepted, pts, log_density = _prefetch(
+            pts, log_density, increments[first : first + batch], span_log_u[first : first + batch], w, n_nodes
+        )
         kernel_calls += 1
-        made += consumed
+        start, made = made, made + consumed
         if made <= burn_in:
-            window_accepts += accepted
+            window_accepts += len(accepted)
             if made % ADAPT_WINDOW == 0:
                 rate = window_accepts / ADAPT_WINDOW
                 if rate > ACCEPT_TARGET_HIGH:
@@ -168,10 +273,14 @@ def run_chain(
                 adaptation.append((made, rate, scale))
                 window_accepts = 0
         else:
-            accepted_total += accepted
-            # states before the batch's last transition are the state it started from
+            accepted_total += len(accepted)
+            # a retained state is the batch's last acceptance at or before its
+            # transition, or the state the batch started from
             while next_retained <= made:
-                samples[retained] = pts if next_retained == made else before
+                samples[retained] = before
+                for k, state in accepted:
+                    if start + k < next_retained:
+                        samples[retained] = state
                 retained += 1
                 next_retained += thinning
 

@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from skewspec.cli import main
-from skewspec.density import WeightSpec, log_rho
+from skewspec.density import WeightSpec, _kernel, log_rho
 from skewspec.ensemble import extract_skew_spectrum, sample_generic_pair
 from skewspec.fekete import grid_initialization
 from skewspec.matrixcore import frobenius_norm
@@ -14,6 +15,8 @@ from skewspec.sampler import (
     ACCEPT_TARGET_LOW,
     ChainReport,
     _prefetch,
+    _tree,
+    _walk,
     ks_compare,
     p1_quadrature_cdf,
     run_chain,
@@ -41,7 +44,9 @@ def test_propose_and_decide_is_metropolis_rule():
     for delta, u, accepted in cases:
         cached = target - delta
         log_u = LOG_U_NEAR_ONE if u is None else np.log(u)
-        consumed, got, _, out_log = _prefetch(pts, cached, pts[None], np.array([log_u]), W_HALF)
+        # a zero increment proposes the current points themselves
+        consumed, accepts, _, out_log = _prefetch(pts, cached, np.zeros((1, 2, 2)), [log_u], W_HALF, 1)
+        got = bool(accepts)
         assert consumed == 1
         assert got is accepted
         assert out_log == (target if accepted else cached)
@@ -55,9 +60,9 @@ def test_propose_and_decide_rejects_outside_quadrant():
     rejected = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        proposals = pts + 200.0 * rng.standard_normal((1, 1, 2))
+        increments = 200.0 * rng.standard_normal((1, 1, 2))
         log_u = np.log(rng.uniform(size=1))
-        consumed, accepted, out, out_log = _prefetch(pts, log_density, proposals, log_u, W_HALF)
+        consumed, accepted, out, out_log = _prefetch(pts, log_density, increments, log_u, W_HALF, 1)
         assert consumed == 1
         if not accepted:
             rejected += 1
@@ -67,15 +72,15 @@ def test_propose_and_decide_rejects_outside_quadrant():
 
 
 def _batches(p, seed, n_batches, depth=4):
-    """Prefetched transitions from the p-point grid start: yields (consumed, accepted, pts, log density)."""
+    """Prefetched transitions from the p-point grid start: yields (consumed, acceptances, pts, log density)."""
     pts = grid_initialization(p).points
     log_density = log_rho(pts, W_HALF)
     rng = np.random.default_rng(seed)
     for _ in range(n_batches):
-        proposals = pts + 0.5 * rng.standard_normal((depth, p, 2))
+        increments = 0.5 * rng.standard_normal((depth, p, 2))
         log_u = np.log(rng.uniform(size=depth))
-        consumed, accepted, pts, log_density = _prefetch(pts, log_density, proposals, log_u, W_HALF)
-        yield consumed, accepted, pts, log_density
+        consumed, accepted, pts, log_density = _prefetch(pts, log_density, increments, log_u, W_HALF, depth)
+        yield consumed, len(accepted), pts, log_density
 
 
 def test_initial_state_consistent_cache():
@@ -101,17 +106,69 @@ def test_metropolis_trajectory_stays_finite():
 
 def test_speculative_nan_row_does_not_raise():
     # a row whose density cannot be represented raises only where the chain
-    # consumes it, never past the transition that accepts
+    # consumes it, never past the transition that accepts; no increment
+    # reaches the 1e-170 row, so the walk is given the two-node spine's rows
     pts = grid_initialization(2).points
     log_density = log_rho(pts, W_HALF)
     tiny = np.array([[1.0, 2.0], [3.0, 1.5]]) * 1e-170
     outside = -pts
     log_u = np.full(2, LOG_U_NEAR_ONE)
-    consumed, accepted, out, _ = _prefetch(pts, log_density, np.stack([pts, tiny]), log_u, W_HALF)
+
+    def walk(proposals):
+        stack = np.stack(proposals)
+        return _walk(_tree(2, 2), stack, _kernel(stack), W_HALF, pts, log_density, log_u)
+
+    consumed, accepts, out, _ = walk([pts, tiny])
+    accepted = bool(accepts)
     assert (consumed, accepted) == (1, True) and np.array_equal(out, pts)
     for proposals in ([tiny, pts], [outside, tiny]):
         with pytest.raises(FloatingPointError):
-            _prefetch(pts, log_density, np.stack(proposals), log_u, W_HALF)
+            walk(proposals)
+
+
+def _path_probabilities(tree, rate=0.3):
+    """(transition, base) and the probability of reaching it, per node of ``tree``."""
+    assert tree.step[: tree.spine].tolist() == list(range(tree.spine))
+    bases = [-1] * tree.spine
+    for start, _, base in tree.generations:
+        assert len(bases) == start
+        bases += base.tolist()
+    nodes = list(zip(tree.step.tolist(), bases))
+    reached = [1.0] + [0.0] * (len(nodes) - 1)
+    for n in range(len(nodes)):
+        for child, chance in ((tree.reject[n], 1.0 - rate), (tree.accept[n], rate)):
+            if child >= 0:
+                reached[child] = reached[n] * chance
+    return nodes, reached
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5, 8, 13, 16, 36, 64])
+def test_prefetch_tree(n_nodes):
+    tree = _tree(n_nodes, n_nodes)
+    nodes, reached = _path_probabilities(tree)
+    assert len(nodes) == len(tree.reject) == len(tree.accept) == n_nodes
+    for n, (t, base) in enumerate(nodes):
+        assert base < n  # every base is numbered before its node
+        assert tree.reject[n] in (-1, *range(n + 1, n_nodes))
+        assert tree.accept[n] in (-1, *range(n + 1, n_nodes))
+        if tree.reject[n] >= 0:
+            assert nodes[tree.reject[n]] == (t + 1, base)
+        if tree.accept[n] >= 0:
+            assert nodes[tree.accept[n]] == (t + 1, n)
+    # every node but the first is the child of exactly one node
+    assert sorted(c for c in tree.reject + tree.accept if c >= 0) == list(range(1, n_nodes))
+    assert tree.depth == 1 + max(t for t, _ in nodes)
+    if n_nodes <= 4:
+        assert tree.spine == n_nodes and tree.generations == ()
+    # the tree holds the most probable nodes, so the transitions a kernel call
+    # is expected to consume, the sum of their probabilities, beat the 3.14 of
+    # the all-reject spine of 8 from 8 nodes on
+    expected = {8: 3.49, 16: 4.53, 36: 5.80, 64: 6.73}
+    if n_nodes in expected:
+        assert sum(reached) == pytest.approx(expected[n_nodes], abs=0.005)
+    # truncated at a depth, the tree holds every node it can up to n_nodes
+    short = _tree(n_nodes, 3)
+    assert short.depth <= 3 and len(short.reject) == min(n_nodes, 7)
 
 
 def _same_chain(a: ChainReport, b: ChainReport) -> bool:
@@ -123,19 +180,19 @@ def _same_chain(a: ChainReport, b: ChainReport) -> bool:
 
 @pytest.mark.parametrize("p,burn_in,thinning", [(1, 450, 1), (3, 650, 1), (3, 410, 7)])
 def test_chain_independent_of_prefetch_depth(monkeypatch, p, burn_in, thinning):
-    # transition t takes row t of each stream whatever the batch, so the depth
+    # transition t takes row t of each stream whatever the batch, so the tree
     # and the draw block size change the number of kernel calls, not a bit
     import skewspec.sampler
 
-    monkeypatch.setattr(skewspec.sampler, "PREFETCH_DEPTH", 1)
+    monkeypatch.setattr(skewspec.sampler, "PREFETCH_NODES", 1)
     reference = run_chain(p, W_HALF, 60, burn_in=burn_in, thinning=thinning, seed=21)
     assert reference.kernel_calls == reference.transitions
-    for depth, block in [(2, 1024), (8, 1024), (32, 1024), (8, 7)]:
-        monkeypatch.setattr(skewspec.sampler, "PREFETCH_DEPTH", depth)
+    for n_nodes, block in itertools.product([1, 2, 8, 64], [1024, 7]):
+        monkeypatch.setattr(skewspec.sampler, "PREFETCH_NODES", n_nodes)
         monkeypatch.setattr(skewspec.sampler, "DRAW_BLOCK", block)
         chain = run_chain(p, W_HALF, 60, burn_in=burn_in, thinning=thinning, seed=21)
         assert _same_chain(chain, reference)
-        assert chain.kernel_calls < reference.kernel_calls
+        assert chain.kernel_calls < reference.kernel_calls or n_nodes == 1
 
 
 def _sequential_metropolis(p, w, n_samples, burn_in, thinning, seed):
@@ -170,16 +227,37 @@ def _sequential_metropolis(p, w, n_samples, burn_in, thinning, seed):
     return np.array(samples), accepted_total / (n_samples * thinning), scale
 
 
-@pytest.mark.parametrize("depth", [1, 8])
-def test_chain_is_sequential_metropolis(monkeypatch, depth):
+@pytest.mark.parametrize("n_nodes", [1, 2, 8, 64])
+def test_chain_is_sequential_metropolis(monkeypatch, n_nodes):
     import skewspec.sampler
 
-    monkeypatch.setattr(skewspec.sampler, "PREFETCH_DEPTH", depth)
+    monkeypatch.setattr(skewspec.sampler, "PREFETCH_NODES", n_nodes)
     for p, burn_in, thinning in [(1, 450, 1), (3, 400, 3)]:
         chain = run_chain(p, W_HALF, 50, burn_in=burn_in, thinning=thinning, seed=4)
         samples, acceptance, scale = _sequential_metropolis(p, W_HALF, 50, burn_in, thinning, seed=4)
         assert np.array_equal(chain.samples, samples)
         assert (chain.acceptance_rate, chain.step_scale) == (acceptance, scale)
+
+
+def test_chain_retains_states_between_acceptances_of_one_batch(monkeypatch):
+    # with thinning 1 every transition is retained, so a batch that accepts
+    # twice retains the first acceptance's state until the second
+    import skewspec.sampler
+
+    batches = []
+    prefetch = skewspec.sampler._prefetch
+
+    def recording(*args):
+        batches.append(prefetch(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(skewspec.sampler, "PREFETCH_NODES", 64)
+    monkeypatch.setattr(skewspec.sampler, "_prefetch", recording)
+    chain = run_chain(1, W_HALF, 300, burn_in=0, thinning=1, seed=5)
+    assert any(len(accepted) >= 2 and accepted[0][0] + 1 < accepted[1][0] for _, accepted, _, _ in batches)
+    samples, acceptance, _ = _sequential_metropolis(1, W_HALF, 300, 0, 1, seed=5)
+    assert np.array_equal(chain.samples, samples)
+    assert chain.acceptance_rate == acceptance
 
 
 def test_chain_reports_kernel_calls_and_adaptation():
