@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .density import UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, _tau_of
-from .ensemble import SkewSpectrum, random_generic_spectrum
+from .ensemble import MAX_TRIES, SkewSpectrum, random_generic_spectrum
 from .fekete import DEFAULT_GAMMA, OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
 from .fekete import _k_constraint_lhs
 from .jacobian import JACOBIAN_TOL, DegenerateJacobian, verify_density_shape
@@ -33,6 +33,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 KS_THRESHOLD = 0.05
+VERIFY_GAP = 1e-3  # least relative gap between the coordinates of a verify-jacobian draw
 DENSITY_PAIR_TERMS = 1 << 16  # pair terms per kernel call of `density`, which bounds its temporaries
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -176,10 +177,16 @@ def cmd_verify_jacobian(args, parser: _Parser) -> int:
         parser.error("--p is required unless --spectrum is given")
     else:
         rng = np.random.default_rng(args.seed)
-        spectra = [
-            random_generic_spectrum(args.p, rng, low=0.1, high=5.0, min_rel_gap=1e-3)
-            for _ in range(args.trials)
-        ]
+        try:
+            spectra = [
+                random_generic_spectrum(args.p, rng, low=0.1, high=5.0, min_rel_gap=VERIFY_GAP)
+                for _ in range(args.trials)
+            ]
+        except RuntimeError:
+            parser.error(
+                f"--p {args.p} is too large: no draw on [0.1, 5] kept its coordinates "
+                f"{VERIFY_GAP:.0e} apart (relative) within {MAX_TRIES} tries"
+            )
         given = {"p": args.p, "trials": args.trials}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

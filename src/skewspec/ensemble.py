@@ -109,21 +109,31 @@ class HermitianPair:
         return self.X.shape[0]
 
 
+def block_diag_arrays(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y of the canonical block-diagonal pair of each configuration in a (..., p, 2) stack.
+
+    Returns two complex (..., 2p, 2p) arrays; :func:`build_block_diag` is
+    the one-spectrum case.
+    """
+    x, y = points[..., 0], points[..., 1]
+    n = 2 * points.shape[-2]
+    k = np.arange(0, n, 2)
+    x_mat = np.zeros((*points.shape[:-2], n, n), dtype=np.complex128)
+    y_mat = np.zeros_like(x_mat)
+    x_mat[..., k, k] = x
+    x_mat[..., k + 1, k + 1] = -x
+    y_mat[..., k, k + 1] = y
+    y_mat[..., k + 1, k] = y
+    return x_mat, y_mat
+
+
 def build_block_diag(s: SkewSpectrum) -> HermitianPair:
     """Assemble the canonical block-diagonal pair for a skew spectrum.
 
     X = direct sum of diag(x_j, -x_j); Y = direct sum of [[0, y_j], [y_j, 0]].
     The blocks anti-commute exactly, so the residual is 0 in floating point.
     """
-    p = s.p
-    n = 2 * p
-    x_mat = np.zeros((n, n), dtype=np.complex128)
-    y_mat = np.zeros((n, n), dtype=np.complex128)
-    for j in range(p):
-        x_mat[2 * j, 2 * j] = s.x[j]
-        x_mat[2 * j + 1, 2 * j + 1] = -s.x[j]
-        y_mat[2 * j, 2 * j + 1] = s.y[j]
-        y_mat[2 * j + 1, 2 * j] = s.y[j]
+    x_mat, y_mat = block_diag_arrays(s.points)
     return HermitianPair(X=x_mat, Y=y_mat, anticommutation_residual=0.0)
 
 

@@ -1,17 +1,28 @@
 """Numerical verification of the skew-spectrum Jacobian.
 
 The parametrization G maps (unitary coset, skew spectrum) to a generic
-anti-commuting pair. Its derivative dG is assembled as one array from an
-orthonormal tangent basis: three skew-Hermitian directions R_k, S_k, T_k
-per 2x2 block and eight inter-block directions R_{ij,ab}, S_{ij,ab} per
-block pair, held as one (4p^2 - p, n, n) generator array and imaged by one
-commutator over it, and the 2p spectral directions e1_k, e2_k, imaged by
-index. The Gram determinant det(dG^T dG) then has the closed form
+anti-commuting pair. Its derivative dG has an orthonormal tangent basis:
+three skew-Hermitian directions R_k, S_k, T_k per 2x2 block and eight
+inter-block directions R_{ij,ab}, S_{ij,ab} per block pair, each imaged by
+a commutator, and the 2p spectral directions e1_k, e2_k. After permuting
+rows and columns, dG is block diagonal with two kinds of blocks:
+
+- p point blocks, each 8x5: the p = 1 dG at z_k, with columns R_k, S_k,
+  T_k, e1_k, e2_k;
+- p(p-1)/2 pair blocks, each with 8 columns: the R_ij, S_ij columns of
+  the p = 2 dG at (z_i, z_j).
+
+The Gram determinant det(dG^T dG) is the product of the blocks' Gram
+determinants and has the closed form
 
     prod_k 256 x_k^2 y_k^2 (x_k^2 + y_k^2) * prod_{i<j} f(z_i, z_j)^2,
 
 whose square root times the radial weight reproduces the skew-spectrum
 density up to one constant. This module computes both sides and compares.
+The numeric side takes the singular values of the blocks of a whole stack
+of spectra in one stacked SVD per block kind. The dense dG of
+:func:`assemble_dG`, a (8p^2) x (4p^2 + p) array, is the oracle the block
+path is tested against.
 
 Basis matrices live in real ambient coordinates for Hermitian pairs
 (diagonal entries plus sqrt(2)-scaled real/imaginary parts of the strict
@@ -26,12 +37,13 @@ consistent with the commutator table and with S_k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, _terms
-from .ensemble import SkewSpectrum, build_block_diag
+from .density import UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, _pair_index, _terms
+from .ensemble import SkewSpectrum, block_diag_arrays, build_block_diag
 from .matrixcore import check_unitary
 
 RANK_TOL = 1e-10
@@ -91,53 +103,113 @@ def ambient_coordinates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return coords.reshape(*coords.shape[:-2], -1)
 
 
+def _commutators(gens: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """([S, X], [S, Y]) for every generator S at each pair of a stack: two (..., K, n, n) arrays."""
+    x, y = x[..., None, :, :], y[..., None, :, :]
+    return gens @ x - x @ gens, gens @ y - y @ gens
+
+
+def _spectral_images(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The images (A_delta_k, 0) of e1_k and (0, B_delta_k) of e2_k: two (2p, n, n) arrays."""
+    n = 2 * p
+    ax = np.zeros((2 * p, n, n), dtype=np.complex128)
+    by = np.zeros_like(ax)
+    k = np.arange(p)
+    ax[k, 2 * k, 2 * k] = 1.0
+    ax[k, 2 * k + 1, 2 * k + 1] = -1.0
+    by[p + k, 2 * k, 2 * k + 1] = 1.0
+    by[p + k, 2 * k + 1, 2 * k] = 1.0
+    return ax, by
+
+
 def assemble_dG(s: SkewSpectrum, unitary=None) -> np.ndarray:
-    """The (2 n^2) x (4p^2 + p) real matrix of dG images, column per basis direction.
+    """The dense (2 n^2) x (4p^2 + p) real matrix of dG images, column per basis direction.
 
     A unitary direction S maps to ([S, A_x], [S, B_y]); the spectral
     direction e1_k maps to (A_{delta_k}, 0) and e2_k to (0, B_{delta_k}).
     Columns follow the order of :func:`enumerate_tangent_basis`. When
     ``unitary`` is given, every image pair is conjugated by it before
     taking coordinates; the Gram determinant is invariant under this (the
-    test hook for base-point independence).
+    test hook for base-point independence). This is the reference the
+    block path of :func:`gram_log_determinants` is tested against; its
+    size grows like p^4.
     """
-    p, n = s.p, 2 * s.p
     pair = build_block_diag(s)
-    _, gens = enumerate_tangent_basis(p)
-    ax = np.zeros((len(gens) + 2 * p, n, n), dtype=np.complex128)
-    by = np.zeros_like(ax)
-    ax[: len(gens)] = gens @ pair.X - pair.X @ gens
-    by[: len(gens)] = gens @ pair.Y - pair.Y @ gens
-    k = np.arange(p)
-    e1, e2 = len(gens) + k, len(gens) + p + k
-    ax[e1, 2 * k, 2 * k] = 1.0
-    ax[e1, 2 * k + 1, 2 * k + 1] = -1.0
-    by[e2, 2 * k, 2 * k + 1] = 1.0
-    by[e2, 2 * k + 1, 2 * k] = 1.0
+    _, gens = enumerate_tangent_basis(s.p)
+    rx, ry = _commutators(gens, pair.X, pair.Y)
+    ex, ey = _spectral_images(s.p)
+    ax, by = np.concatenate([rx, ex]), np.concatenate([ry, ey])
     if unitary is not None:
         u = check_unitary(unitary)
         ax, by = u @ ax @ u.conj().T, u @ by @ u.conj().T
     return ambient_coordinates(ax, by).T
 
 
-def gram_log_determinant(s: SkewSpectrum, unitary=None) -> float:
-    """log det(dG^T dG) from the singular values of dG; overflow-safe for large p.
+@functools.cache
+def _block_generators() -> tuple[np.ndarray, np.ndarray]:
+    """The generators of the point blocks (R, S, T at p = 1) and of the pair blocks (the eight R_ij, S_ij at p = 2).
 
-    Raises :class:`DegenerateJacobian` off the generic stratum and where
-    dG is numerically rank deficient (full rank is 4p^2 + p).
+    Built on first use and read-only, since every call shares them.
     """
-    if not s.is_generic():
+    _, point = enumerate_tangent_basis(1)
+    labels, gens = enumerate_tangent_basis(2)
+    pair = gens[[tag in ("Rij", "Sij") for tag, _ in labels[: len(gens)]]]
+    point.flags.writeable = False
+    pair.flags.writeable = False
+    return point, pair
+
+
+def _block_singular_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values of dG at each configuration of a (B, p, 2) stack: (B, 4p^2 + p).
+
+    dG is the direct sum of its point and pair blocks (module docstring),
+    so its singular values are the union of theirs. Each block kind is
+    imaged by the commutators of its generators with the p = 1 or p = 2
+    block-diagonal pairs of the whole stack and factored by one stacked SVD.
+    """
+    b, p, _ = stack.shape
+    point_gens, pair_gens = _block_generators()
+    x, y = block_diag_arrays(stack[:, :, None, :])
+    spectral = ambient_coordinates(*_spectral_images(1))
+    point = np.concatenate(
+        [ambient_coordinates(*_commutators(point_gens, x, y)), np.broadcast_to(spectral, (b, p, *spectral.shape))],
+        axis=-2,
+    )
+    sv = [np.linalg.svd(point, compute_uv=False).reshape(b, -1)]
+    if p > 1:
+        x, y = block_diag_arrays(stack[:, np.stack(_pair_index(p), axis=-1)])
+        pair = ambient_coordinates(*_commutators(pair_gens, x, y))
+        sv.append(np.linalg.svd(pair, compute_uv=False).reshape(b, -1))
+    return np.concatenate(sv, axis=1)
+
+
+def gram_log_determinants(spectra) -> np.ndarray:
+    """log det(dG^T dG) of each spectrum in a sequence of the same p, from dG's blocks.
+
+    Twice the sum of the log singular values of the point and pair blocks,
+    all spectra at once; overflow-safe for large p. Raises
+    :class:`DegenerateJacobian` when a spectrum is off the generic stratum
+    or its dG is numerically rank deficient (full rank is 4p^2 + p).
+    """
+    if not all(s.is_generic() for s in spectra):
         raise DegenerateJacobian(
             "skew spectrum has coincident x or y coordinates; "
             "the parametrization is a chart only on the generic stratum"
         )
-    sv = np.linalg.svd(assemble_dG(s, unitary=unitary), compute_uv=False)
-    if sv[-1] < RANK_TOL * sv[0]:
-        raise DegenerateJacobian(
-            f"dG is rank deficient: smallest singular value {sv[-1]:.3e} "
-            f"below {RANK_TOL:.0e} * largest {sv[0]:.3e}"
-        )
-    return float(2.0 * np.sum(np.log(sv)))
+    sv = _block_singular_values(np.stack([s.points for s in spectra]))
+    smin, smax = sv.min(axis=1), sv.max(axis=1)
+    for lo, hi in zip(smin, smax):
+        if lo < RANK_TOL * hi:
+            raise DegenerateJacobian(
+                f"dG is rank deficient: smallest singular value {lo:.3e} "
+                f"below {RANK_TOL:.0e} * largest {hi:.3e}"
+            )
+    return 2.0 * np.sum(np.log(sv), axis=1)
+
+
+def gram_log_determinant(s: SkewSpectrum) -> float:
+    """log det(dG^T dG) of one spectrum: :func:`gram_log_determinants` of ``[s]``."""
+    return float(gram_log_determinants([s])[0])
 
 
 def closed_form_log_gram(s: SkewSpectrum) -> float:
@@ -185,7 +257,7 @@ def verify_density_shape(spectra, gamma: float = 1.0) -> DensityShapeReport:
     variation is within ``JACOBIAN_TOL``.
     """
     w = WeightSpec(gamma=gamma)
-    log_gram = np.array([gram_log_determinant(s) for s in spectra])
+    log_gram = gram_log_determinants(spectra)
     stack = np.stack([s.points for s in spectra])
     terms = _kernel(stack)
     if np.isnan(terms[1]).any():

@@ -60,10 +60,10 @@ def test_verify_jacobian_pinned_spectrum_beyond_double_range(tmp_path):
     assert report["gram"] is None and report["closed_form"] is None
 
 
-def test_verify_jacobian_assembles_each_spectrum_once(tmp_path, monkeypatch):
+def test_verify_jacobian_evaluates_blocks_once(tmp_path, monkeypatch):
     import skewspec.jacobian
 
-    calls = {"assemble_dG": 0, "build_block_diag": 0}
+    calls = {"assemble_dG": 0, "_block_singular_values": 0}
 
     def counting(name):
         fn = getattr(skewspec.jacobian, name)
@@ -78,8 +78,27 @@ def test_verify_jacobian_assembles_each_spectrum_once(tmp_path, monkeypatch):
         monkeypatch.setattr(skewspec.jacobian, name, counting(name))
     out = tmp_path / "vj"
     assert run_cli("verify-jacobian", "--p", "2", "--trials", "5", "--seed", "1", "--out", str(out)) == EXIT_OK
-    # one dG assembly, hence one block pair, per spectrum
-    assert calls == {"assemble_dG": 5, "build_block_diag": 5}
+    # no dense dG: one batched block evaluation covers all five spectra
+    assert calls == {"assemble_dG": 0, "_block_singular_values": 1}
+
+
+def test_verify_jacobian_large_p(tmp_path):
+    # the dense dG at p = 60 needs a 3 GiB generator array; its blocks do not
+    out = tmp_path / "vj60"
+    assert run_cli("verify-jacobian", "--p", "60", "--trials", "1", "--seed", "1", "--out", str(out)) == EXIT_OK
+    report = read_json(out / "report.json")
+    assert report["passed"] and report["max_rel_err"] <= 1e-8
+
+
+def test_verify_jacobian_p_beyond_the_draw_exits_usage(tmp_path, capsys):
+    # at p = 100 almost no uniform draw keeps its coordinates 1e-3 apart
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify-jacobian", "--p", "100", "--trials", "1", "--seed", "1", "--out", str(tmp_path / "out"))
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "--p 100" in err.splitlines()[-1] and "1e-03 apart" in err.splitlines()[-1]
+    assert not (tmp_path / "out").exists()
 
 
 SPECTRUM_P8 = "1,8.5,2,7.5,3,6.5,4,5.5,5,4.5,6,3.5,7,2.5,8,1.5"

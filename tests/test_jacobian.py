@@ -11,6 +11,7 @@ from skewspec.jacobian import (
     closed_form_log_gram,
     enumerate_tangent_basis,
     gram_log_determinant,
+    gram_log_determinants,
     verify_density_shape,
 )
 from skewspec.matrixcore import haar_unitary
@@ -132,6 +133,19 @@ def test_gram_rejects_degenerate_spectrum():
         gram_log_determinant(SkewSpectrum([(1.0, 1.0), (1.0, 2.0)]))
 
 
+def test_gram_rejects_rank_deficient_spectrum():
+    # generic, but one pair is 1e-6 apart while another point sits at 1e6:
+    # the union of block singular values spans more than 1 / RANK_TOL
+    s = SkewSpectrum([(1e6, 2e6), (1.0, 1.0), (1.0 + 1e-6, 1.0 + 1e-6)])
+    assert s.is_generic()
+    sv = np.linalg.svd(assemble_dG(s), compute_uv=False)
+    assert sv[-1] < RANK_TOL * sv[0]
+    fine = SkewSpectrum([(3.0, 2.0), (1.0, 1.5), (2.0, 1.0)])
+    assert np.isfinite(gram_log_determinants([fine])).all()
+    with pytest.raises(DegenerateJacobian, match="rank deficient"):
+        gram_log_determinants([fine, s])
+
+
 def test_closed_form_factorization_identity():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -183,23 +197,18 @@ def test_rank_equals_dimension():
         assert int(np.sum(sv >= RANK_TOL * sv[0])) == 4 * p * p + p
 
 
-def test_gram_block_structure():
-    s = random_generic_spectrum(3, np.random.default_rng(4))
-    labels, _ = enumerate_tangent_basis(3)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gram_block_structure(p):
+    # every Gram entry between different point or pair blocks vanishes: the
+    # decomposition gram_log_determinant relies on
+    s = random_generic_spectrum(p, np.random.default_rng(4))
+    labels, _ = enumerate_tangent_basis(p)
     columns = assemble_dG(s)
     gram = columns.T @ columns
-
-    def group(tag, indices):
-        if tag in ("Rij", "Sij"):
-            return ("ij", indices[0], indices[1])
-        return ("k", indices[0])
-
-    groups = [group(*label) for label in labels]
-    scale = np.max(np.abs(gram))
-    for a in range(len(labels)):
-        for b in range(len(labels)):
-            if groups[a] != groups[b]:
-                assert abs(gram[a, b]) <= 1e-12 * scale
+    groups = [indices[:2] if tag in ("Rij", "Sij") else indices[:1] for tag, indices in labels]
+    block = np.array([sorted(set(groups)).index(g) for g in groups])
+    off_block = block[:, None] != block[None, :]
+    assert np.max(np.abs(gram[off_block])) <= 1e-12 * np.max(np.abs(gram))
 
 
 def test_inter_block_determinant_equals_f_squared():
@@ -216,13 +225,28 @@ def test_inter_block_determinant_equals_f_squared():
         assert det == pytest.approx(f * f, rel=1e-8)
 
 
+def _dense_log_gram(s, unitary=None):
+    return 2.0 * np.sum(np.log(np.linalg.svd(assemble_dG(s, unitary=unitary), compute_uv=False)))
+
+
 def test_determinant_invariant_under_conjugation():
     rng = np.random.default_rng(6)
     s = random_generic_spectrum(2, rng)
     base = gram_log_determinant(s)
     for seed in range(3):
-        moved = gram_log_determinant(s, unitary=haar_unitary(4, seed))
+        moved = _dense_log_gram(s, unitary=haar_unitary(4, seed))
         assert abs(np.exp(moved - base) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("low, high", [(0.1, 5.0), (0.01, 10.0), (1e-3, 1.0)])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_block_log_gram_matches_dense_oracle(p, low, high):
+    rng = np.random.default_rng(30 + p)
+    spectra = [random_generic_spectrum(p, rng, low=low, high=high) for _ in range(5)]
+    blocks = gram_log_determinants(spectra)
+    for s, block in zip(spectra, blocks):
+        assert gram_log_determinant(s) == pytest.approx(block, rel=1e-15, abs=1e-13)
+        assert abs(np.exp(block - _dense_log_gram(s)) - 1.0) <= 1e-12
 
 
 def test_shape_ratio_p1_is_16():
