@@ -153,6 +153,16 @@ def _exp_or_none(log_value: float):
     return value if np.isfinite(value) else None
 
 
+def _output_dir(text: str, parser: _Parser) -> Path:
+    """The ``--out`` directory, created if missing; a usage error where it cannot be."""
+    out_dir = Path(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out {text!r} is not a usable directory: {exc.strerror or exc}")
+    return out_dir
+
+
 def _parse_spectrum_flag(text: str, parser: _Parser) -> SkewSpectrum:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -188,8 +198,7 @@ def cmd_verify_jacobian(args, parser: _Parser) -> int:
                 f"{VERIFY_GAP:.0e} apart (relative) within {MAX_TRIES} tries"
             )
         given = {"p": args.p, "trials": args.trials}
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out, parser)
 
     try:
         shape = verify_density_shape(spectra)
@@ -223,8 +232,7 @@ def cmd_fekete(args, parser: _Parser) -> int:
     if args.mode == "anti" and args.n % 2 != 0:
         parser.error("--n must be even in anti mode (n = 2p)")
     gamma = args.gamma if args.gamma is not None else DEFAULT_GAMMA[args.mode]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out, parser)
 
     config = OptimizerConfig(
         max_iters=args.max_iters,
@@ -280,8 +288,7 @@ def cmd_fekete(args, parser: _Parser) -> int:
 
 def cmd_sample(args, parser: _Parser) -> int:
     started = time.perf_counter()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out, parser)
 
     w = WeightSpec(gamma=args.gamma)
     report = run_chain(args.p, w, args.samples, burn_in=args.burnin, thinning=args.thin, seed=args.seed)

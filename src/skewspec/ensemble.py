@@ -161,17 +161,21 @@ def sample_generic_pair(s: SkewSpectrum, rng=None) -> HermitianPair:
 
 
 def extract_skew_spectrum(pair: HermitianPair) -> SkewSpectrum:
-    """Recover the skew spectrum of an anti-commuting pair.
+    """Recover the skew spectrum of an anti-commuting pair, ascending in x.
 
-    Eigendecomposes X and matches its eigenvalues into (x, -x) pairs. For
-    each positive eigenvalue x_j with unit eigenvector u_j, the vector
-    Y u_j lies in the (-x_j)-eigenspace of X (a consequence of XY = -YX),
-    so y_j = ||Y u_j||_2. Returns the points sorted ascending in x.
+    Assumes XY = -YX, which :meth:`HermitianPair.from_matrices` checks and
+    :func:`build_block_diag` and :func:`conjugate` guarantee. The ascending
+    eigenvalues of X pair as ``lam[p:]`` against ``-lam[p-1::-1]``. Y maps
+    the x_j-eigenspace of X onto the (-x_j)-eigenspace, so with V+ the
+    eigenvectors of the positive eigenvalues, y_j is the j-th column norm
+    of W = Y V+, and the singular values of W are the positive eigenvalues
+    of Y. The y_j must match those singular values: a shared x_j with
+    distinct y_j mixes the eigenvectors and fails that match, while
+    coincident points (equal x_j and y_j) pass and are recovered.
 
     Raises :class:`NonGenericInput` when X is singular, the spectrum of X
-    is not symmetric about zero, some y_j vanishes, or the recovered data
-    fails to reproduce the eigenvalues of Y (which happens off the generic
-    stratum, e.g. for coincident x_j).
+    is not symmetric about zero, some y_j vanishes, or the y_j do not
+    match the singular values of W.
     """
     if pair.n % 2 != 0:
         raise NonGenericInput("pair dimension must be even")
@@ -183,40 +187,27 @@ def extract_skew_spectrum(pair: HermitianPair) -> SkewSpectrum:
             f"X is singular to tolerance: min |eigenvalue| = {np.min(np.abs(lam)):.3e}"
         )
 
-    # Greedy +/- pairing by absolute value.
-    order = np.argsort(np.abs(lam))
-    xs = np.empty(p)
-    pos_vectors = []
-    for j in range(p):
-        a, b = order[2 * j], order[2 * j + 1]
-        la, lb = lam[a], lam[b]
-        if la * lb >= 0 or abs(abs(la) - abs(lb)) > PAIRING_TOL * max(abs(la), abs(lb)):
-            raise NonGenericInput(
-                f"spectrum of X is not symmetric about 0: cannot pair {la:.6g} with {lb:.6g}"
-            )
-        xs[j] = (abs(la) + abs(lb)) / 2.0
-        pos_vectors.append(vecs[:, a] if la > 0 else vecs[:, b])
+    pos, neg = lam[p:], lam[p - 1 :: -1]
+    bad = (pos * neg >= 0) | (np.abs(pos + neg) > PAIRING_TOL * np.maximum(np.abs(pos), np.abs(neg)))
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise NonGenericInput(
+            f"spectrum of X is not symmetric about 0: cannot pair {neg[j]:.6g} with {pos[j]:.6g}"
+        )
 
+    w = pair.Y @ vecs[:, p:]
+    ys = np.linalg.norm(w, axis=0)
     y_scale = max(1.0, frobenius_norm(pair.Y))
-    ys = np.empty(p)
-    for j in range(p):
-        ys[j] = np.linalg.norm(pair.Y @ pos_vectors[j])
-        if ys[j] <= 1e-12 * y_scale:
-            raise NonGenericInput(f"recovered y_{j + 1} = {ys[j]:.3e} violates positivity")
-
-    # The pair must be unitarily equivalent to the block form built from the
-    # result; comparing the eigenvalue multiset of Y catches hidden
-    # degeneracy (coincident x_j mix the eigenvectors and corrupt the y's).
-    lam_y, _ = hermitian_eig(pair.Y)
-    expected_y = np.sort(np.concatenate([ys, -ys]))
-    if np.max(np.abs(lam_y - expected_y)) > 1e-8 * y_scale:
+    j = int(np.argmin(ys))
+    if ys[j] <= 1e-12 * y_scale:
+        raise NonGenericInput(f"recovered y_{j + 1} = {ys[j]:.3e} violates positivity")
+    sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(w.conj().T @ w), 0.0))
+    if np.max(np.abs(np.sort(ys) - sigma)) > 1e-8 * y_scale:
         raise NonGenericInput(
             "recovered skew spectrum does not reproduce the eigenvalues of Y; "
             "the pair is not in the generic stratum"
         )
-
-    result = SkewSpectrum(np.column_stack([xs, ys]))
-    return result.sorted()
+    return SkewSpectrum(np.column_stack([(pos - neg) / 2.0, ys]))
 
 
 def random_generic_spectrum(

@@ -475,6 +475,22 @@ def test_usage_errors(tmp_path, capsys, command, flag, value, others):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify-jacobian", "--p", "1", "--trials", "1"), ("fekete", "--n", "2"), ("sample", *SAMPLE)],
+    ids=lambda argv: argv[0],
+)
+def test_out_under_a_file_exits_usage(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(out) in err.splitlines()[-1]
+
+
 def _out_of_domain(positive: bool, integer: bool):
     """Text that a finite positive (else non-negative) int or float flag rejects."""
     if integer:

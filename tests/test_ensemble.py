@@ -97,6 +97,29 @@ def test_pair_invariant_rejects_non_anticommuting():
         HermitianPair.from_matrices(np.eye(2), np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        (np.eye(2), np.eye(4), "dimension mismatch"),
+        (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3)), "even"),
+        (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
+    ],
+    ids=["shape-mismatch", "odd-dimension", "non-hermitian"],
+)
+def test_pair_from_matrices_rejections(x, y, message):
+    with pytest.raises(ValueError, match=message):
+        HermitianPair.from_matrices(x, y)
+
+
+def test_pair_from_matrices_round_trips_through_extraction():
+    s = SkewSpectrum([(0.5, 2.0), (1.5, 0.25), (4.0, 1.0)])
+    block = build_block_diag(s)
+    u = haar_unitary(6, 14)
+    pair = HermitianPair.from_matrices(u @ block.X @ u.conj().T, u @ block.Y @ u.conj().T)
+    out = extract_skew_spectrum(pair)
+    assert np.max(np.abs(out.points - s.points) / s.points) <= 1e-12
+
+
 def test_sample_generic_pair_p1_eigenvalues():
     pair = sample_generic_pair(SkewSpectrum([(2.5, 1.0)]), 8)
     lam = np.linalg.eigvalsh(pair.X)
@@ -170,6 +193,44 @@ def test_extract_coincident_x_rejected():
     pair = conjugate(build_block_diag(s), haar_unitary(4, 12))
     with pytest.raises(NonGenericInput):
         extract_skew_spectrum(pair)
+
+
+@pytest.mark.parametrize(
+    "points, tol",
+    [
+        ([(2.0, 1.0), (2.0, 1.0)], 1e-12),
+        ([(1.0, 2.0), (3.0, 2.0), (2.0, 2.0)], 1e-12),
+        # x within a relative 1e-9, y distinct: a check first order in the
+        # eigenvector error (the off-diagonal of W*W) would reject every seed;
+        # that error enters y_j to second order, 1.2e-12 at worst over these seeds
+        ([(2.0, 1.0), (2.0 * (1.0 + 1e-9), 3.0)], 1e-11),
+    ],
+    ids=["coincident-points", "shared-y", "x-gap-1e-9"],
+)
+def test_extract_edge_spectra_recovered(points, tol):
+    s = SkewSpectrum(points).sorted()
+    for seed in range(20):
+        pair = conjugate(build_block_diag(s), haar_unitary(2 * s.p, seed))
+        out = extract_skew_spectrum(pair)
+        assert np.max(np.abs(out.points - s.points) / s.points) <= tol, seed
+
+
+def test_extract_makes_one_eigendecomposition(monkeypatch):
+    import skewspec.ensemble
+
+    calls = []
+    eig = skewspec.ensemble.hermitian_eig
+
+    def counting(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(skewspec.ensemble, "hermitian_eig", counting)
+    rng = np.random.default_rng(15)
+    for p in (1, 3, 6):
+        extract_skew_spectrum(sample_generic_pair(random_generic_spectrum(p, rng), rng))
+        assert calls == [(2 * p, 2 * p)]
+        calls.clear()
 
 
 def test_random_generic_spectrum_respects_bounds():
