@@ -11,6 +11,7 @@ pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,9 @@ class SkewSpectrum:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError(f"expected p >= 1 points with 2 coordinates, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("skew spectrum coordinates must be finite")
-        if np.any(pts <= 0.0):
+        if (pts <= 0.0).any():
             raise ValueError("skew spectrum coordinates must be strictly positive")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -62,11 +63,8 @@ class SkewSpectrum:
         Coordinates count as distinct when each consecutive sorted gap
         exceeds ``rel_gap`` times the larger value.
         """
-        for col in (self.x, self.y):
-            v = np.sort(col)
-            if np.any(np.diff(v) <= rel_gap * v[1:]):
-                return False
-        return True
+        v = np.sort(self.points, axis=0)
+        return not (np.diff(v, axis=0) <= rel_gap * v[1:]).any()
 
     def sorted(self) -> "SkewSpectrum":
         """Canonical ordering: ascending in x."""
@@ -89,15 +87,15 @@ class HermitianPair:
     @classmethod
     def from_matrices(cls, x, y) -> "HermitianPair":
         """Validate Hermiticity, even dimension, and the anti-commutation invariant."""
-        mx = check_hermitian(x)
-        my = check_hermitian(y)
+        mx, x_norm = check_hermitian(x)
+        my, y_norm = check_hermitian(y)
         if mx.shape != my.shape:
             raise ValueError(f"dimension mismatch: {mx.shape} vs {my.shape}")
         n = mx.shape[0]
         if n % 2 != 0:
             raise ValueError(f"pair dimension must be even, got {n}")
         residual = frobenius_norm(mx @ my + my @ mx)
-        bound = ANTICOMMUTATION_TOL * max(1.0, frobenius_norm(mx) * frobenius_norm(my))
+        bound = ANTICOMMUTATION_TOL * max(1.0, x_norm * y_norm)
         if residual > bound:
             raise ValueError(
                 f"pair does not anti-commute: ||XY + YX||_F = {residual:.3e} > {bound:.3e}"
@@ -137,27 +135,49 @@ def build_block_diag(s: SkewSpectrum) -> HermitianPair:
     return HermitianPair(X=x_mat, Y=y_mat, anticommutation_residual=0.0)
 
 
-def conjugate(pair: HermitianPair, u) -> HermitianPair:
-    """Return (U X U*, U Y U*). Anti-commutation survives up to roundoff."""
-    mu = check_unitary(u)
-    if mu.shape[0] != pair.n:
-        raise ValueError(f"dimension mismatch: unitary is {mu.shape[0]}, pair is {pair.n}")
-    x_new = mu @ pair.X @ mu.conj().T
-    y_new = mu @ pair.Y @ mu.conj().T
+def _conjugated(ux: np.ndarray, uy: np.ndarray, u: np.ndarray) -> HermitianPair:
+    """The pair (UX U*, UY U*) from the products UX and UY, made exactly Hermitian."""
+    uh = u.conj().T
+    x_new = ux @ uh
+    y_new = uy @ uh
     x_new = (x_new + x_new.conj().T) / 2.0
     y_new = (y_new + y_new.conj().T) / 2.0
     residual = frobenius_norm(x_new @ y_new + y_new @ x_new)
     return HermitianPair(X=x_new, Y=y_new, anticommutation_residual=residual)
 
 
+def conjugate(pair: HermitianPair, u) -> HermitianPair:
+    """Return (U X U*, U Y U*). Anti-commutation survives up to roundoff.
+
+    ``u`` comes from the caller, so it is validated here: a matrix that is
+    not square, finite and unitary to ``UNITARY_TOL`` raises ``ValueError``.
+    """
+    mu = check_unitary(u)
+    if mu.shape[0] != pair.n:
+        raise ValueError(f"dimension mismatch: unitary is {mu.shape[0]}, pair is {pair.n}")
+    return _conjugated(mu @ pair.X, mu @ pair.Y, mu)
+
+
 def sample_generic_pair(s: SkewSpectrum, rng=None) -> HermitianPair:
-    """Haar-conjugated block pair: a generic element with skew spectrum s."""
+    """Haar-conjugated block pair: a generic element with skew spectrum s.
+
+    The same pair as ``conjugate(build_block_diag(s), haar_unitary(2 * s.p, rng))``,
+    built through the block structure: U X is U with its columns scaled by
+    x_1, -x_1, x_2, -x_2, ..., and U Y is U with each column pair swapped
+    and scaled by y_j. The unitary is the package's own Haar sample, so
+    unlike :func:`conjugate` this does not validate it again.
+    """
     if not s.is_generic():
         raise NonGenericInput(
             "skew spectrum has coincident x or y coordinates; "
             "generic pairs require all x_j distinct and all y_j distinct"
         )
-    return conjugate(build_block_diag(s), haar_unitary(2 * s.p, rng))
+    n = 2 * s.p
+    u = haar_unitary(n, rng)
+    blocks = u.reshape(n, s.p, 2)  # blocks[:, j] holds columns 2j and 2j + 1 of U
+    ux = (blocks * np.outer(s.x, (1.0, -1.0))).reshape(n, n)
+    uy = (blocks[:, :, ::-1] * s.y[:, None]).reshape(n, n)
+    return _conjugated(ux, uy, u)
 
 
 def extract_skew_spectrum(pair: HermitianPair) -> SkewSpectrum:
@@ -169,9 +189,10 @@ def extract_skew_spectrum(pair: HermitianPair) -> SkewSpectrum:
     the x_j-eigenspace of X onto the (-x_j)-eigenspace, so with V+ the
     eigenvectors of the positive eigenvalues, y_j is the j-th column norm
     of W = Y V+, and the singular values of W are the positive eigenvalues
-    of Y. The y_j must match those singular values: a shared x_j with
-    distinct y_j mixes the eigenvectors and fails that match, while
-    coincident points (equal x_j and y_j) pass and are recovered.
+    of Y. The y_j must match those singular values, each to 1e-8 of
+    itself: a shared x_j with distinct y_j mixes the eigenvectors and fails
+    that match, while coincident points (equal x_j and y_j) pass and are
+    recovered.
 
     Raises :class:`NonGenericInput` when X is singular, the spectrum of X
     is not symmetric about zero, some y_j vanishes, or the y_j do not
@@ -181,16 +202,15 @@ def extract_skew_spectrum(pair: HermitianPair) -> SkewSpectrum:
         raise NonGenericInput("pair dimension must be even")
     p = pair.n // 2
     lam, vecs = hermitian_eig(pair.X)
-    x_scale = frobenius_norm(pair.X)
-    if np.min(np.abs(lam)) <= 1e-8 * x_scale:
-        raise NonGenericInput(
-            f"X is singular to tolerance: min |eigenvalue| = {np.min(np.abs(lam)):.3e}"
-        )
+    x_scale = math.sqrt(lam @ lam)  # ||X||_F
+    lam_min = np.abs(lam).min()
+    if lam_min <= 1e-8 * x_scale:
+        raise NonGenericInput(f"X is singular to tolerance: min |eigenvalue| = {lam_min:.3e}")
 
     pos, neg = lam[p:], lam[p - 1 :: -1]
     bad = (pos * neg >= 0) | (np.abs(pos + neg) > PAIRING_TOL * np.maximum(np.abs(pos), np.abs(neg)))
-    if np.any(bad):
-        j = int(np.argmax(bad))
+    if bad.any():
+        j = int(bad.argmax())
         raise NonGenericInput(
             f"spectrum of X is not symmetric about 0: cannot pair {neg[j]:.6g} with {pos[j]:.6g}"
         )
@@ -198,11 +218,13 @@ def extract_skew_spectrum(pair: HermitianPair) -> SkewSpectrum:
     w = pair.Y @ vecs[:, p:]
     ys = np.linalg.norm(w, axis=0)
     y_scale = max(1.0, frobenius_norm(pair.Y))
-    j = int(np.argmin(ys))
-    if ys[j] <= 1e-12 * y_scale:
+    j = int(ys.argmin())
+    if not ys[j] > 1e-12 * y_scale:  # a NaN in Y fails here too
         raise NonGenericInput(f"recovered y_{j + 1} = {ys[j]:.3e} violates positivity")
-    sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(w.conj().T @ w), 0.0))
-    if np.max(np.abs(np.sort(ys) - sigma)) > 1e-8 * y_scale:
+    # singular values straight from W: through the eigenvalues of W*W a small
+    # sigma_j can carry a relative error of order eps * (||Y|| / sigma_j)^2
+    sigma = np.linalg.svd(w, compute_uv=False)[::-1]
+    if (np.abs(np.sort(ys) - sigma) > 1e-8 * sigma).any():
         raise NonGenericInput(
             "recovered skew spectrum does not reproduce the eigenvalues of Y; "
             "the pair is not in the generic stratum"

@@ -14,7 +14,7 @@ from skewspec.ensemble import (
     random_generic_spectrum,
     sample_generic_pair,
 )
-from skewspec.matrixcore import frobenius_norm, haar_unitary
+from skewspec.matrixcore import check_hermitian, check_unitary, frobenius_norm, haar_unitary, hermitian_eig
 
 
 def test_skew_spectrum_validation():
@@ -111,6 +111,25 @@ def test_pair_from_matrices_rejections(x, y, message):
         HermitianPair.from_matrices(x, y)
 
 
+# each argument is valid apart from the one entry the test makes non-finite
+NON_FINITE_ENTRY_POINTS = {
+    "check_hermitian": check_hermitian,
+    "hermitian_eig": hermitian_eig,
+    "check_unitary": check_unitary,
+    "conjugate": lambda m: conjugate(build_block_diag(SkewSpectrum([(1.0, 2.0)])), m),
+    "from_matrices": lambda m: HermitianPair.from_matrices(m, np.zeros((2, 2))),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", list(NON_FINITE_ENTRY_POINTS))
+def test_non_finite_matrix_rejected(entry, value):
+    m = np.eye(2, dtype=complex)
+    m[0, 0] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        NON_FINITE_ENTRY_POINTS[entry](m)
+
+
 def test_pair_from_matrices_round_trips_through_extraction():
     s = SkewSpectrum([(0.5, 2.0), (1.5, 0.25), (4.0, 1.0)])
     block = build_block_diag(s)
@@ -131,6 +150,38 @@ def test_sample_generic_pair_deterministic():
     a = sample_generic_pair(s, 9)
     b = sample_generic_pair(s, 9)
     assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+
+
+def test_sample_generic_pair_matches_dense_conjugation():
+    # the block-structured product against the dense U X U*, U Y U* of conjugate
+    rng = np.random.default_rng(16)
+    for p in range(1, 9):
+        s = random_generic_spectrum(p, rng)
+        seed = int(rng.integers(2**32))
+        got = sample_generic_pair(s, seed)
+        want = conjugate(build_block_diag(s), haar_unitary(2 * p, seed))
+        for a, b in ((got.X, want.X), (got.Y, want.Y)):
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), p
+            assert np.array_equal(a, a.conj().T)
+        assert got.anticommutation_residual <= 1e-12 * 2 * p
+
+
+def test_sample_generic_pair_draws_one_haar_unitary(monkeypatch):
+    import skewspec.ensemble
+
+    calls = []
+    haar = skewspec.ensemble.haar_unitary
+
+    def counting(n, rng=None):
+        calls.append(n)
+        return haar(n, rng)
+
+    monkeypatch.setattr(skewspec.ensemble, "haar_unitary", counting)
+    rng = np.random.default_rng(17)
+    for p in (1, 4, 8):
+        sample_generic_pair(random_generic_spectrum(p, rng), rng)
+        assert calls == [2 * p]
+        calls.clear()
 
 
 def test_sample_generic_pair_rejects_non_generic():
@@ -204,8 +255,11 @@ def test_extract_coincident_x_rejected():
         # eigenvector error (the off-diagonal of W*W) would reject every seed;
         # that error enters y_j to second order, 1.2e-12 at worst over these seeds
         ([(2.0, 1.0), (2.0 * (1.0 + 1e-9), 3.0)], 1e-11),
+        # y_2 / y_1 = 3e5: the regime where the relative y-match bound needs
+        # sigma_j accurate relative to itself, not to ||Y||
+        ([(1.0, 1e-5), (2.0, 3.0)], 1e-10),
     ],
-    ids=["coincident-points", "shared-y", "x-gap-1e-9"],
+    ids=["coincident-points", "shared-y", "x-gap-1e-9", "y-ratio-3e5"],
 )
 def test_extract_edge_spectra_recovered(points, tol):
     s = SkewSpectrum(points).sorted()
@@ -213,6 +267,19 @@ def test_extract_edge_spectra_recovered(points, tol):
         pair = conjugate(build_block_diag(s), haar_unitary(2 * s.p, seed))
         out = extract_skew_spectrum(pair)
         assert np.max(np.abs(out.points - s.points) / s.points) <= tol, seed
+
+
+def test_extract_near_coincident_x_raises_or_recovers():
+    # x within a relative 1e-12: the eigenvectors of X mix at order eps / gap,
+    # which moves y_j by more than 1e-8 on some seeds; those must raise
+    s = SkewSpectrum([(2.0, 1.0), (2.0 * (1.0 + 1e-12), 3.0)])
+    for seed in range(20):
+        pair = conjugate(build_block_diag(s), haar_unitary(4, seed))
+        try:
+            out = extract_skew_spectrum(pair)
+        except NonGenericInput:
+            continue
+        assert np.max(np.abs(out.points - s.points) / s.points) <= 1e-8, seed
 
 
 def test_extract_makes_one_eigendecomposition(monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,19 @@ def test_haar_unitary_n1_unit_modulus():
 
 def test_haar_unitary_deterministic():
     assert np.array_equal(haar_unitary(4, 123), haar_unitary(4, 123))
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (1, "7dc08b53d49f63f11ad9ce8ea15f59cd3c36658ae02184e8d1a4d6d5bab787e1"),
+        (2, "4fa632697b652ccf21e8f35b60cbb99eb32abb3b7afaa5cae55a9eab024d5f2d"),
+        (8, "d3d52123c7695b7519828c2dafe478b10f18b9a0db6e7fabbbac1acf6c4c2828"),
+    ],
+)
+def test_haar_unitary_stream_pinned(n, digest):
+    # seeded unitaries, and with them every seeded round trip, stay bit for bit
+    assert hashlib.sha256(haar_unitary(n, 123).tobytes()).hexdigest() == digest
 
 
 def test_haar_unitary_first_entry_moment():
