@@ -9,6 +9,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -401,6 +402,7 @@ def cmd_kbound(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one build per process: its ~150 argparse calls take about 1 ms
 def _build_parser() -> _Parser:
     positive_int, positive_float = _domain(int, positive=True), _domain(float, positive=True)
     parser = _Parser(prog="skewspec", description=__doc__)

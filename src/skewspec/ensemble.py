@@ -22,6 +22,7 @@ ANTICOMMUTATION_TOL = 1e-10
 GENERIC_GAP_TOL = 1e-10
 PAIRING_TOL = 1e-8
 MAX_TRIES = 1000  # draws random_generic_spectrum makes before it gives up
+_BLOCK_SIGNS = np.array([1.0, -1.0, 1.0, 1.0]).reshape(2, 1, 1, 2)  # U X scales by (x_j, -x_j), U Y by (y_j, y_j)
 
 
 class NonGenericInput(ValueError):
@@ -64,12 +65,20 @@ class SkewSpectrum:
         exceeds ``rel_gap`` times the larger value.
         """
         v = np.sort(self.points, axis=0)
-        return not (np.diff(v, axis=0) <= rel_gap * v[1:]).any()
+        return not (v[1:] - v[:-1] <= rel_gap * v[1:]).any()
 
     def sorted(self) -> "SkewSpectrum":
         """Canonical ordering: ascending in x."""
         order = np.argsort(self.points[:, 0], kind="stable")
-        return SkewSpectrum(self.points[order])
+        return SkewSpectrum._unchecked(self.points[order])
+
+    @classmethod
+    def _unchecked(cls, pts: np.ndarray) -> "SkewSpectrum":
+        """Wrap a fresh (p, 2) float array whose entries are known to be finite and positive."""
+        out = object.__new__(cls)
+        pts.setflags(write=False)
+        object.__setattr__(out, "points", pts)
+        return out
 
 
 @dataclass(frozen=True)
@@ -97,9 +106,7 @@ class HermitianPair:
         residual = frobenius_norm(mx @ my + my @ mx)
         bound = ANTICOMMUTATION_TOL * max(1.0, x_norm * y_norm)
         if residual > bound:
-            raise ValueError(
-                f"pair does not anti-commute: ||XY + YX||_F = {residual:.3e} > {bound:.3e}"
-            )
+            raise ValueError(f"pair does not anti-commute: ||XY + YX||_F = {residual:.3e} > {bound:.3e}")
         return cls(X=mx.copy(), Y=my.copy(), anticommutation_residual=residual)
 
     @property
@@ -135,15 +142,14 @@ def build_block_diag(s: SkewSpectrum) -> HermitianPair:
     return HermitianPair(X=x_mat, Y=y_mat, anticommutation_residual=0.0)
 
 
-def _conjugated(ux: np.ndarray, uy: np.ndarray, u: np.ndarray) -> HermitianPair:
-    """The pair (UX U*, UY U*) from the products UX and UY, made exactly Hermitian."""
-    uh = u.conj().T
-    x_new = ux @ uh
-    y_new = uy @ uh
-    x_new = (x_new + x_new.conj().T) / 2.0
-    y_new = (y_new + y_new.conj().T) / 2.0
-    residual = frobenius_norm(x_new @ y_new + y_new @ x_new)
-    return HermitianPair(X=x_new, Y=y_new, anticommutation_residual=residual)
+def _conjugated(uxy: np.ndarray, u: np.ndarray) -> HermitianPair:
+    """The pair (UX U*, UY U*) from the (2, n, n) stack (UX, UY), made exactly Hermitian."""
+    xy = uxy @ u.conj().T
+    xy += xy.conj().swapaxes(1, 2)  # conj() copies, so the add reads no entry it has written
+    xy /= 2.0
+    residual = frobenius_norm(np.add(*(xy @ xy[::-1])))  # ||XY + YX||_F
+    xy.setflags(write=False)  # X and Y are views of xy, so xy must be read-only too
+    return HermitianPair(X=xy[0], Y=xy[1], anticommutation_residual=residual)
 
 
 def conjugate(pair: HermitianPair, u) -> HermitianPair:
@@ -155,17 +161,16 @@ def conjugate(pair: HermitianPair, u) -> HermitianPair:
     mu = check_unitary(u)
     if mu.shape[0] != pair.n:
         raise ValueError(f"dimension mismatch: unitary is {mu.shape[0]}, pair is {pair.n}")
-    return _conjugated(mu @ pair.X, mu @ pair.Y, mu)
+    return _conjugated(mu @ np.array((pair.X, pair.Y)), mu)
 
 
 def sample_generic_pair(s: SkewSpectrum, rng=None) -> HermitianPair:
     """Haar-conjugated block pair: a generic element with skew spectrum s.
 
-    The same pair as ``conjugate(build_block_diag(s), haar_unitary(2 * s.p, rng))``,
-    built through the block structure: U X is U with its columns scaled by
-    x_1, -x_1, x_2, -x_2, ..., and U Y is U with each column pair swapped
-    and scaled by y_j. The unitary is the package's own Haar sample, so
-    unlike :func:`conjugate` this does not validate it again.
+    The same pair as ``conjugate(build_block_diag(s), haar_unitary(2 * s.p, rng))``, built
+    through the block structure: U X is U with its columns scaled by x_1, -x_1, x_2, ..., and
+    U Y is U with each column pair swapped and scaled by y_j. The unitary is the package's own
+    Haar sample, so unlike :func:`conjugate` this does not validate it again.
     """
     if not s.is_generic():
         raise NonGenericInput(
@@ -175,28 +180,24 @@ def sample_generic_pair(s: SkewSpectrum, rng=None) -> HermitianPair:
     n = 2 * s.p
     u = haar_unitary(n, rng)
     blocks = u.reshape(n, s.p, 2)  # blocks[:, j] holds columns 2j and 2j + 1 of U
-    ux = (blocks * np.outer(s.x, (1.0, -1.0))).reshape(n, n)
-    uy = (blocks[:, :, ::-1] * s.y[:, None]).reshape(n, n)
-    return _conjugated(ux, uy, u)
+    scales = s.points.T[:, None, :, None] * _BLOCK_SIGNS
+    return _conjugated((np.array((blocks, blocks[..., ::-1])) * scales).reshape(2, n, n), u)
 
 
 def extract_skew_spectrum(pair: HermitianPair) -> SkewSpectrum:
     """Recover the skew spectrum of an anti-commuting pair, ascending in x.
 
-    Assumes XY = -YX, which :meth:`HermitianPair.from_matrices` checks and
-    :func:`build_block_diag` and :func:`conjugate` guarantee. The ascending
-    eigenvalues of X pair as ``lam[p:]`` against ``-lam[p-1::-1]``. Y maps
-    the x_j-eigenspace of X onto the (-x_j)-eigenspace, so with V+ the
-    eigenvectors of the positive eigenvalues, y_j is the j-th column norm
-    of W = Y V+, and the singular values of W are the positive eigenvalues
-    of Y. The y_j must match those singular values, each to 1e-8 of
-    itself: a shared x_j with distinct y_j mixes the eigenvectors and fails
-    that match, while coincident points (equal x_j and y_j) pass and are
-    recovered.
+    Assumes XY = -YX, which :meth:`HermitianPair.from_matrices` checks and :func:`build_block_diag`
+    and :func:`conjugate` guarantee. The ascending eigenvalues of X pair as ``lam[p:]`` against
+    ``-lam[p-1::-1]``. Y maps the x_j-eigenspace of X onto the (-x_j)-eigenspace, so with V+ the
+    eigenvectors of the positive eigenvalues, y_j is the j-th column norm of W = Y V+, and the
+    singular values of W are the positive eigenvalues of Y. The y_j must match those singular
+    values, each to 1e-8 of itself: a shared x_j with distinct y_j mixes the eigenvectors and
+    fails that match, while coincident points (equal x_j and y_j) pass and are recovered.
 
-    Raises :class:`NonGenericInput` when X is singular, the spectrum of X
-    is not symmetric about zero, some y_j vanishes, or the y_j do not
-    match the singular values of W.
+    Raises ``ValueError`` when X is not finite and Hermitian, and :class:`NonGenericInput` when
+    X is singular, the spectrum of X is not symmetric about zero, Y is not finite, some y_j
+    vanishes, or the y_j do not match the singular values of W.
     """
     if pair.n % 2 != 0:
         raise NonGenericInput("pair dimension must be even")
@@ -208,18 +209,20 @@ def extract_skew_spectrum(pair: HermitianPair) -> SkewSpectrum:
         raise NonGenericInput(f"X is singular to tolerance: min |eigenvalue| = {lam_min:.3e}")
 
     pos, neg = lam[p:], lam[p - 1 :: -1]
-    bad = (pos * neg >= 0) | (np.abs(pos + neg) > PAIRING_TOL * np.maximum(np.abs(pos), np.abs(neg)))
+    # a pair of one sign fails too: pos_j >= neg_j, neither is 0, so |pos_j + neg_j| > max(pos_j, -neg_j)
+    bad = np.abs(pos + neg) > PAIRING_TOL * np.maximum(pos, -neg)
     if bad.any():
         j = int(bad.argmax())
-        raise NonGenericInput(
-            f"spectrum of X is not symmetric about 0: cannot pair {neg[j]:.6g} with {pos[j]:.6g}"
-        )
+        raise NonGenericInput(f"spectrum of X is not symmetric about 0: cannot pair {neg[j]:.6g} with {pos[j]:.6g}")
 
+    y_norm = frobenius_norm(pair.Y)
+    if not math.isfinite(y_norm):
+        raise NonGenericInput("Y has non-finite entries or its norm overflows")
     w = pair.Y @ vecs[:, p:]
-    ys = np.linalg.norm(w, axis=0)
-    y_scale = max(1.0, frobenius_norm(pair.Y))
+    wf = w.view(np.float64).reshape(2 * p, p, 2)  # real and imaginary parts side by side
+    ys = np.sqrt(np.einsum("ijk,ijk->j", wf, wf))
     j = int(ys.argmin())
-    if not ys[j] > 1e-12 * y_scale:  # a NaN in Y fails here too
+    if not ys[j] > 1e-12 * max(1.0, y_norm):
         raise NonGenericInput(f"recovered y_{j + 1} = {ys[j]:.3e} violates positivity")
     # singular values straight from W: through the eigenvalues of W*W a small
     # sigma_j can carry a relative error of order eps * (||Y|| / sigma_j)^2
@@ -229,7 +232,8 @@ def extract_skew_spectrum(pair: HermitianPair) -> SkewSpectrum:
             "recovered skew spectrum does not reproduce the eigenvalues of Y; "
             "the pair is not in the generic stratum"
         )
-    return SkewSpectrum(np.column_stack([(pos - neg) / 2.0, ys]))
+    # the pairing test made every x_j positive and the positivity test every y_j
+    return SkewSpectrum._unchecked(np.array(((pos - neg) / 2.0, ys)).T.copy())
 
 
 def random_generic_spectrum(

@@ -306,3 +306,69 @@ def test_random_generic_spectrum_respects_bounds():
         s = random_generic_spectrum(5, rng, low=0.1, high=10.0, min_rel_gap=1e-3)
         assert np.all(s.points >= 0.1) and np.all(s.points <= 10.0)
         assert s.is_generic(rel_gap=1e-3)
+
+
+OVERFLOWING_Y = np.array([[0.0, 1e200], [1e200, 0.0]])
+
+
+def test_overflowing_norm_rejected():
+    # entries of 1e200 are finite, but ||Y||_F is not: every bound scaled by it would be vacuous
+    with pytest.raises(ValueError, match="non-finite"):
+        check_hermitian(OVERFLOWING_Y)
+    with pytest.raises(ValueError, match="non-finite"):
+        HermitianPair.from_matrices(np.diag([1.0, -1.0]), OVERFLOWING_Y)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_extract_non_finite_y_rejected(value):
+    # a raw HermitianPair is not validated; extraction must still fail with a ValueError, not a warning
+    y = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    y[0, 1] = y[1, 0] = value
+    pair = HermitianPair(np.diag([1.0, -1.0]).astype(complex), y, 0.0)
+    with pytest.raises(NonGenericInput, match="non-finite"):
+        extract_skew_spectrum(pair)
+
+
+def test_round_trip_call_counts(monkeypatch):
+    # one Haar sample, one eigendecomposition and one SVD per round trip; the package's own
+    # Haar sample is not checked for unitarity again
+    import skewspec.ensemble
+    import skewspec.matrixcore
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [
+        (skewspec.ensemble, "haar_unitary"),
+        (skewspec.ensemble, "hermitian_eig"),
+        (skewspec.ensemble, "check_unitary"),
+        (skewspec.matrixcore, "check_unitary"),
+        (np.linalg, "svd"),
+    ]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    rng = np.random.default_rng(23)
+    for p in (1, 4, 8):
+        s = random_generic_spectrum(p, rng)
+        pair = sample_generic_pair(s, rng)
+        assert calls == ["haar_unitary"]
+        out = extract_skew_spectrum(pair)
+        assert calls == ["haar_unitary", "hermitian_eig", "svd"]
+        assert np.max(np.abs(out.points - s.sorted().points) / s.sorted().points) <= 1e-8
+        calls.clear()
+
+
+def test_sampled_and_conjugated_pairs_are_read_only():
+    # neither matrix, nor a buffer it is a view of, may be written through
+    s = SkewSpectrum([(1.0, 2.0), (3.0, 0.5)])
+    for pair in (sample_generic_pair(s, 3), conjugate(build_block_diag(s), haar_unitary(4, 3))):
+        for m in (pair.X, pair.Y, pair.X.base, pair.Y.base):
+            if m is None:
+                continue
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, ..., 0] = 1.0

@@ -82,3 +82,38 @@ def test_haar_unitary_first_entry_moment():
     rng = np.random.default_rng(4)
     values = [abs(haar_unitary(2, rng)[0, 0]) ** 2 for _ in range(2000)]
     assert abs(np.mean(values) - 0.5) < 0.05
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: rng.standard_normal((7, 7)),
+        lambda rng: rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)),
+        lambda rng: (rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))).T,
+        lambda rng: rng.standard_normal((8, 8))[::2, 1::3],
+        lambda rng: np.array([[3.0 - 4.0j]]) * rng.uniform(0.5, 2.0),
+    ],
+    ids=["real", "complex", "transposed", "strided", "1x1"],
+)
+def test_frobenius_norm_matches_linalg_norm(make):
+    rng = np.random.default_rng(21)
+    for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+        a = scale * make(rng)
+        assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("entry", [1e200, np.inf, complex(0.0, -np.inf), np.nan], ids=["overflow", "inf", "complex-inf", "nan"])
+def test_frobenius_norm_non_finite_without_warning(entry):
+    # warnings are errors in this suite, so a RuntimeWarning would fail the test
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = entry
+    norms = [frobenius_norm(m), frobenius_norm(m.T)]
+    if np.imag(entry) == 0:
+        norms.append(frobenius_norm(m.real))
+    for norm in norms:
+        assert not np.isfinite(norm)
+        if np.isfinite(entry):  # finite entries whose squares overflow
+            assert norm == np.inf
+        if np.isnan(entry):
+            assert np.isnan(norm)
+
