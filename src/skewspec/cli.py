@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .density import UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, _tau_of
-from .ensemble import MAX_TRIES, SkewSpectrum, random_generic_spectrum
+from .ensemble import SkewSpectrum
 from .fekete import DEFAULT_GAMMA, OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
 from .fekete import _k_constraint_lhs
 from .jacobian import JACOBIAN_TOL, DegenerateJacobian, verify_density_shape
@@ -34,7 +34,9 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 KS_THRESHOLD = 0.05
-VERIFY_GAP = 1e-3  # least relative gap between the coordinates of a verify-jacobian draw
+# dG columns, trials * (4p^2 + p), one `verify-jacobian --p` run may take;
+# each costs about 1.6 KB of peak memory, so the limit is about 2.5 GB
+VERIFY_COLUMNS = 1_500_000
 DENSITY_PAIR_TERMS = 1 << 16  # pair terms per kernel call of `density`, which bounds its temporaries
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -187,17 +189,13 @@ def cmd_verify_jacobian(args, parser: _Parser) -> int:
     elif args.p is None:
         parser.error("--p is required unless --spectrum is given")
     else:
-        rng = np.random.default_rng(args.seed)
-        try:
-            spectra = [
-                random_generic_spectrum(args.p, rng, low=0.1, high=5.0, min_rel_gap=VERIFY_GAP)
-                for _ in range(args.trials)
-            ]
-        except RuntimeError:
+        if args.trials * (4 * args.p**2 + args.p) > VERIFY_COLUMNS:
             parser.error(
-                f"--p {args.p} is too large: no draw on [0.1, 5] kept its coordinates "
-                f"{VERIFY_GAP:.0e} apart (relative) within {MAX_TRIES} tries"
+                f"--p {args.p} --trials {args.trials} exceeds the limit of {VERIFY_COLUMNS} "
+                "dG columns, trials * (4p^2 + p), about 1.6 KB of memory each"
             )
+        rng = np.random.default_rng(args.seed)
+        spectra = [SkewSpectrum(rng.uniform(0.1, 5.0, (args.p, 2))) for _ in range(args.trials)]
         given = {"p": args.p, "trials": args.trials}
     out_dir = _output_dir(args.out, parser)
 
@@ -218,7 +216,7 @@ def cmd_verify_jacobian(args, parser: _Parser) -> int:
             report["spectrum"] = [list(map(float, z)) for z in spectra[0].points]
             report["gram"] = _exp_or_none(float(shape.log_gram[0]))
             report["closed_form"] = _exp_or_none(float(shape.log_closed_form[0]))
-            report["shape_ratio"] = float(shape.ratios[0])
+            report["shape_ratio"] = _exp_or_none(float(shape.log_ratios[0]))
         else:
             report.update(given, shape_coefficient_of_variation=shape.coefficient_of_variation)
         print(f"max relative error {max_rel:.3e} (tolerance {JACOBIAN_TOL:.0e})")

@@ -183,31 +183,27 @@ def _kernel(stack: np.ndarray, grad: bool = False):
 
 
 def _terms(pts: np.ndarray, grad: bool = False):
-    """The kernel at one (p, 2) configuration, as a triple of floats.
+    """The kernel at one (p, 2) configuration, as a list of its three terms.
 
-    Returns None where the density vanishes and raises FloatingPointError
-    where a term cannot be represented; with ``grad`` the pair (triple, pair
-    gradients) as :func:`_kernel` gives it.
+    A vanishing density is the kernel's flag column (0, -inf, 0), which
+    gives log_rho = -inf and tau = +inf through the formulas. Raises
+    FloatingPointError where a term cannot be represented; with ``grad`` the
+    pair (terms, pair gradients) as :func:`_kernel` gives it.
     """
     out = _kernel(pts[None], grad)
-    sq_sum, log_point, log_pairs = (out[0] if grad else out)[:, 0].tolist()
-    if math.isnan(log_point):
+    terms = (out[0] if grad else out)[:, 0].tolist()
+    if math.isnan(terms[1]):
         raise FloatingPointError(UNREPRESENTABLE)
-    terms = None if log_point == -math.inf else (sq_sum, log_point, log_pairs)
     return (terms, out[1]) if grad else terms
 
 
 def _log_rho_of(terms, w: WeightSpec):
     """log_rho from kernel terms: a float from :func:`_terms`, or per row from :func:`_kernel`."""
-    if terms is None:
-        return -math.inf
     sq_sum, log_point, log_pairs = terms
     return -w.gamma * sq_sum + log_point + log_pairs
 
 
 def _tau_of(terms, gamma: float):
-    if terms is None:
-        return np.inf
     sq_sum, log_point, log_pairs = terms
     return 0.5 * gamma * sq_sum - log_point - log_pairs
 
@@ -246,7 +242,7 @@ def tau_and_grad(s, gamma: float = 1.0) -> tuple[float, np.ndarray | None]:
     """
     pts = _points(s)
     terms, pair_grad = _terms(pts, grad=True)
-    if terms is None:
+    if terms[1] == -math.inf:
         return np.inf, None
     x, y = pts[:, 0], pts[:, 1]
     r2 = x * x + y * y

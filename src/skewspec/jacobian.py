@@ -19,10 +19,13 @@ determinants and has the closed form
 
 whose square root times the radial weight reproduces the skew-spectrum
 density up to one constant. This module computes both sides and compares.
-The numeric side takes the singular values of the blocks of a whole stack
-of spectra in one stacked SVD per block kind. The dense dG of
-:func:`assemble_dG`, a (8p^2) x (4p^2 + p) array, is the oracle the block
-path is tested against.
+Each 2x2 block of the pair is an irreducible representation with parameters
+(x_k, y_k), so G is a chart wherever the points are distinct, shared x's or
+y's included; the one degeneracy check is the rank test (``RANK_TOL``), an
+argument checked against the dense dG, not a proof. The numeric side
+takes the singular values of the blocks of a whole stack of spectra in one
+stacked SVD per block kind. The dense dG of :func:`assemble_dG`, a
+(8p^2) x (4p^2 + p) array, is the oracle the block path is tested against.
 
 Basis matrices live in real ambient coordinates for Hermitian pairs
 (diagonal entries plus sqrt(2)-scaled real/imaginary parts of the strict
@@ -51,7 +54,7 @@ JACOBIAN_TOL = 1e-8  # bound on the Gram relative error and the shape ratio's sp
 
 
 class DegenerateJacobian(RuntimeError):
-    """The parametrization is not a chart at the requested spectrum."""
+    """The parametrization is not a chart at the requested spectrum: dG failed the rank test."""
 
 
 def enumerate_tangent_basis(p: int) -> tuple[list[tuple[str, tuple]], np.ndarray]:
@@ -188,14 +191,9 @@ def gram_log_determinants(spectra) -> np.ndarray:
 
     Twice the sum of the log singular values of the point and pair blocks,
     all spectra at once; overflow-safe for large p. Raises
-    :class:`DegenerateJacobian` when a spectrum is off the generic stratum
-    or its dG is numerically rank deficient (full rank is 4p^2 + p).
+    :class:`DegenerateJacobian` when a spectrum's dG is numerically rank
+    deficient (full rank is 4p^2 + p), as at coincident points.
     """
-    if not all(s.is_generic() for s in spectra):
-        raise DegenerateJacobian(
-            "skew spectrum has coincident x or y coordinates; "
-            "the parametrization is a chart only on the generic stratum"
-        )
     sv = _block_singular_values(np.stack([s.points for s in spectra]))
     smin, smax = sv.min(axis=1), sv.max(axis=1)
     for lo, hi in zip(smin, smax):
@@ -225,8 +223,6 @@ def closed_form_log_gram(s: SkewSpectrum) -> float:
 
 
 def _closed_form_of(terms, p: int):
-    if terms is None:
-        return -np.inf
     _, log_point, log_pairs = terms
     return p * np.log(256.0) + 2.0 * (log_point + log_pairs)
 
@@ -238,10 +234,12 @@ class DensityShapeReport:
     ``log_gram`` holds log det(dG^T dG) of each spectrum, the one Gram
     factorization the ratio was computed from, and ``log_closed_form``
     :func:`closed_form_log_gram` of each, from the same density terms as
-    the ratio.
+    the ratio. ``ratios`` is exp(``log_ratios``); it and ``mean`` are inf
+    past the double range, as from p = 256.
     """
 
     ratios: np.ndarray
+    log_ratios: np.ndarray
     log_gram: np.ndarray
     log_closed_form: np.ndarray
     mean: float
@@ -254,7 +252,8 @@ def verify_density_shape(spectra, gamma: float = 1.0) -> DensityShapeReport:
 
     ``spectra`` is a sequence of SkewSpectrum (all the same p); the ratio
     is recorded per spectrum and the report passes when the coefficient of
-    variation is within ``JACOBIAN_TOL``.
+    variation, taken from the log ratios shifted by their maximum, is
+    within ``JACOBIAN_TOL``.
     """
     w = WeightSpec(gamma=gamma)
     log_gram = gram_log_determinants(spectra)
@@ -263,11 +262,15 @@ def verify_density_shape(spectra, gamma: float = 1.0) -> DensityShapeReport:
     if np.isnan(terms[1]).any():
         raise FloatingPointError(UNREPRESENTABLE)
     sq_norms = (stack**2).reshape(len(stack), -1).sum(axis=1)
-    ratios = np.exp(0.5 * log_gram - gamma * sq_norms - _log_rho_of(terms, w))
-    mean = float(np.mean(ratios))
-    cv = float(np.std(ratios) / mean) if mean != 0 else np.inf
+    log_ratios = 0.5 * log_gram - gamma * sq_norms - _log_rho_of(terms, w)
+    with np.errstate(over="ignore"):
+        ratios = np.exp(log_ratios)
+        mean = float(np.mean(ratios))
+    scaled = np.exp(log_ratios - log_ratios.max())
+    cv = float(np.std(scaled) / np.mean(scaled))
     return DensityShapeReport(
         ratios=ratios,
+        log_ratios=log_ratios,
         log_gram=log_gram,
         log_closed_form=_closed_form_of(terms, stack.shape[1]),
         mean=mean,

@@ -90,15 +90,46 @@ def test_verify_jacobian_large_p(tmp_path):
     assert report["passed"] and report["max_rel_err"] <= 1e-8
 
 
-def test_verify_jacobian_p_beyond_the_draw_exits_usage(tmp_path, capsys):
-    # at p = 100 almost no uniform draw keeps its coordinates 1e-3 apart
-    with pytest.raises(SystemExit) as exc:
-        run_cli("verify-jacobian", "--p", "100", "--trials", "1", "--seed", "1", "--out", str(tmp_path / "out"))
-    assert exc.value.code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert "--p 100" in err.splitlines()[-1] and "1e-03 apart" in err.splitlines()[-1]
-    assert not (tmp_path / "out").exists()
+def test_verify_jacobian_p100_plain_draw(tmp_path):
+    # each trial is a plain uniform draw, so p = 100 has no draw to run out of
+    out = tmp_path / "vj100"
+    assert run_cli("verify-jacobian", "--p", "100", "--trials", "1", "--seed", "1", "--out", str(out)) == EXIT_OK
+    report = read_json(out / "report.json")
+    assert report["passed"] and report["max_rel_err"] <= 1e-8
+
+
+def test_verify_jacobian_beyond_the_column_limit_exits_usage(tmp_path, capsys):
+    # trials * (4p^2 + p) dG columns: 1 503 689 and 1 503 840, past the limit of 1.5e6
+    for p, trials in ((613, 1), (60, 104)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify-jacobian", "--p", str(p), "--trials", str(trials), "--out", str(tmp_path / "out"))
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert f"--p {p} --trials {trials}" in last and "limit of 1500000 dG columns" in last
+        assert not (tmp_path / "out").exists()
+
+
+def test_verify_jacobian_shape_ratio_beyond_double_range(tmp_path, monkeypatch):
+    # from p = 256 the shape ratio, about 16^p, exceeds the double range; the
+    # Gram determinant is replaced by its closed form to keep the test fast
+    import skewspec.jacobian
+
+    def closed_forms(spectra):
+        return np.array([skewspec.jacobian.closed_form_log_gram(s) for s in spectra])
+
+    monkeypatch.setattr(skewspec.jacobian, "gram_log_determinants", closed_forms)
+    points = np.random.default_rng(5).uniform(0.1, 5.0, (300, 2))
+    out = tmp_path / "vj300"
+    spectrum = ",".join(map(repr, points.ravel().tolist()))
+    assert run_cli("verify-jacobian", "--spectrum", spectrum, "--out", str(out)) == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"report.json is not strict JSON: {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["passed"] and report["shape_ratio"] is None
 
 
 SPECTRUM_P8 = "1,8.5,2,7.5,3,6.5,4,5.5,5,4.5,6,3.5,7,2.5,8,1.5"
@@ -127,7 +158,7 @@ STATS_KEYS = {
             "report.json",
             REPORT_KEYS | {"spectrum", "gram", "closed_form", "shape_ratio"},
         ),
-        (("verify-jacobian", "--spectrum", "1,1,1,2"), "report.json", {"error", "spectrum"}),
+        (("verify-jacobian", "--spectrum", "1,2,1,2"), "report.json", {"error", "spectrum"}),
         (("fekete", "--n", "2", "--restarts", "1", "--grad-tol", "1e-4"), "stats.json", STATS_KEYS | {"K_bound"}),
         (
             ("fekete", "--n", "2", "--mode", "commuting", "--restarts", "1", "--grad-tol", "1e-4"),
@@ -147,10 +178,11 @@ def test_report_key_sets(tmp_path, argv, artifact, keys):
 
 
 def test_verify_jacobian_degenerate_spectrum(tmp_path):
+    # coincident points: dG fails the rank test
     out = tmp_path / "vjdeg"
-    assert run_cli("verify-jacobian", "--spectrum", "1,1,1,2", "--out", str(out)) == EXIT_NUMERICAL
+    assert run_cli("verify-jacobian", "--spectrum", "1,2,1,2", "--out", str(out)) == EXIT_NUMERICAL
     report = read_json(out / "report.json")
-    assert "error" in report and report["spectrum"] == "1,1,1,2"
+    assert "error" in report and report["spectrum"] == "1,2,1,2"
 
 
 def test_fekete_anti_outputs(tmp_path):

@@ -129,8 +129,20 @@ def test_gram_determinant_p2_example():
 
 
 def test_gram_rejects_degenerate_spectrum():
-    with pytest.raises(DegenerateJacobian):
-        gram_log_determinant(SkewSpectrum([(1.0, 1.0), (1.0, 2.0)]))
+    # coincident points: dG loses rank, so the rank test raises
+    with pytest.raises(DegenerateJacobian, match="rank deficient"):
+        gram_log_determinant(SkewSpectrum([(1.0, 2.0), (1.0, 2.0)]))
+
+
+@pytest.mark.parametrize("points", [[(1.0, 1.0), (1.0, 2.0)], [(1.0, 2.0), (3.0, 2.0), (1.0, 0.5)]])
+def test_gram_of_shared_coordinates(points):
+    # distinct points that share an x or a y: dG has full rank and matches the closed form
+    s = SkewSpectrum(points)
+    dense = np.linalg.svd(assemble_dG(s), compute_uv=False)
+    assert dense.min() > 0.1 * dense.max()
+    closed = closed_form_log_gram(s)
+    assert gram_log_determinant(s) == pytest.approx(closed, rel=1e-14)
+    assert _dense_log_gram(s) == pytest.approx(closed, rel=1e-14)
 
 
 def test_gram_rejects_rank_deficient_spectrum():
@@ -259,6 +271,21 @@ def test_shape_ratio_scale_invariant():
     for t in (0.5, 2.0, 7.0):
         scaled = SkewSpectrum(np.asarray(s.points) * t)
         assert verify_density_shape([scaled]).ratios[0] == pytest.approx(base, rel=1e-9)
+
+
+def test_shape_ratio_beyond_double_range(monkeypatch):
+    # p = 300: each ratio is about 16^p, past the double range; the Gram
+    # determinant is replaced by its closed form to keep the test fast
+    import skewspec.jacobian
+
+    monkeypatch.setattr(
+        skewspec.jacobian, "gram_log_determinants", lambda spectra: np.array([closed_form_log_gram(s) for s in spectra])
+    )
+    rng = np.random.default_rng(11)
+    report = verify_density_shape([SkewSpectrum(rng.uniform(0.1, 5.0, (300, 2))) for _ in range(3)])
+    assert report.passed and report.coefficient_of_variation <= 1e-8
+    assert np.isinf(report.ratios).all() and report.mean == np.inf
+    assert np.isfinite(report.log_ratios).all()
 
 
 def test_verify_density_shape_report():
