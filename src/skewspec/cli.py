@@ -304,7 +304,8 @@ def cmd_sample(args, parser: _Parser) -> int:
         "seed": args.seed,
         "step_scale": report.step_scale,
         "kernel_calls": report.kernel_calls,
-        "transitions_per_kernel_call": report.transitions / report.kernel_calls,
+        # null at p = 1, where no kernel call serves a transition
+        "transitions_per_kernel_call": report.transitions / report.kernel_calls if report.kernel_calls else None,
         # one [step, window acceptance rate, scale from that step on] row per burn-in window
         "adaptation": [list(row) for row in report.adaptation],
     }

@@ -29,6 +29,12 @@ class NonGenericInput(ValueError):
     """Input lies outside the generic stratum the algorithms assume."""
 
 
+def _distinct(values: np.ndarray, rel_gap: float) -> bool:
+    """True when each column's consecutive sorted gaps all exceed ``rel_gap`` times the larger value."""
+    v = np.sort(values, axis=0)
+    return not (v[1:] - v[:-1] <= rel_gap * v[1:]).any()
+
+
 @dataclass(frozen=True)
 class SkewSpectrum:
     """Ordered list of p positive pairs (x_j, y_j), stored as a (p, 2) array."""
@@ -64,8 +70,11 @@ class SkewSpectrum:
         Coordinates count as distinct when each consecutive sorted gap
         exceeds ``rel_gap`` times the larger value.
         """
-        v = np.sort(self.points, axis=0)
-        return not (v[1:] - v[:-1] <= rel_gap * v[1:]).any()
+        return _distinct(self.points, rel_gap)
+
+    def has_distinct_x(self, rel_gap: float = GENERIC_GAP_TOL) -> bool:
+        """True when all x_j are distinct, in the sense of :meth:`is_generic`; the y_j may repeat."""
+        return _distinct(self.x, rel_gap)
 
     def sorted(self) -> "SkewSpectrum":
         """Canonical ordering: ascending in x."""
@@ -170,13 +179,11 @@ def sample_generic_pair(s: SkewSpectrum, rng=None) -> HermitianPair:
     The same pair as ``conjugate(build_block_diag(s), haar_unitary(2 * s.p, rng))``, built
     through the block structure: U X is U with its columns scaled by x_1, -x_1, x_2, ..., and
     U Y is U with each column pair swapped and scaled by y_j. The unitary is the package's own
-    Haar sample, so unlike :func:`conjugate` this does not validate it again.
+    Haar sample, so unlike :func:`conjugate` this does not validate it again. The x_j must be
+    distinct, as :func:`extract_skew_spectrum` needs them to be to recover s; the y_j may repeat.
     """
-    if not s.is_generic():
-        raise NonGenericInput(
-            "skew spectrum has coincident x or y coordinates; "
-            "generic pairs require all x_j distinct and all y_j distinct"
-        )
+    if not s.has_distinct_x():
+        raise NonGenericInput("skew spectrum has coincident x coordinates; generic pairs require all x_j distinct")
     n = 2 * s.p
     u = haar_unitary(n, rng)
     blocks = u.reshape(n, s.p, 2)  # blocks[:, j] holds columns 2j and 2j + 1 of U

@@ -9,7 +9,7 @@ anti-commuting pair with the chain's spectral marginal. At p = 1 each
 coordinate's marginal CDF has a closed form, an incomplete gamma
 function, which gives an exact law to validate the chain against.
 
-The chain prefetches (Brockwell 2006, Parallel MCMC simulation by
+At p >= 2 the chain prefetches (Brockwell 2006, Parallel MCMC simulation by
 pre-fetching; Strid 2010, Efficient parallelisation of Metropolis-Hastings
 algorithms using a prefetching approach). The transitions ahead of the
 current state form a binary tree: each proposal is either rejected, and the
@@ -22,7 +22,9 @@ spine of Brockwell's prefetching. Transition t takes increment row t and
 uniform t of two streams spawned from the seed, whether its proposal is
 evaluated or not, and each node is formed exactly as sequential Metropolis
 forms that proposal, so the chain is plain sequential Metropolis and its
-output does not depend on the tree.
+output does not depend on the tree. At p = 1 there is no pair term, and a
+kernel call costs far more than the transition it serves, so the chain takes
+the same transitions one at a time in Python floats (:func:`_scalar_walk`).
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ DRAW_BLOCK = 1024  # transitions whose increments and uniforms are drawn at once
 
 
 def _prefetch_nodes(p: int) -> int:
-    """Proposals evaluated per kernel call at p points, from PREFETCH_NODES down to 1."""
-    return max(1, min(PREFETCH_NODES, PREFETCH_PAIR_TERMS // max(1, p * (p - 1) // 2)))
+    """Proposals evaluated per kernel call at p >= 2 points, from PREFETCH_NODES down to 1."""
+    return max(1, min(PREFETCH_NODES, PREFETCH_PAIR_TERMS // (p * (p - 1) // 2)))
 
 
 class _Tree(NamedTuple):
@@ -125,9 +127,10 @@ def _read_only(values) -> np.ndarray:
 class ChainReport:
     """Retained (post burn-in, thinned) samples and chain statistics.
 
-    ``kernel_calls`` counts the density kernel calls of the transitions, and
-    ``adaptation`` holds one (step, window acceptance rate, scale from that
-    step on) row per burn-in adaptation window.
+    ``kernel_calls`` counts the density kernel calls of the transitions (0 at
+    p = 1, where no kernel call serves a transition), and ``adaptation``
+    holds one (step, window acceptance rate, scale from that step on) row
+    per burn-in adaptation window.
     """
 
     samples: np.ndarray  # (n_samples, p, 2)
@@ -198,6 +201,34 @@ def _prefetch(pts, log_density, increments, log_u, w, n_nodes):
     return _walk(tree, stack, _kernel(stack), w, pts, log_density, log_u)
 
 
+def _scalar_walk(pts, log_density, increments, log_u, w):
+    """Sequential Metropolis at p = 1 over a batch of scaled increments, in Python floats.
+
+    Each proposal is increment + state, and its log density is the kernel's
+    in the kernel's order of operations, with math.log for np.log; the two
+    logs may differ in the last bit, which changes a decision only where
+    log u falls within that bit. As in :func:`_walk`, a nonpositive
+    coordinate is a rejection, log u = -inf accepts any finite proposal, and
+    a proposal whose |z|^2 overflows or underflows to 0 raises
+    FloatingPointError. Returns what :func:`_prefetch` returns, each state
+    as ((x, y),).
+    """
+    neg_gamma = -float(w.gamma)
+    x, y = map(float, pts[0])
+    accepted = []
+    for k, ((dx, dy),) in enumerate(increments.tolist()):
+        px, py = dx + x, dy + y
+        if px > 0.0 and py > 0.0:
+            r2 = px * px + py * py
+            if not 0.0 < r2 < math.inf:
+                raise FloatingPointError(UNREPRESENTABLE)
+            candidate = neg_gamma * r2 + (math.log(px) + math.log(py) + 0.5 * math.log(r2))
+            if log_u[k] < candidate - log_density:
+                x, y, log_density = px, py, candidate
+                accepted.append((k, ((x, y),)))
+    return len(increments), accepted, accepted[-1][1] if accepted else pts, log_density
+
+
 def run_chain(
     p: int,
     w: WeightSpec,
@@ -227,8 +258,13 @@ def run_chain(
 
     normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
     normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
-    n_nodes = _prefetch_nodes(p)
-    reach = _tree(n_nodes, n_nodes).depth  # no node lies further ahead
+    if p == 1:
+        # a batch is the rest of its span, which never passes the drawn block
+        step, reach = _scalar_walk, DRAW_BLOCK
+    else:
+        n_nodes = _prefetch_nodes(p)
+        step = functools.partial(_prefetch, n_nodes=n_nodes)
+        reach = _tree(n_nodes, n_nodes).depth  # no node lies further ahead
     pts = np.array(grid_initialization(p).points)
     log_density = log_rho(pts, w)
     scale = 0.5
@@ -237,7 +273,7 @@ def run_chain(
     samples = np.empty((n_samples, p, 2))
     retained = 0
     next_retained = burn_in + thinning  # transitions made when the next sample is retained
-    window_accepts = accepted_total = kernel_calls = 0
+    window_accepts = accepted_total = batches = 0
     adaptation = []
     made = block_end = span_end = 0
     while made < total:
@@ -257,10 +293,10 @@ def run_chain(
         first = made - span_start
         batch = min(reach, span_end - made)
         before = pts
-        consumed, accepted, pts, log_density = _prefetch(
-            pts, log_density, increments[first : first + batch], span_log_u[first : first + batch], w, n_nodes
+        consumed, accepted, pts, log_density = step(
+            pts, log_density, increments[first : first + batch], span_log_u[first : first + batch], w
         )
-        kernel_calls += 1
+        batches += 1
         start, made = made, made + consumed
         if made <= burn_in:
             window_accepts += len(accepted)
@@ -276,11 +312,12 @@ def run_chain(
             accepted_total += len(accepted)
             # a retained state is the batch's last acceptance at or before its
             # transition, or the state the batch started from
+            state, later = before, 0
             while next_retained <= made:
-                samples[retained] = before
-                for k, state in accepted:
-                    if start + k < next_retained:
-                        samples[retained] = state
+                while later < len(accepted) and start + accepted[later][0] < next_retained:
+                    state = accepted[later][1]
+                    later += 1
+                samples[retained] = state
                 retained += 1
                 next_retained += thinning
 
@@ -290,7 +327,7 @@ def run_chain(
         burn_in=burn_in,
         thinning=thinning,
         step_scale=scale,
-        kernel_calls=kernel_calls,
+        kernel_calls=0 if p == 1 else batches,
         adaptation=tuple(adaptation),
     )
 

@@ -299,6 +299,30 @@ def test_sample_p3_schema(tmp_path):
     assert step == 200 and 0.0 <= rate <= 1.0 and scale == chain["step_scale"]
 
 
+def test_sample_p1_schema(tmp_path):
+    # no kernel call serves a p = 1 transition, so the count is 0 and the
+    # ratio is null, not a division by zero
+    out = tmp_path / "smp1"
+    code = run_cli(
+        "sample", "--p", "1", "--samples", "20", "--burnin", "200",
+        "--thin", "2", "--seed", "6", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    with open(out / "samples.csv") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "x1,y1"
+    assert len(lines) == 21
+    assert all(len(line.split(",")) == 2 for line in lines[1:])
+    assert not (out / "ks.json").exists()
+    chain = read_json(out / "chain.json")
+    assert chain["kernel_calls"] == 0
+    assert chain["transitions_per_kernel_call"] is None
+    assert '"transitions_per_kernel_call": null' in (out / "chain.json").read_text()
+    assert chain["ks_check"].startswith("skipped")
+    [(step, rate, scale)] = chain["adaptation"]
+    assert step == 200 and 0.0 <= rate <= 1.0 and scale == chain["step_scale"]
+
+
 def test_density_rows(tmp_path, capsys):
     csv = tmp_path / "pts.csv"
     csv.write_text("1,1\n0,1\n2,3\n")

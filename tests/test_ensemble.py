@@ -185,8 +185,20 @@ def test_sample_generic_pair_draws_one_haar_unitary(monkeypatch):
 
 
 def test_sample_generic_pair_rejects_non_generic():
-    with pytest.raises(NonGenericInput):
+    # a shared x mixes the eigenvectors of X, which extraction cannot undo
+    assert not SkewSpectrum([(1.0, 2.0), (1.0, 3.0)]).has_distinct_x()
+    with pytest.raises(NonGenericInput, match="x coordinates") as exc:
         sample_generic_pair(SkewSpectrum([(1.0, 2.0), (1.0, 3.0)]), 0)
+    assert "y" not in str(exc.value)
+
+
+def test_sample_generic_pair_accepts_shared_y():
+    # only the x_j need be distinct: equal y_j round-trip through extraction
+    s = SkewSpectrum([(1.0, 2.0), (3.0, 2.0), (2.0, 2.0)])
+    assert s.has_distinct_x() and not s.is_generic()
+    for seed in range(20):
+        out = extract_skew_spectrum(sample_generic_pair(s, seed))
+        assert np.max(np.abs(out.points - s.sorted().points) / s.sorted().points) <= 1e-12, seed
 
 
 def test_extract_fixed_point():

@@ -1,11 +1,13 @@
+import functools
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from skewspec.cli import main
-from skewspec.density import WeightSpec, _kernel, log_rho
+from skewspec.density import WeightSpec, _kernel, _log_rho_of, log_rho
 from skewspec.ensemble import extract_skew_spectrum, sample_generic_pair
 from skewspec.fekete import grid_initialization
 from skewspec.matrixcore import frobenius_norm
@@ -15,6 +17,7 @@ from skewspec.sampler import (
     ACCEPT_TARGET_LOW,
     ChainReport,
     _prefetch,
+    _scalar_walk,
     _tree,
     _walk,
     ks_compare,
@@ -126,6 +129,54 @@ def test_speculative_nan_row_does_not_raise():
             walk(proposals)
 
 
+# the p = 1 chain's scalar walk and the kernel's walk, each on a batch of one transition
+P1_WALKS = [_scalar_walk, functools.partial(_prefetch, n_nodes=1)]
+
+
+def _one_transition(walk, state, increment, log_u, log_density=0.0):
+    return walk(np.array([state]), log_density, np.array([[increment]], dtype=float), [log_u], W_HALF)
+
+
+@pytest.mark.parametrize("walk", P1_WALKS)
+@pytest.mark.parametrize("state,increment", [((1.0, 1.0), (1e160, 0.0)), ((1e-170, 1e-170), (0.0, 0.0))])
+def test_p1_walk_raises_where_r2_cannot_be_represented(walk, state, increment):
+    # |z|^2 of the proposal overflows, or underflows to 0: the kernel flags NaN,
+    # and the scalar walk raises where the kernel's walk does, whatever log u is
+    for log_u in (-math.inf, 0.0):
+        with pytest.raises(FloatingPointError):
+            _one_transition(walk, state, increment, log_u)
+
+
+@pytest.mark.parametrize("walk", P1_WALKS)
+@pytest.mark.parametrize("increment", [(-2.0, 0.5), (-1.0, 0.0), (0.5, -3.0), (-1.0, -1.0)])
+def test_p1_walk_rejects_a_nonpositive_proposal(walk, increment):
+    state = np.array([[1.0, 1.0]])
+    log_density = log_rho(state, W_HALF)
+    consumed, accepted, out, out_log = walk(state, log_density, np.array([[increment]]), [-math.inf], W_HALF)
+    assert (consumed, accepted, out_log) == (1, [], log_density)
+    assert out is state
+
+
+def test_p1_walk_with_log_u_of_minus_inf_accepts():
+    # a proposal far down the tail is accepted by a uniform of 0, by both walks
+    outcomes = [_one_transition(walk, (1.0, 1.0), (20.0, 30.0), -math.inf, 5.0) for walk in P1_WALKS]
+    for consumed, accepted, out, out_log in outcomes:
+        assert consumed == 1 and [k for k, _ in accepted] == [0]
+        assert np.array_equal(out, [[21.0, 31.0]])
+        assert out_log == pytest.approx(log_rho(out, W_HALF), rel=1e-15)
+
+
+def test_scalar_candidate_within_4_ulp_of_log_rho():
+    # the scalar walk takes math.log where the kernel takes np.log; they may
+    # differ in the last bit, so its log density may too, but barely
+    rng = np.random.default_rng(9)
+    pts = np.exp(rng.uniform(-8.0, 5.0, (100_000, 1, 2)))
+    exact = _log_rho_of(_kernel(pts), W_HALF)  # log_rho of each point, bit for bit
+    zero = np.zeros((1, 1, 2))
+    scalar = np.array([_scalar_walk(state, 0.0, zero, [-math.inf], W_HALF)[3] for state in pts.tolist()])
+    assert np.all(np.abs(scalar - exact) <= 4 * np.spacing(np.abs(exact)))
+
+
 def _path_probabilities(tree, rate=0.3):
     """(transition, base) and the probability of reaching it, per node of ``tree``."""
     assert tree.step[: tree.spine].tolist() == list(range(tree.spine))
@@ -178,7 +229,7 @@ def _same_chain(a: ChainReport, b: ChainReport) -> bool:
     )
 
 
-@pytest.mark.parametrize("p,burn_in,thinning", [(1, 450, 1), (3, 650, 1), (3, 410, 7)])
+@pytest.mark.parametrize("p,burn_in,thinning", [(2, 450, 1), (3, 650, 1), (3, 410, 7)])
 def test_chain_independent_of_prefetch_depth(monkeypatch, p, burn_in, thinning):
     # transition t takes row t of each stream whatever the batch, so the tree
     # and the draw block size change the number of kernel calls, not a bit
@@ -232,7 +283,7 @@ def test_chain_is_sequential_metropolis(monkeypatch, n_nodes):
     import skewspec.sampler
 
     monkeypatch.setattr(skewspec.sampler, "PREFETCH_NODES", n_nodes)
-    for p, burn_in, thinning in [(1, 450, 1), (3, 400, 3)]:
+    for p, burn_in, thinning in [(1, 450, 1), (1, 300, 7), (3, 400, 3)]:
         chain = run_chain(p, W_HALF, 50, burn_in=burn_in, thinning=thinning, seed=4)
         samples, acceptance, scale = _sequential_metropolis(p, W_HALF, 50, burn_in, thinning, seed=4)
         assert np.array_equal(chain.samples, samples)
@@ -247,15 +298,15 @@ def test_chain_retains_states_between_acceptances_of_one_batch(monkeypatch):
     batches = []
     prefetch = skewspec.sampler._prefetch
 
-    def recording(*args):
-        batches.append(prefetch(*args))
+    def recording(*args, **kwargs):
+        batches.append(prefetch(*args, **kwargs))
         return batches[-1]
 
     monkeypatch.setattr(skewspec.sampler, "PREFETCH_NODES", 64)
     monkeypatch.setattr(skewspec.sampler, "_prefetch", recording)
-    chain = run_chain(1, W_HALF, 300, burn_in=0, thinning=1, seed=5)
+    chain = run_chain(2, W_HALF, 300, burn_in=0, thinning=1, seed=5)
     assert any(len(accepted) >= 2 and accepted[0][0] + 1 < accepted[1][0] for _, accepted, _, _ in batches)
-    samples, acceptance, _ = _sequential_metropolis(1, W_HALF, 300, 0, 1, seed=5)
+    samples, acceptance, _ = _sequential_metropolis(2, W_HALF, 300, 0, 1, seed=5)
     assert np.array_equal(chain.samples, samples)
     assert chain.acceptance_rate == acceptance
 
