@@ -14,13 +14,14 @@ Library layout:
   one array of skew-Hermitian generators;
 - :mod:`skewspec.fekete` — maximal-likelihood configurations by
   unconstrained L-BFGS;
-- :mod:`skewspec.sampler` — Metropolis sampling, validated at p = 1
-  against the exact marginal CDF (``sample_generic_pair(chain.spectrum(i))``
-  gives an ambient pair);
+- :mod:`skewspec.sampler` — Metropolis sampling, K chains in one kernel
+  call at p >= 2, validated at p = 1 against the exact marginal CDF and at
+  every p against the exact law of sum |z_k|^2
+  (``sample_generic_pair(chain.spectrum(i))`` gives an ambient pair);
 - :mod:`skewspec.cli` — the ``skewspec`` command-line frontend.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .density import (
     WeightSpec,
@@ -57,7 +58,7 @@ from .jacobian import (
     verify_density_shape,
 )
 from .matrixcore import frobenius_norm, haar_unitary, hermitian_eig
-from .sampler import ChainReport, ks_compare, p1_quadrature_cdf, run_chain
+from .sampler import ChainReport, ks_compare, p1_quadrature_cdf, radial_ks, run_chain
 
 __all__ = [
     "ChainReport",
@@ -85,6 +86,7 @@ __all__ = [
     "minimize_tau",
     "p1_quadrature_cdf",
     "pair_factor_f",
+    "radial_ks",
     "random_generic_spectrum",
     "run_chain",
     "sample_generic_pair",

@@ -26,7 +26,7 @@ from .ensemble import SkewSpectrum
 from .fekete import DEFAULT_GAMMA, OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
 from .fekete import _k_constraint_lhs
 from .jacobian import JACOBIAN_TOL, DegenerateJacobian, verify_density_shape
-from .sampler import KS_MIN_SAMPLES, ks_compare, p1_quadrature_cdf, run_chain
+from .sampler import KS_MIN_SAMPLES, ks_compare, p1_quadrature_cdf, radial_ks, run_chain
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
@@ -37,6 +37,12 @@ KS_THRESHOLD = 0.05
 # dG columns, trials * (4p^2 + p), one `verify-jacobian --p` run may take;
 # each costs about 1.6 KB of peak memory, so the limit is about 2.5 GB
 VERIFY_COLUMNS = 1_500_000
+# pair terms, p(p - 1)/2, of one `sample --p` configuration; the density
+# kernel takes about 180 B of peak memory per term, so the limit is about 750 MB
+SAMPLE_PAIR_TERMS = 1 << 22
+# coordinates, samples * 2p, one `sample` run retains; each costs about 50 B
+# on its way to samples.csv, so the limit is about 850 MB
+SAMPLE_COORDINATES = 1 << 24
 DENSITY_PAIR_TERMS = 1 << 16  # pair terms per kernel call of `density`, which bounds its temporaries
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -287,6 +293,16 @@ def cmd_fekete(args, parser: _Parser) -> int:
 
 def cmd_sample(args, parser: _Parser) -> int:
     started = time.perf_counter()
+    if args.p * (args.p - 1) // 2 > SAMPLE_PAIR_TERMS:
+        parser.error(
+            f"--p {args.p} exceeds the limit of {SAMPLE_PAIR_TERMS} pair terms, p(p - 1)/2, "
+            "about 180 B of memory each"
+        )
+    if args.samples * 2 * args.p > SAMPLE_COORDINATES:
+        parser.error(
+            f"--samples {args.samples} at --p {args.p} exceeds the limit of {SAMPLE_COORDINATES} "
+            "retained coordinates, samples * 2p, about 50 B of memory each"
+        )
     out_dir = _output_dir(args.out, parser)
 
     w = WeightSpec(gamma=args.gamma)
@@ -303,11 +319,16 @@ def cmd_sample(args, parser: _Parser) -> int:
         "thinning": report.thinning,
         "seed": args.seed,
         "step_scale": report.step_scale,
+        "chains": report.chains,
+        "transitions": report.transitions,
         "kernel_calls": report.kernel_calls,
-        # null at p = 1, where no kernel call serves a transition
+        # the chain count at p >= 2; null at p = 1, where no kernel call serves a transition
         "transitions_per_kernel_call": report.transitions / report.kernel_calls if report.kernel_calls else None,
-        # one [step, window acceptance rate, scale from that step on] row per burn-in window
+        # one [transitions made, window acceptance rate, scale from then on]
+        # row per burn-in window, pooled over the chains
         "adaptation": [list(row) for row in report.adaptation],
+        # recorded, not gated: KS of sum |z_k|^2 against its exact Gamma law
+        "radial_ks": radial_ks(report, w),
     }
     artifacts = ["samples.csv", "chain.json"]
 

@@ -5,34 +5,25 @@ unnormalized skew-spectrum density; proposals leaving the open quadrant
 are rejected outright (the target vanishes there, so detailed balance is
 preserved). Passing a retained spectrum, ``chain.spectrum(i)``, to
 :func:`skewspec.ensemble.sample_generic_pair` yields a random ambient
-anti-commuting pair with the chain's spectral marginal. At p = 1 each
-coordinate's marginal CDF has a closed form, an incomplete gamma
-function, which gives an exact law to validate the chain against.
+anti-commuting pair with the chain's spectral marginal. Two exact laws
+validate the chains: at p = 1 each coordinate's marginal CDF has a closed
+form, an incomplete gamma function (:func:`ks_compare`), and at every p the
+density is e^{-gamma R} times a factor homogeneous of degree 4p^2 - p, so
+R = sum_k |z_k|^2 is Gamma((4p^2 + p)/2, rate gamma) (:func:`radial_ks`).
 
-At p >= 2 the chain prefetches (Brockwell 2006, Parallel MCMC simulation by
-pre-fetching; Strid 2010, Efficient parallelisation of Metropolis-Hastings
-algorithms using a prefetching approach). The transitions ahead of the
-current state form a binary tree: each proposal is either rejected, and the
-next one starts from the same state, or accepted, and the next one starts
-from it. One call of the density kernel evaluates the nodes of that tree
-with the highest path probability at the nominal acceptance rate 0.3 (the
-static prefetch tree), and the chain walks the tree until it reaches a
-transition the tree does not hold. Up to 4 nodes the tree is the all-reject
-spine of Brockwell's prefetching. Transition t takes increment row t and
-uniform t of two streams spawned from the seed, whether its proposal is
-evaluated or not, and each node is formed exactly as sequential Metropolis
-forms that proposal, so the chain is plain sequential Metropolis and its
-output does not depend on the tree. At p = 1 there is no pair term, and a
-kernel call costs far more than the transition it serves, so the chain takes
-the same transitions one at a time in Python floats (:func:`_scalar_walk`).
+At p >= 2 the sampler runs K independent chains from the grid start as one
+(K, p, 2) stack. Each step proposes for every chain, makes one call of the
+density kernel and decides the K proposals together, so every evaluated
+proposal is a transition. K is MAX_CHAINS while a step's kernel call holds
+few pair terms and falls to 1 as p grows (see PAIR_TERMS). Step t of chain
+k takes increment [t, k] and uniform [t, k] of two streams spawned from the
+seed. At p = 1 there is no pair term, and a kernel call costs far more than
+the transition it serves, so one chain takes its transitions one at a time
+in Python floats (:func:`_scalar_walk`).
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,94 +34,31 @@ from .density import UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, log_rho
 from .ensemble import SkewSpectrum
 from .fekete import grid_initialization
 
-ADAPT_WINDOW = 200
+ADAPT_WINDOW = 200  # fewest transitions, pooled over the chains, between two adaptations
 ACCEPT_TARGET_LOW = 0.2
 ACCEPT_TARGET_HIGH = 0.4
 KS_MIN_SAMPLES = 1000  # fewest samples for which the KS statistic is meaningful
-PREFETCH_NODES = 32  # most proposals evaluated per kernel call
-# pair terms per kernel call below which a call's cost is mostly numpy's
-# per-call overhead; the nodes fall from PREFETCH_NODES to 1 as p grows past it
-PREFETCH_PAIR_TERMS = 2048
+GAMMA_TOL = 1e-15  # relative size of the last term or factor of the incomplete gamma's expansions
+MAX_CHAINS = 64  # most chains stepped as one stack at p >= 2
+# pair terms of a step's kernel call, K p(p - 1)/2, that the chain count
+# keeps to: below it a call costs mostly numpy's per-call overhead, and well
+# above it the kernel's temporaries come back from the allocator on each call
+PAIR_TERMS = 4096
 DRAW_BLOCK = 1024  # transitions whose increments and uniforms are drawn at once
-
-
-def _prefetch_nodes(p: int) -> int:
-    """Proposals evaluated per kernel call at p >= 2 points, from PREFETCH_NODES down to 1."""
-    return max(1, min(PREFETCH_NODES, PREFETCH_PAIR_TERMS // (p * (p - 1) // 2)))
-
-
-class _Tree(NamedTuple):
-    """A static prefetch tree, its nodes numbered by generation.
-
-    Node n proposes increment ``step[n]``, the transition it stands for,
-    from its base: the state the walk starts from for the ``spine`` nodes
-    0 .. spine - 1, which follow a run of rejections, and otherwise the node
-    whose acceptance it follows. A node's generation is its count of
-    accepted ancestors; each generation past the spine is one (start, end,
-    base) slice of ``generations``, with the base node of each of its nodes.
-    ``reject`` and ``accept`` give each node's child for either outcome, -1
-    where the tree does not hold that transition, and ``depth`` is one past
-    the latest transition it holds.
-    """
-
-    step: np.ndarray
-    spine: int
-    generations: tuple
-    reject: tuple
-    accept: tuple
-    depth: int
-
-
-@functools.lru_cache(maxsize=256)
-def _tree(n_nodes: int, depth: int) -> _Tree:
-    """The ``n_nodes`` most probable nodes among the next ``depth`` transitions.
-
-    Each transition is taken to accept with probability a = 0.3, the middle
-    of the adaptation's target, so a node at transition t after k
-    acceptances is reached with probability a^k (1 - a)^(t - k). Nodes of
-    equal probability are taken in the order they were found. Cached per
-    (n_nodes, depth) and read-only.
-    """
-    rate = (ACCEPT_TARGET_LOW + ACCEPT_TARGET_HIGH) / 2
-    found = []  # (generation, transition, base) as taken, base -1 for the start
-    order = itertools.count(1)
-    heap = [(-1.0, 0, 0, 0, -1)]  # (-path probability, order found, generation, transition, base)
-    while heap and len(found) < n_nodes:
-        neg_prob, _, generation, t, base = heapq.heappop(heap)
-        found.append((generation, t, base))
-        if t + 1 < depth:
-            heapq.heappush(heap, (neg_prob * (1.0 - rate), next(order), generation, t + 1, base))
-            heapq.heappush(heap, (neg_prob * rate, next(order), generation + 1, t + 1, len(found) - 1))
-    # renumber by generation; the sort is stable, so the spine keeps t = 0, 1, ...
-    by_generation = sorted(range(len(found)), key=lambda n: found[n][0])
-    number = {old: new for new, old in enumerate(by_generation)} | {-1: -1}
-    generation, step, base = zip(*((found[n][0], found[n][1], number[found[n][2]]) for n in by_generation))
-    bounds = [bisect.bisect_left(generation, g) for g in range(generation[-1] + 2)]
-    index = {(t, b): n for n, (t, b) in enumerate(zip(step, base))}
-    return _Tree(
-        step=_read_only(step),
-        spine=bounds[1],
-        generations=tuple((s, e, _read_only(base[s:e])) for s, e in zip(bounds[1:], bounds[2:])),
-        reject=tuple(index.get((t + 1, b), -1) for t, b in zip(step, base)),
-        accept=tuple(index.get((t + 1, n), -1) for n, t in enumerate(step)),
-        depth=1 + max(step),
-    )
-
-
-def _read_only(values) -> np.ndarray:
-    array = np.array(values)
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True)
 class ChainReport:
     """Retained (post burn-in, thinned) samples and chain statistics.
 
-    ``kernel_calls`` counts the density kernel calls of the transitions (0 at
-    p = 1, where no kernel call serves a transition), and ``adaptation``
-    holds one (step, window acceptance rate, scale from that step on) row
-    per burn-in adaptation window.
+    ``chains`` independent chains (K, 1 at p = 1) ran side by side: each took
+    ceil(burn_in / K) burn-in steps, then retained ceil(n_samples / K)
+    states, one every ``thinning`` steps. Row i of ``samples`` is chain
+    i mod K at its (i div K)-th retained state; the surplus of the last
+    retention is dropped. ``kernel_calls`` counts the density kernel calls of
+    the transitions, one per step at p >= 2 and none at p = 1, and
+    ``adaptation`` holds one (transitions made, window acceptance rate, scale
+    from then on) row per burn-in adaptation window, pooled over the chains.
     """
 
     samples: np.ndarray  # (n_samples, p, 2)
@@ -138,6 +66,7 @@ class ChainReport:
     burn_in: int
     thinning: int
     step_scale: float
+    chains: int = 1
     kernel_calls: int = 0
     adaptation: tuple = ()
 
@@ -151,54 +80,45 @@ class ChainReport:
 
     @property
     def transitions(self) -> int:
-        return self.burn_in + self.n_samples * self.thinning
+        """Transitions made over all chains, the surplus of the last retention included."""
+        burn, kept = -(-self.burn_in // self.chains), -(-self.n_samples // self.chains)
+        return self.chains * (burn + kept * self.thinning)
 
     def spectrum(self, index: int) -> SkewSpectrum:
         return SkewSpectrum(self.samples[index])
 
 
-def _walk(tree: _Tree, stack, terms, w, pts, log_density, log_u):
-    """Sequential Metropolis from ``pts`` through a tree whose node n is ``stack[n]`` with kernel terms ``terms[:, n]``.
+def _adapted(scale: float, rate: float) -> float:
+    """The proposal scale after a burn-in window whose acceptance rate was ``rate``."""
+    if rate > ACCEPT_TARGET_HIGH:
+        return scale * 1.2
+    if rate < ACCEPT_TARGET_LOW:
+        return scale / 1.2
+    return scale
 
-    Transition k accepts node n iff log_u[k] < log_rho(node n) - ``log_density``,
-    so a -inf or NaN node is a rejection; the walk ends at the first
-    transition the tree does not hold. Returns (transitions consumed, the
-    (transition, state) of each acceptance, the state, its log density).
-    Raises FloatingPointError where a consumed node's density cannot be
-    represented; a node the walk does not reach never raises.
+
+def _steps(states, log_density, increments, log_u, w) -> int:
+    """Metropolis steps of K chains over a (T, K, p, 2) batch of scaled increments, one kernel call a step.
+
+    At step t chain k proposes its state plus ``increments[t, k]`` and
+    accepts iff log_u[t, k] < log_rho(proposal) - log_rho(state), so a
+    proposal off the quadrant is a rejection and log u = -inf accepts any
+    finite proposal. ``states`` (K, p, 2) and ``log_density`` (K,) are
+    updated in place. Returns the number of acceptances. Raises
+    FloatingPointError where a proposal's density cannot be represented.
     """
-    sq_sum, log_point, log_pairs = terms.tolist()
-    accepted = []
-    node = k = 0
-    while node >= 0:
-        # only the nodes the walk reaches: the same doubles as _log_rho_of(terms, w)[node]
-        candidate = _log_rho_of((sq_sum[node], log_point[node], log_pairs[node]), w)
-        if log_u[k] < candidate - log_density:
-            log_density = candidate
-            accepted.append((k, stack[node]))
-            node = tree.accept[node]
-        elif candidate != candidate:
-            raise FloatingPointError(UNREPRESENTABLE)
-        else:
-            node = tree.reject[node]
-        k += 1
-    return k, accepted, accepted[-1][1] if accepted else pts, log_density
-
-
-def _prefetch(pts, log_density, increments, log_u, w, n_nodes):
-    """Metropolis transitions from ``pts`` over a batch of scaled increments, with one kernel call.
-
-    Transition t proposes its state plus ``increments[t]``. The kernel
-    evaluates the ``n_nodes`` most probable of these proposals (see
-    :func:`_tree`), each formed as increment + base, the same doubles as the
-    base + increment of sequential Metropolis, and :func:`_walk` decides them.
-    """
-    tree = _tree(n_nodes, len(increments))
-    stack = increments.take(tree.step, 0)  # take is faster than indexing on small arrays
-    stack[: tree.spine] += pts
-    for start, end, base in tree.generations:
-        stack[start:end] += stack.take(base, 0)
-    return _walk(tree, stack, _kernel(stack), w, pts, log_density, log_u)
+    accepted = np.empty(log_u.shape, dtype=bool)
+    delta = np.empty(log_u.shape)
+    for t, increment in enumerate(increments):
+        proposal = increment + states
+        candidate = _log_rho_of(_kernel(proposal), w)
+        np.less(log_u[t], np.subtract(candidate, log_density, out=delta[t]), out=accepted[t])
+        np.copyto(states, proposal, where=accepted[t, :, None, None])
+        np.copyto(log_density, candidate, where=accepted[t])
+    # a NaN proposal is rejected and moves no state, so one test after the batch suffices
+    if np.isnan(delta).any():
+        raise FloatingPointError(UNREPRESENTABLE)
+    return int(np.count_nonzero(accepted))
 
 
 def _scalar_walk(pts, log_density, increments, log_u, w):
@@ -207,11 +127,12 @@ def _scalar_walk(pts, log_density, increments, log_u, w):
     Each proposal is increment + state, and its log density is the kernel's
     in the kernel's order of operations, with math.log for np.log; the two
     logs may differ in the last bit, which changes a decision only where
-    log u falls within that bit. As in :func:`_walk`, a nonpositive
+    log u falls within that bit. As in :func:`_steps`, a nonpositive
     coordinate is a rejection, log u = -inf accepts any finite proposal, and
     a proposal whose |z|^2 overflows or underflows to 0 raises
-    FloatingPointError. Returns what :func:`_prefetch` returns, each state
-    as ((x, y),).
+    FloatingPointError. Returns (transitions consumed, the (transition,
+    state) of each acceptance, the state, its log density), each state as
+    ((x, y),).
     """
     neg_gamma = -float(w.gamma)
     x, y = map(float, pts[0])
@@ -237,15 +158,17 @@ def run_chain(
     thinning: int | None = None,
     seed: int = 0,
 ) -> ChainReport:
-    """Run a random-walk chain and return thinned post burn-in samples.
+    """Run random-walk chains and return thinned post burn-in samples.
 
-    During burn-in the proposal scale adapts every 200 steps toward an
-    acceptance rate of 0.3 +/- 0.1 and is frozen afterwards, so the
-    retained samples come from a fixed (reversible) kernel. The reported
-    acceptance rate covers the sampling phase only. Transition t accepts
-    iff log u_t < log_rho(proposal_t) - log_rho(state), so a proposal
-    outside the quadrant is a rejection; one whose density cannot be
-    represented raises FloatingPointError.
+    ``burn_in``, ``n_samples`` and ``thinning`` set the total transition
+    budget, which the K chains share (see :class:`ChainReport`). During
+    burn-in the proposal scale adapts toward an acceptance rate of 0.3 +/-
+    0.1 after each window of the fewest whole steps holding 200 transitions,
+    and is frozen afterwards, so the retained samples come from a fixed
+    (reversible) kernel. The reported acceptance rate covers the sampling
+    phase only. A transition accepts iff log u < log_rho(proposal) -
+    log_rho(state), so a proposal outside the quadrant is a rejection; one
+    whose density cannot be represented raises FloatingPointError.
     """
     if p < 1 or n_samples < 1:
         raise ValueError("p and n_samples must be >= 1")
@@ -259,59 +182,47 @@ def run_chain(
     normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
     normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
     if p == 1:
-        # a batch is the rest of its span, which never passes the drawn block
-        step, reach = _scalar_walk, DRAW_BLOCK
-    else:
-        n_nodes = _prefetch_nodes(p)
-        step = functools.partial(_prefetch, n_nodes=n_nodes)
-        reach = _tree(n_nodes, n_nodes).depth  # no node lies further ahead
-    pts = np.array(grid_initialization(p).points)
+        return _one_chain(w, n_samples, burn_in, thinning, normals, uniforms)
+    return _chains(p, w, n_samples, burn_in, thinning, normals, uniforms)
+
+
+def _one_chain(w, n_samples, burn_in, thinning, normals, uniforms) -> ChainReport:
+    """The p = 1 chain of :func:`run_chain`, one transition at a time by :func:`_scalar_walk`."""
+    pts = np.array(grid_initialization(1).points)
     log_density = log_rho(pts, w)
     scale = 0.5
     total = burn_in + n_samples * thinning
 
-    samples = np.empty((n_samples, p, 2))
+    samples = np.empty((n_samples, 1, 2))
     retained = 0
     next_retained = burn_in + thinning  # transitions made when the next sample is retained
-    window_accepts = accepted_total = batches = 0
+    window_accepts = accepted_total = 0
     adaptation = []
-    made = block_end = span_end = 0
+    made = block_end = 0
     while made < total:
         if made == block_end:
-            steps = normals.standard_normal((DRAW_BLOCK, p, 2))
+            steps = normals.standard_normal((DRAW_BLOCK, 1, 2))
             with np.errstate(divide="ignore"):  # a uniform of 0 accepts any finite proposal
                 log_u = np.log(uniforms.random(DRAW_BLOCK)).tolist()
             block_start, block_end = made, made + DRAW_BLOCK
-        if made == span_end:
-            # a span, and so every batch, ends at an adaptation boundary, at
-            # the end of burn-in and at the end of the drawn block; the scale
-            # holds over a span, so its increments are scaled at once
-            stop = min(burn_in, (made // ADAPT_WINDOW + 1) * ADAPT_WINDOW) if made < burn_in else total
-            span_start, span_end = made, min(stop, block_end)
-            increments = scale * steps[made - block_start : span_end - block_start]
-            span_log_u = log_u[made - block_start : span_end - block_start]
-        first = made - span_start
-        batch = min(reach, span_end - made)
+        # a span ends at an adaptation boundary, at the end of burn-in and at
+        # the end of the drawn block; the scale holds over it
+        stop = min(burn_in, (made // ADAPT_WINDOW + 1) * ADAPT_WINDOW) if made < burn_in else total
+        span = slice(made - block_start, min(stop, block_end) - block_start)
         before = pts
-        consumed, accepted, pts, log_density = step(
-            pts, log_density, increments[first : first + batch], span_log_u[first : first + batch], w
-        )
-        batches += 1
-        start, made = made, made + consumed
+        _, accepted, pts, log_density = _scalar_walk(pts, log_density, scale * steps[span], log_u[span], w)
+        start, made = made, block_start + span.stop
         if made <= burn_in:
             window_accepts += len(accepted)
             if made % ADAPT_WINDOW == 0:
                 rate = window_accepts / ADAPT_WINDOW
-                if rate > ACCEPT_TARGET_HIGH:
-                    scale *= 1.2
-                elif rate < ACCEPT_TARGET_LOW:
-                    scale /= 1.2
+                scale = _adapted(scale, rate)
                 adaptation.append((made, rate, scale))
                 window_accepts = 0
         else:
             accepted_total += len(accepted)
-            # a retained state is the batch's last acceptance at or before its
-            # transition, or the state the batch started from
+            # a retained state is the span's last acceptance at or before its
+            # transition, or the state the span started from
             state, later = before, 0
             while next_retained <= made:
                 while later < len(accepted) and start + accepted[later][0] < next_retained:
@@ -321,15 +232,53 @@ def run_chain(
                 retained += 1
                 next_retained += thinning
 
-    return ChainReport(
-        samples=samples,
-        acceptance_rate=accepted_total / (n_samples * thinning),
-        burn_in=burn_in,
-        thinning=thinning,
-        step_scale=scale,
-        kernel_calls=0 if p == 1 else batches,
-        adaptation=tuple(adaptation),
-    )
+    acceptance = accepted_total / (n_samples * thinning)
+    return ChainReport(samples, acceptance, burn_in, thinning, scale, adaptation=tuple(adaptation))
+
+
+def _chains(p, w, n_samples, burn_in, thinning, normals, uniforms) -> ChainReport:
+    """The K chains of :func:`run_chain` at p >= 2, stepped as one stack by :func:`_steps`."""
+    k = min(n_samples, max(1, min(MAX_CHAINS, PAIR_TERMS // (p * (p - 1) // 2))))
+    burn, kept = -(-burn_in // k), -(-n_samples // k)  # steps of burn-in, states retained per chain
+    total, window, block = burn + kept * thinning, -(-ADAPT_WINDOW // k), max(1, DRAW_BLOCK // k)
+    start = np.array(grid_initialization(p).points)
+    states, log_density = np.repeat(start[None], k, axis=0), np.full(k, log_rho(start, w))
+    scale = 0.5
+
+    samples = np.empty((kept, k, p, 2))
+    window_accepts = accepted_total = 0
+    adaptation = []
+    made = block_end = 0  # steps
+    while made < total:
+        if made == block_end:
+            steps = normals.standard_normal((block, k, p, 2))
+            with np.errstate(divide="ignore"):  # a uniform of 0 accepts any finite proposal
+                log_u = np.log(uniforms.random((block, k)))
+            block_start, block_end = made, made + block
+        # a span ends at an adaptation boundary, at the end of burn-in, at a
+        # retention and at the end of the drawn block; the scale holds over it
+        if made < burn:
+            stop = min(burn, (made // window + 1) * window)
+        else:
+            stop = made + thinning - (made - burn) % thinning
+        span = slice(made - block_start, min(stop, block_end) - block_start)
+        accepts = _steps(states, log_density, scale * steps[span], log_u[span], w)
+        made = block_start + span.stop
+        if made <= burn:
+            window_accepts += accepts
+            if made % window == 0:
+                rate = window_accepts / (window * k)
+                scale = _adapted(scale, rate)
+                adaptation.append((made * k, rate, scale))
+                window_accepts = 0
+        else:
+            accepted_total += accepts
+            if (made - burn) % thinning == 0:
+                samples[(made - burn) // thinning - 1] = states
+
+    rows = samples.reshape(-1, p, 2)[:n_samples]
+    acceptance, adaptation = accepted_total / (k * kept * thinning), tuple(adaptation)
+    return ChainReport(rows, acceptance, burn_in, thinning, scale, chains=k, kernel_calls=total, adaptation=adaptation)
 
 
 # numpy has no erfc, and the runtime dependency is numpy only
@@ -387,3 +336,53 @@ def ks_compare(chain: ChainReport, law: P1Marginal) -> KSResult:
         raise ValueError(f"need at least {KS_MIN_SAMPLES} samples, got {chain.n_samples}")
     data = chain.samples[:, 0, :]
     return KSResult(x=_ks_statistic(data[:, 0], law.cdf), y=_ks_statistic(data[:, 1], law.cdf))
+
+
+@np.errstate(divide="ignore")  # P(a, 0) = 0 from a log of 0
+def _gamma_p(a: float, x) -> np.ndarray:
+    """The regularized lower incomplete gamma function P(a, x) at each x >= 0.
+
+    Numerical Recipes (Press et al.), section 6.2: where x < a + 1 the series
+    P = x^a e^-x / Gamma(a + 1) * sum_n x^n / ((a + 1) ... (a + n)), and
+    elsewhere 1 - Q with Q's continued fraction, evaluated by Lentz's method;
+    each runs until its last term or factor moves every element by less than
+    GAMMA_TOL of itself.
+    """
+    x = np.asarray(x, dtype=float)
+    front = np.exp(a * np.log(x) - x - math.lgamma(a))  # x^a e^-x / Gamma(a)
+    low = x < a + 1.0
+    out = np.empty_like(x)
+
+    s = x[low]
+    term = total = np.full(s.shape, 1.0 / a)
+    n = a
+    while np.any(term > GAMMA_TOL * total):
+        n += 1.0
+        term = term * s / n
+        total = total + term
+    out[low] = front[low] * total
+
+    b = x[~low] + 1.0 - a
+    c, d = np.full(b.shape, np.inf), 1.0 / b
+    fraction, factor, i = d, 0.0, 0
+    while np.any(np.abs(factor - 1.0) >= GAMMA_TOL):
+        i += 1
+        an = -i * (i - a)
+        b = b + 2.0
+        c, d = b + an / c, 1.0 / (an * d + b)
+        factor = c * d
+        fraction = fraction * factor
+    out[~low] = 1.0 - front[~low] * fraction
+    return out
+
+
+def radial_ks(chain: ChainReport, w: WeightSpec) -> float:
+    """KS statistic of R = sum_k |z_k|^2 over a chain's samples against its exact law, at any p.
+
+    The density is e^{-gamma R} times a factor homogeneous of degree 4p^2 - p
+    on the 2p coordinates, so R is independent of the direction and
+    Gamma((4p^2 + p)/2, rate gamma).
+    """
+    shape = (4 * chain.p**2 + chain.p) / 2
+    radial = np.sum(chain.samples * chain.samples, axis=(1, 2))
+    return _ks_statistic(radial, lambda r: _gamma_p(shape, w.gamma * r))

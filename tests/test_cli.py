@@ -291,12 +291,14 @@ def test_sample_p3_schema(tmp_path):
     assert len(lines) == 21
     assert all(len(line.split(",")) == 6 for line in lines[1:])
     assert not (out / "ks.json").exists()
-    # the chain's prefetching and its one adaptation window are recorded
+    # 20 chains, one kernel call per step: 10 burn-in steps, which make one
+    # adaptation window of 200 pooled transitions, then one retention 2 steps on
     chain = read_json(out / "chain.json")
-    assert 1 <= chain["kernel_calls"] <= 240
-    assert chain["transitions_per_kernel_call"] == 240 / chain["kernel_calls"]
-    [(step, rate, scale)] = chain["adaptation"]
-    assert step == 200 and 0.0 <= rate <= 1.0 and scale == chain["step_scale"]
+    assert (chain["chains"], chain["kernel_calls"], chain["transitions"]) == (20, 12, 240)
+    assert chain["transitions_per_kernel_call"] == 20
+    [(transitions, rate, scale)] = chain["adaptation"]
+    assert transitions == 200 and 0.0 <= rate <= 1.0 and scale == chain["step_scale"]
+    assert 0.0 < chain["radial_ks"] < 1.0
 
 
 def test_sample_p1_schema(tmp_path):
@@ -315,7 +317,7 @@ def test_sample_p1_schema(tmp_path):
     assert all(len(line.split(",")) == 2 for line in lines[1:])
     assert not (out / "ks.json").exists()
     chain = read_json(out / "chain.json")
-    assert chain["kernel_calls"] == 0
+    assert (chain["chains"], chain["kernel_calls"], chain["transitions"]) == (1, 0, 240)
     assert chain["transitions_per_kernel_call"] is None
     assert '"transitions_per_kernel_call": null' in (out / "chain.json").read_text()
     assert chain["ks_check"].startswith("skipped")
@@ -605,6 +607,25 @@ def test_threads_flag_removed(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, "--out", str(tmp_path / "t"))
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (("--p", "100000", "--samples", "1"), "pair terms"),
+        (("--p", "2", "--samples", "100000000000", "--thin", "1"), "retained coordinates"),
+    ],
+    ids=["pair-terms", "coordinates"],
+)
+def test_sample_beyond_its_size_limits_exits_usage(tmp_path, capsys, argv, limit):
+    # each would end in a MemoryError: the pair indices of p = 10^5, or 4 * 10^11 retained coordinates
+    out = tmp_path / "big"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sample", *argv, "--out", str(out))
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and limit in err.splitlines()[-1]
+    assert not out.exists()
 
 
 def test_sample_defaults_resolved_in_run_chain(tmp_path):

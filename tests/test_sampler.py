@@ -1,6 +1,4 @@
-import functools
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -16,12 +14,12 @@ from skewspec.sampler import (
     ACCEPT_TARGET_HIGH,
     ACCEPT_TARGET_LOW,
     ChainReport,
-    _prefetch,
+    _gamma_p,
     _scalar_walk,
-    _tree,
-    _walk,
+    _steps,
     ks_compare,
     p1_quadrature_cdf,
+    radial_ks,
     run_chain,
 )
 
@@ -48,106 +46,113 @@ def test_propose_and_decide_is_metropolis_rule():
         cached = target - delta
         log_u = LOG_U_NEAR_ONE if u is None else np.log(u)
         # a zero increment proposes the current points themselves
-        consumed, accepts, _, out_log = _prefetch(pts, cached, np.zeros((1, 2, 2)), [log_u], W_HALF, 1)
-        got = bool(accepts)
-        assert consumed == 1
-        assert got is accepted
-        assert out_log == (target if accepted else cached)
+        states, log_density = np.array([pts]), np.array([cached])
+        accepts = _steps(states, log_density, np.zeros((1, 1, 2, 2)), np.array([[log_u]]), W_HALF)
+        assert accepts == int(accepted)
+        assert log_density[0] == (target if accepted else cached)
+
+
+def _chains_from_grid(p, k):
+    """K chains at the p-point grid start, with its log density cached: (states, log densities)."""
+    pts = grid_initialization(p).points
+    return np.repeat(pts[None], k, axis=0), np.full(k, log_rho(pts, W_HALF))
 
 
 def test_propose_and_decide_rejects_outside_quadrant():
-    # a huge step from the p = 1 grid start is almost surely out of the
+    # a huge step from the p = 2 grid start is almost surely out of the
     # quadrant, hence rejected with the points and log density unchanged
-    pts = grid_initialization(1).points
-    log_density = log_rho(pts, W_HALF)
-    rejected = 0
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        increments = 200.0 * rng.standard_normal((1, 1, 2))
-        log_u = np.log(rng.uniform(size=1))
-        consumed, accepted, out, out_log = _prefetch(pts, log_density, increments, log_u, W_HALF, 1)
-        assert consumed == 1
-        if not accepted:
-            rejected += 1
-            assert np.array_equal(out, pts)
-            assert out_log == log_density
-    assert rejected >= 18
+    rng = np.random.default_rng(0)
+    states, log_density = _chains_from_grid(2, 20)
+    before, cached = states.copy(), log_density.copy()
+    increments, log_u = 200.0 * rng.standard_normal((1, 20, 2, 2)), np.log(rng.uniform(size=(1, 20)))
+    accepts = _steps(states, log_density, increments, log_u, W_HALF)
+    rejected = np.all(states == before, axis=(1, 2))
+    assert accepts == 20 - np.count_nonzero(rejected) <= 2
+    assert np.array_equal(log_density[rejected], cached[rejected])
 
 
-def _batches(p, seed, n_batches, depth=4):
-    """Prefetched transitions from the p-point grid start: yields (consumed, acceptances, pts, log density)."""
-    pts = grid_initialization(p).points
-    log_density = log_rho(pts, W_HALF)
+def test_off_quadrant_proposal_is_rejected_whatever_log_u():
+    # an off-quadrant proposal has a vanishing density, which even log u = -inf
+    # does not accept, while the chain beside it accepts a finite proposal
+    states, log_density = _chains_from_grid(2, 2)
+    increments = np.zeros((1, 2, 2, 2))
+    increments[0, 0, 1, 0] = -5.0  # chain 0 proposes x_2 = -4
+    increments[0, 1] = 10.0  # chain 1 proposes a far but finite configuration
+    before, cached = states.copy(), log_density.copy()
+    assert _steps(states, log_density, increments, np.full((1, 2), -math.inf), W_HALF) == 1
+    assert np.array_equal(states[0], before[0]) and log_density[0] == cached[0]
+    assert np.array_equal(states[1], before[1] + 10.0) and log_density[1] == log_rho(states[1], W_HALF)
+
+
+def test_proposals_that_underflow_raise():
+    # distinct points at 1e-170 have pair factors that round to 0, so their
+    # density cannot be represented: a chain proposing them raises, whatever log u is
+    tiny = np.array([[[1.0, 2.0], [3.0, 1.5]]]) * 1e-170
+    for log_u in (-math.inf, 0.0):
+        with pytest.raises(FloatingPointError):
+            _steps(tiny.copy(), np.zeros(1), np.zeros((1, 1, 2, 2)), np.array([[log_u]]), W_HALF)
+
+
+def _batches(p, seed, n_batches, k=4, depth=4):
+    """K chains from the p-point grid start, ``depth`` steps a batch: yields (acceptances, states, log densities)."""
+    states, log_density = _chains_from_grid(p, k)
     rng = np.random.default_rng(seed)
     for _ in range(n_batches):
-        increments = 0.5 * rng.standard_normal((depth, p, 2))
-        log_u = np.log(rng.uniform(size=depth))
-        consumed, accepted, pts, log_density = _prefetch(pts, log_density, increments, log_u, W_HALF, depth)
-        yield consumed, len(accepted), pts, log_density
+        increments = 0.5 * rng.standard_normal((depth, k, p, 2))
+        log_u = np.log(rng.uniform(size=(depth, k)))
+        accepted = _steps(states, log_density, increments, log_u, W_HALF)
+        yield accepted, states, log_density
 
 
 def test_initial_state_consistent_cache():
     # the chain starts at the grid configuration with its log density cached;
     # every batch of transitions from there keeps that cache equal to log_rho
     assert np.isfinite(log_rho(grid_initialization(3).points, W_HALF))
-    for _, _, pts, log_density in _batches(3, seed=3, n_batches=20):
-        assert log_density == log_rho(pts, W_HALF)
+    for _, states, log_density in _batches(3, seed=3, n_batches=20):
+        assert log_density.tolist() == [log_rho(pts, W_HALF) for pts in states]
 
 
 def test_metropolis_trajectory_stays_finite():
     accepted_total = transitions = 0
-    for consumed, accepted, pts, log_density in _batches(2, seed=6, n_batches=100):
-        transitions += consumed
-        accepted_total += int(accepted)
-        assert 1 <= consumed <= 4
-        assert np.isfinite(log_density)
-        assert np.all(pts > 0)
+    for accepted, states, log_density in _batches(2, seed=6, n_batches=100):
+        transitions += 16
+        accepted_total += accepted
+        assert 0 <= accepted <= 16
+        assert np.all(np.isfinite(log_density))
+        assert np.all(states > 0)
     assert 0 < accepted_total <= transitions
     # cached log density stays consistent with the configuration
-    assert log_density == log_rho(pts, W_HALF)
+    assert log_density.tolist() == [log_rho(pts, W_HALF) for pts in states]
 
 
-def test_speculative_nan_row_does_not_raise():
-    # a row whose density cannot be represented raises only where the chain
-    # consumes it, never past the transition that accepts; no increment
-    # reaches the 1e-170 row, so the walk is given the two-node spine's rows
-    pts = grid_initialization(2).points
-    log_density = log_rho(pts, W_HALF)
-    tiny = np.array([[1.0, 2.0], [3.0, 1.5]]) * 1e-170
-    outside = -pts
-    log_u = np.full(2, LOG_U_NEAR_ONE)
-
-    def walk(proposals):
-        stack = np.stack(proposals)
-        return _walk(_tree(2, 2), stack, _kernel(stack), W_HALF, pts, log_density, log_u)
-
-    consumed, accepts, out, _ = walk([pts, tiny])
-    accepted = bool(accepts)
-    assert (consumed, accepted) == (1, True) and np.array_equal(out, pts)
-    for proposals in ([tiny, pts], [outside, tiny]):
-        with pytest.raises(FloatingPointError):
-            walk(proposals)
+def _kernel_step(pts, log_density, increments, log_u, w):
+    """:func:`_steps` on one chain, with the walks' arguments and results."""
+    states, densities = np.array([pts]), np.array([log_density])
+    accepted = _steps(states, densities, increments[:, None], np.array(log_u)[:, None], w)
+    out = states[0] if accepted else pts
+    return len(increments), [(0, out)] if accepted else [], out, float(densities[0])
 
 
-# the p = 1 chain's scalar walk and the kernel's walk, each on a batch of one transition
-P1_WALKS = [_scalar_walk, functools.partial(_prefetch, n_nodes=1)]
+# the p = 1 chain's scalar walk and the K chains' step, each on a batch of one transition
+P1_WALKS = [_scalar_walk, _kernel_step]
+P1_WALK_IDS = ["_scalar_walk", "walk1"]  # case names that stay put when the second walk changes
 
 
 def _one_transition(walk, state, increment, log_u, log_density=0.0):
     return walk(np.array([state]), log_density, np.array([[increment]], dtype=float), [log_u], W_HALF)
 
 
-@pytest.mark.parametrize("walk", P1_WALKS)
+@pytest.mark.parametrize("walk", P1_WALKS, ids=P1_WALK_IDS)
 @pytest.mark.parametrize("state,increment", [((1.0, 1.0), (1e160, 0.0)), ((1e-170, 1e-170), (0.0, 0.0))])
 def test_p1_walk_raises_where_r2_cannot_be_represented(walk, state, increment):
     # |z|^2 of the proposal overflows, or underflows to 0: the kernel flags NaN,
-    # and the scalar walk raises where the kernel's walk does, whatever log u is
+    # and the scalar walk raises where the kernel's step does, whatever log u is
     for log_u in (-math.inf, 0.0):
         with pytest.raises(FloatingPointError):
             _one_transition(walk, state, increment, log_u)
 
 
-@pytest.mark.parametrize("walk", P1_WALKS)
+@pytest.mark.parametrize("walk", P1_WALKS, ids=P1_WALK_IDS)
 @pytest.mark.parametrize("increment", [(-2.0, 0.5), (-1.0, 0.0), (0.5, -3.0), (-1.0, -1.0)])
 def test_p1_walk_rejects_a_nonpositive_proposal(walk, increment):
     state = np.array([[1.0, 1.0]])
@@ -175,75 +180,6 @@ def test_scalar_candidate_within_4_ulp_of_log_rho():
     zero = np.zeros((1, 1, 2))
     scalar = np.array([_scalar_walk(state, 0.0, zero, [-math.inf], W_HALF)[3] for state in pts.tolist()])
     assert np.all(np.abs(scalar - exact) <= 4 * np.spacing(np.abs(exact)))
-
-
-def _path_probabilities(tree, rate=0.3):
-    """(transition, base) and the probability of reaching it, per node of ``tree``."""
-    assert tree.step[: tree.spine].tolist() == list(range(tree.spine))
-    bases = [-1] * tree.spine
-    for start, _, base in tree.generations:
-        assert len(bases) == start
-        bases += base.tolist()
-    nodes = list(zip(tree.step.tolist(), bases))
-    reached = [1.0] + [0.0] * (len(nodes) - 1)
-    for n in range(len(nodes)):
-        for child, chance in ((tree.reject[n], 1.0 - rate), (tree.accept[n], rate)):
-            if child >= 0:
-                reached[child] = reached[n] * chance
-    return nodes, reached
-
-
-@pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5, 8, 13, 16, 36, 64])
-def test_prefetch_tree(n_nodes):
-    tree = _tree(n_nodes, n_nodes)
-    nodes, reached = _path_probabilities(tree)
-    assert len(nodes) == len(tree.reject) == len(tree.accept) == n_nodes
-    for n, (t, base) in enumerate(nodes):
-        assert base < n  # every base is numbered before its node
-        assert tree.reject[n] in (-1, *range(n + 1, n_nodes))
-        assert tree.accept[n] in (-1, *range(n + 1, n_nodes))
-        if tree.reject[n] >= 0:
-            assert nodes[tree.reject[n]] == (t + 1, base)
-        if tree.accept[n] >= 0:
-            assert nodes[tree.accept[n]] == (t + 1, n)
-    # every node but the first is the child of exactly one node
-    assert sorted(c for c in tree.reject + tree.accept if c >= 0) == list(range(1, n_nodes))
-    assert tree.depth == 1 + max(t for t, _ in nodes)
-    if n_nodes <= 4:
-        assert tree.spine == n_nodes and tree.generations == ()
-    # the tree holds the most probable nodes, so the transitions a kernel call
-    # is expected to consume, the sum of their probabilities, beat the 3.14 of
-    # the all-reject spine of 8 from 8 nodes on
-    expected = {8: 3.49, 16: 4.53, 36: 5.80, 64: 6.73}
-    if n_nodes in expected:
-        assert sum(reached) == pytest.approx(expected[n_nodes], abs=0.005)
-    # truncated at a depth, the tree holds every node it can up to n_nodes
-    short = _tree(n_nodes, 3)
-    assert short.depth <= 3 and len(short.reject) == min(n_nodes, 7)
-
-
-def _same_chain(a: ChainReport, b: ChainReport) -> bool:
-    return (
-        np.array_equal(a.samples, b.samples)
-        and (a.acceptance_rate, a.step_scale, a.adaptation) == (b.acceptance_rate, b.step_scale, b.adaptation)
-    )
-
-
-@pytest.mark.parametrize("p,burn_in,thinning", [(2, 450, 1), (3, 650, 1), (3, 410, 7)])
-def test_chain_independent_of_prefetch_depth(monkeypatch, p, burn_in, thinning):
-    # transition t takes row t of each stream whatever the batch, so the tree
-    # and the draw block size change the number of kernel calls, not a bit
-    import skewspec.sampler
-
-    monkeypatch.setattr(skewspec.sampler, "PREFETCH_NODES", 1)
-    reference = run_chain(p, W_HALF, 60, burn_in=burn_in, thinning=thinning, seed=21)
-    assert reference.kernel_calls == reference.transitions
-    for n_nodes, block in itertools.product([1, 2, 8, 64], [1024, 7]):
-        monkeypatch.setattr(skewspec.sampler, "PREFETCH_NODES", n_nodes)
-        monkeypatch.setattr(skewspec.sampler, "DRAW_BLOCK", block)
-        chain = run_chain(p, W_HALF, 60, burn_in=burn_in, thinning=thinning, seed=21)
-        assert _same_chain(chain, reference)
-        assert chain.kernel_calls < reference.kernel_calls or n_nodes == 1
 
 
 def _sequential_metropolis(p, w, n_samples, burn_in, thinning, seed):
@@ -278,43 +214,81 @@ def _sequential_metropolis(p, w, n_samples, burn_in, thinning, seed):
     return np.array(samples), accepted_total / (n_samples * thinning), scale
 
 
-@pytest.mark.parametrize("n_nodes", [1, 2, 8, 64])
-def test_chain_is_sequential_metropolis(monkeypatch, n_nodes):
+def _sequential_chains(p, w, n_samples, burn_in, thinning, seed, k):
+    """K chains at p >= 2, one proposal at a time through log_rho, as run_chain's docstring states them."""
+    normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
+    normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
+    states = [grid_initialization(p).points] * k
+    log_density = [log_rho(states[0], w)] * k
+    scale = 0.5
+    burn, kept, window = -(-burn_in // k), -(-n_samples // k), -(-ADAPT_WINDOW // k)
+    window_accepts = accepted_total = 0
+    samples = []
+    for step in range(1, burn + kept * thinning + 1):
+        accepted = 0
+        for chain in range(k):
+            proposal = states[chain] + scale * normals.standard_normal((p, 2))
+            log_u = np.log(uniforms.random())
+            candidate = log_rho(proposal, w)
+            if log_u < candidate - log_density[chain]:
+                states[chain], log_density[chain] = proposal, candidate
+                accepted += 1
+        if step <= burn:
+            window_accepts += accepted
+            if step % window == 0:
+                rate = window_accepts / (window * k)
+                if rate > ACCEPT_TARGET_HIGH:
+                    scale *= 1.2
+                elif rate < ACCEPT_TARGET_LOW:
+                    scale /= 1.2
+                window_accepts = 0
+        else:
+            accepted_total += accepted
+            if (step - burn) % thinning == 0:
+                samples.extend(states)
+    return np.array(samples[:n_samples]), accepted_total / (k * kept * thinning), scale
+
+
+@pytest.mark.parametrize("chains", [1, 2, 8, 64])
+def test_chain_is_sequential_metropolis(monkeypatch, chains):
+    # at p >= 2, K = min(n_samples, MAX_CHAINS) chains here; a draw block of
+    # 7 transitions draws one step at a time for K >= 4
     import skewspec.sampler
 
-    monkeypatch.setattr(skewspec.sampler, "PREFETCH_NODES", n_nodes)
-    for p, burn_in, thinning in [(1, 450, 1), (1, 300, 7), (3, 400, 3)]:
+    monkeypatch.setattr(skewspec.sampler, "MAX_CHAINS", chains)
+    for p, burn_in, thinning in [(1, 450, 1), (1, 300, 7)]:
         chain = run_chain(p, W_HALF, 50, burn_in=burn_in, thinning=thinning, seed=4)
         samples, acceptance, scale = _sequential_metropolis(p, W_HALF, 50, burn_in, thinning, seed=4)
         assert np.array_equal(chain.samples, samples)
         assert (chain.acceptance_rate, chain.step_scale) == (acceptance, scale)
+    for p, burn_in, thinning, block in [(2, 450, 1, 1024), (3, 400, 3, 1024), (3, 410, 7, 7)]:
+        monkeypatch.setattr(skewspec.sampler, "DRAW_BLOCK", block)
+        chain = run_chain(p, W_HALF, 50, burn_in=burn_in, thinning=thinning, seed=4)
+        k = min(50, chains)
+        samples, acceptance, scale = _sequential_chains(p, W_HALF, 50, burn_in, thinning, 4, k)
+        assert chain.chains == k
+        assert np.array_equal(chain.samples, samples)
+        assert (chain.acceptance_rate, chain.step_scale) == (acceptance, scale)
 
 
-def test_chain_retains_states_between_acceptances_of_one_batch(monkeypatch):
-    # with thinning 1 every transition is retained, so a batch that accepts
-    # twice retains the first acceptance's state until the second
-    import skewspec.sampler
-
-    batches = []
-    prefetch = skewspec.sampler._prefetch
-
-    def recording(*args, **kwargs):
-        batches.append(prefetch(*args, **kwargs))
-        return batches[-1]
-
-    monkeypatch.setattr(skewspec.sampler, "PREFETCH_NODES", 64)
-    monkeypatch.setattr(skewspec.sampler, "_prefetch", recording)
-    chain = run_chain(2, W_HALF, 300, burn_in=0, thinning=1, seed=5)
-    assert any(len(accepted) >= 2 and accepted[0][0] + 1 < accepted[1][0] for _, accepted, _, _ in batches)
-    samples, acceptance, _ = _sequential_metropolis(2, W_HALF, 300, 0, 1, seed=5)
-    assert np.array_equal(chain.samples, samples)
-    assert chain.acceptance_rate == acceptance
+def test_chain_rows_when_chains_do_not_divide_samples():
+    # 70 samples from 64 chains: each chain retains 2 states and the last 58
+    # of the second retention are dropped, so the rows are the first 70 of 128
+    chain = run_chain(2, W_HALF, 70, burn_in=300, thinning=3, seed=8)
+    full = run_chain(2, W_HALF, 128, burn_in=300, thinning=3, seed=8)
+    assert chain.chains == full.chains == 64
+    assert chain.samples.shape == (70, 2, 2)
+    assert np.array_equal(chain.samples, full.samples[:70])
+    assert chain.transitions == full.transitions == 64 * (5 + 2 * 3)
 
 
 def test_chain_reports_kernel_calls_and_adaptation():
+    # 20 chains: 33 burn-in steps, each adaptation window 10 steps of 200
+    # transitions, then one retention 5 steps on
     chain = run_chain(3, W_HALF, 20, burn_in=650, thinning=5, seed=2)
-    assert chain.transitions == 750
-    assert 1 <= chain.kernel_calls < chain.transitions
+    assert chain.chains == 20
+    assert chain.kernel_calls == 33 + 5
+    assert chain.transitions == 20 * 38
     assert [row[0] for row in chain.adaptation] == [200, 400, 600]
     assert chain.adaptation[-1][2] == chain.step_scale
     assert all(0.0 <= rate <= 1.0 for _, rate, _ in chain.adaptation)
@@ -349,10 +323,11 @@ def test_run_chain_stationarity_between_segments():
 
 # sha256 of the samples (little-endian float64), the acceptance rate, the
 # step scale, and the stdout of `density --gamma 0.5` on the samples, in the
-# layout of two spawned streams (increments, uniforms) that every prefetch
-# depth shares. Recorded with numpy 2.4 on x86-64 with AVX-512; numpy's log
-# kernels differ between instruction sets, so the digests can differ on
-# another processor.
+# layout of two spawned streams (increments, uniforms) drawn step by step and
+# chain by chain. The p3 row is the 64 chains of version 0.3.0; the p1 row
+# has not moved since 0.2.0. Recorded with numpy 2.4 on x86-64 with AVX-512;
+# numpy's log kernels differ between instruction sets, so the digests can
+# differ on another processor.
 PINNED_CHAINS = [
     (
         1,
@@ -365,18 +340,17 @@ PINNED_CHAINS = [
     (
         3,
         dict(n_samples=100, burn_in=600, thinning=6, seed=12),
-        "497ec5046f5b79d699d91c2f0ff92ff528705eaf8c72998504f0a0e4ba36edf7",
-        0.3433333333333333,
+        "fbc1811262e9de2628a925be03b7216806ea6a22e55727997606c6fff63fd4b1",
+        0.4114583333333333,
         0.6,
-        "398385fe02cc8f6e3cc661dc1d73c96ae5b5c9f6471623332337c553e0c61255",
+        "2aa0538d7bb0c921b0672243c4298ca877d148a48c4902cb79ee394fdd0c84eb",
     ),
 ]
 
 
 @pytest.mark.parametrize("p,kwargs,samples_sha,acceptance,scale,density_sha", PINNED_CHAINS, ids=["p1", "p3"])
 def test_chain_bits_pinned(tmp_path, capsys, p, kwargs, samples_sha, acceptance, scale, density_sha):
-    # a faster transition must not move a single bit of a seeded chain, and
-    # neither may the prefetch depth
+    # a faster transition must not move a single bit of a seeded chain
     report = run_chain(p, W_HALF, **kwargs)
     assert hashlib.sha256(report.samples.astype("<f8").tobytes()).hexdigest() == samples_sha
     assert report.acceptance_rate == acceptance
@@ -495,3 +469,36 @@ def test_chain_matches_quadrature_and_negative_control():
     bad = run_chain(1, WeightSpec(gamma=1.0), 4000, burn_in=5000, thinning=5, seed=9)
     ks_bad = ks_compare(bad, law)
     assert ks_bad.x > 0.1 and ks_bad.y > 0.1
+
+
+def test_incomplete_gamma_at_one_is_the_exponential_cdf():
+    x = np.concatenate([[0.0], np.geomspace(1e-8, 700.0, 500)])
+    assert np.max(np.abs(_gamma_p(1.0, x) + np.expm1(-x))) <= 1e-15
+    assert _gamma_p(1.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5, 2.5, 9.0, 19.5, 105.0, 1000.5, 20049.0, 20049.5])
+def test_incomplete_gamma_by_erf_and_recurrence(a):
+    # P(1/2, x) = erf(sqrt x), and P(a + 1, x) = P(a, x) - x^a e^-x / Gamma(a + 1),
+    # on x that put a and a + 1 on either side of the series / fraction split
+    # (x < a + 1); a = (4p^2 + p)/2 is 20 050 at p = 100
+    x = np.concatenate([np.linspace(0.01, 3.0 * a + 30.0, 400), a + math.sqrt(a) * np.linspace(-6.0, 6.0, 201)])
+    x = x[x > 0.0]
+    p_a = _gamma_p(a, x)
+    if a == 0.5:
+        assert np.max(np.abs(p_a - [math.erf(math.sqrt(v)) for v in x])) <= 1e-10
+    term = np.exp(a * np.log(x) - x - math.lgamma(a + 1.0))
+    assert np.max(np.abs(_gamma_p(a + 1.0, x) - (p_a - term))) <= 1e-10
+    assert np.all((0.0 <= p_a) & (p_a <= 1.0)) and np.all(np.diff(p_a[:400]) >= 0.0)
+
+
+@pytest.mark.parametrize("p,n_samples", [(2, 4000), (3, 3000), (10, 2000)])
+def test_radial_law_of_seeded_chains(p, n_samples):
+    # R = sum |z_k|^2 is Gamma((4p^2 + p)/2, rate gamma) at every p; a chain
+    # run at gamma = 1 and scored at gamma = 1/2 (criterion 10's mismatched
+    # gamma) puts R at half the scale and must fail
+    good = run_chain(p, W_HALF, n_samples, burn_in=20_000, thinning=20, seed=30 + p)
+    assert radial_ks(good, W_HALF) < 0.05
+    bad = run_chain(p, WeightSpec(gamma=1.0), n_samples, burn_in=20_000, thinning=20, seed=40 + p)
+    assert radial_ks(bad, W_HALF) > 0.05
+    assert radial_ks(bad, WeightSpec(gamma=1.0)) < 0.05
