@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -280,6 +281,97 @@ def test_chain_rows_when_chains_do_not_divide_samples():
     assert chain.samples.shape == (70, 2, 2)
     assert np.array_equal(chain.samples, full.samples[:70])
     assert chain.transitions == full.transitions == 64 * (5 + 2 * 3)
+
+
+def _same_chain(a: ChainReport, b: ChainReport) -> bool:
+    return (
+        np.array_equal(a.samples, b.samples)
+        and (a.acceptance_rate, a.step_scale, a.adaptation) == (b.acceptance_rate, b.step_scale, b.adaptation)
+    )
+
+
+@pytest.mark.parametrize("p,burn_in,thinning", [(2, 450, 1), (3, 650, 1), (3, 410, 7)])
+def test_chain_independent_of_prefetch_depth(monkeypatch, p, burn_in, thinning):
+    # the streams are drawn DRAW_BLOCK transitions ahead; step t of chain k
+    # takes row [t, k] of each stream however far ahead they are drawn, so
+    # the depth changes no bit and every step makes one kernel call
+    import skewspec.sampler
+
+    reference = run_chain(p, W_HALF, 60, burn_in=burn_in, thinning=thinning, seed=21)
+    steps = reference.transitions // reference.chains
+    assert reference.kernel_calls == steps
+    for block in [1, 7, 60, 61, 4096]:
+        monkeypatch.setattr(skewspec.sampler, "DRAW_BLOCK", block)
+        chain = run_chain(p, W_HALF, 60, burn_in=burn_in, thinning=thinning, seed=21)
+        assert _same_chain(chain, reference)
+        assert chain.kernel_calls == steps
+
+
+def _poisoned_normals(monkeypatch, row):
+    """Make the sampler's increment stream, drawn first from the seed, give row ``row`` (a step) a density that overflows."""
+    make = np.random.default_rng
+
+    class Streams:
+        made = 0
+
+        def __init__(self, seed):
+            self.rng, self.normals, self.drawn = make(seed), Streams.made == 0, 0
+            Streams.made += 1
+
+        def random(self, shape):
+            return self.rng.random(shape)
+
+        def standard_normal(self, shape):
+            rows = self.rng.standard_normal(shape)
+            if self.normals and 0 <= row - self.drawn < len(rows):
+                rows[row - self.drawn] = 1e160 * np.abs(rows[row - self.drawn])
+            self.drawn += len(rows)
+            return rows
+
+    monkeypatch.setattr(np.random, "default_rng", Streams)
+
+
+def test_speculative_nan_row_does_not_raise(monkeypatch):
+    # the streams are drawn ahead of need; a drawn row past the last step is
+    # never proposed, so a row whose density cannot be represented raises
+    # only where a chain steps on it. At p = 1 the 830 transitions leave
+    # rows 830..1023 of the first block unused, and at p = 3 the 60 chains
+    # make 7 + 7 steps of a 17-step block.
+    for p, total in [(1, 830), (3, 14)]:
+        reference = run_chain(p, W_HALF, 60, burn_in=410, thinning=7, seed=3)
+        assert reference.transitions // reference.chains == total
+        with monkeypatch.context() as patch:
+            _poisoned_normals(patch, total + 1)
+            assert _same_chain(run_chain(p, W_HALF, 60, burn_in=410, thinning=7, seed=3), reference)
+        with monkeypatch.context() as patch, pytest.raises(FloatingPointError):
+            _poisoned_normals(patch, total - 1)
+            run_chain(p, W_HALF, 60, burn_in=410, thinning=7, seed=3)
+
+
+def test_chain_retains_states_between_acceptances_of_one_batch(monkeypatch):
+    # with thinning 1 every step is retained, so a chain that accepts twice
+    # within one drawn block retains the first acceptance's state at the
+    # steps between; 4 chains draw 10 steps a block, and chain c's state
+    # after step s (from 0) is row 4 s + c
+    import skewspec.sampler
+
+    monkeypatch.setattr(skewspec.sampler, "MAX_CHAINS", 4)
+    monkeypatch.setattr(skewspec.sampler, "DRAW_BLOCK", 40)
+    chain = run_chain(2, W_HALF, 300, burn_in=0, thinning=1, seed=5)
+    k, block = chain.chains, 10
+    assert k == 4
+    states = chain.samples.reshape(-1, k, 2, 2)
+    moved = np.any(states[1:] != states[:-1], axis=(2, 3))  # [s, c]: chain c accepted at step s + 1
+    held = [
+        (c, a, b)
+        for c in range(k)
+        for a, b in itertools.pairwise(np.flatnonzero(moved[:, c]) + 1)
+        if b > a + 1 and a // block == b // block
+    ]
+    assert held
+    samples, acceptance, _ = _sequential_chains(2, W_HALF, 300, 0, 1, 5, k)
+    assert np.array_equal(chain.samples, samples)
+    assert chain.acceptance_rate == acceptance
 
 
 def test_chain_reports_kernel_calls_and_adaptation():
