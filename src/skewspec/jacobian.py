@@ -261,8 +261,7 @@ def verify_density_shape(spectra, gamma: float = 1.0) -> DensityShapeReport:
     terms = _kernel(stack)
     if np.isnan(terms[1]).any():
         raise FloatingPointError(UNREPRESENTABLE)
-    sq_norms = (stack**2).reshape(len(stack), -1).sum(axis=1)
-    log_ratios = 0.5 * log_gram - gamma * sq_norms - _log_rho_of(terms, w)
+    log_ratios = 0.5 * log_gram - gamma * terms[0] - _log_rho_of(terms, w)
     with np.errstate(over="ignore"):
         ratios = np.exp(log_ratios)
         mean = float(np.mean(ratios))

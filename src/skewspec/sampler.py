@@ -11,15 +11,17 @@ form, an incomplete gamma function (:func:`ks_compare`), and at every p the
 density is e^{-gamma R} times a factor homogeneous of degree 4p^2 - p, so
 R = sum_k |z_k|^2 is Gamma((4p^2 + p)/2, rate gamma) (:func:`radial_ks`).
 
-At p >= 2 the sampler runs K independent chains from the grid start as one
-(K, p, 2) stack. Each step proposes for every chain, makes one call of the
-density kernel and decides the K proposals together, so every evaluated
-proposal is a transition. K is MAX_CHAINS while a step's kernel call holds
-few pair terms and falls to 1 as p grows (see PAIR_TERMS). Step t of chain
-k takes increment [t, k] and uniform [t, k] of two streams spawned from the
-seed. At p = 1 there is no pair term, and a kernel call costs far more than
-the transition it serves, so one chain takes its transitions one at a time
-in Python floats (:func:`_scalar_walk`).
+The sampler runs K independent chains from the grid start as one (K, p, 2)
+stack, and step t of chain k takes increment [t, k] and uniform [t, k] of
+two streams spawned from the seed. One driver loop serves every p; only K
+and the walk, which takes the steps of one span, depend on p. At p >= 2
+each step proposes for every chain, makes one call of the density kernel
+and decides the K proposals together (:func:`_steps`), so every evaluated
+proposal is a transition; K is MAX_CHAINS while a step's kernel call holds
+few pair terms and falls to 1 as p grows (see PAIR_TERMS). At p = 1 there
+is no pair term, and a kernel call costs far more than the transition it
+serves, so K = 1 and the chain takes its transitions one at a time in
+Python floats (:func:`_scalar_walk`).
 """
 
 from __future__ import annotations
@@ -55,10 +57,9 @@ class ChainReport:
     ceil(burn_in / K) burn-in steps, then retained ceil(n_samples / K)
     states, one every ``thinning`` steps. Row i of ``samples`` is chain
     i mod K at its (i div K)-th retained state; the surplus of the last
-    retention is dropped. ``kernel_calls`` counts the density kernel calls of
-    the transitions, one per step at p >= 2 and none at p = 1, and
-    ``adaptation`` holds one (transitions made, window acceptance rate, scale
-    from then on) row per burn-in adaptation window, pooled over the chains.
+    retention is dropped. ``adaptation`` holds one (transitions made, window
+    acceptance rate, scale from then on) row per burn-in adaptation window,
+    pooled over the chains.
     """
 
     samples: np.ndarray  # (n_samples, p, 2)
@@ -67,7 +68,6 @@ class ChainReport:
     thinning: int
     step_scale: float
     chains: int = 1
-    kernel_calls: int = 0
     adaptation: tuple = ()
 
     @property
@@ -84,6 +84,11 @@ class ChainReport:
         burn, kept = -(-self.burn_in // self.chains), -(-self.n_samples // self.chains)
         return self.chains * (burn + kept * self.thinning)
 
+    @property
+    def kernel_calls(self) -> int:
+        """Density kernel calls of the transitions: one a step at p >= 2, none at p = 1."""
+        return 0 if self.p == 1 else self.transitions // self.chains
+
     def spectrum(self, index: int) -> SkewSpectrum:
         return SkewSpectrum(self.samples[index])
 
@@ -97,57 +102,63 @@ def _adapted(scale: float, rate: float) -> float:
     return scale
 
 
-def _steps(states, log_density, increments, log_u, w) -> int:
+def _steps(states, log_density, increments, log_u, w, keep):
     """Metropolis steps of K chains over a (T, K, p, 2) batch of scaled increments, one kernel call a step.
 
     At step t chain k proposes its state plus ``increments[t, k]`` and
     accepts iff log_u[t, k] < log_rho(proposal) - log_rho(state), so a
     proposal off the quadrant is a rejection and log u = -inf accepts any
     finite proposal. ``states`` (K, p, 2) and ``log_density`` (K,) are
-    updated in place. Returns the number of acceptances. Raises
+    updated in place. Returns the number of acceptances and a copy of the
+    states after each step whose offset in the batch is in ``keep``. Raises
     FloatingPointError where a proposal's density cannot be represented.
     """
     accepted = np.empty(log_u.shape, dtype=bool)
     delta = np.empty(log_u.shape)
+    retained = []
     for t, increment in enumerate(increments):
         proposal = increment + states
         candidate = _log_rho_of(_kernel(proposal), w)
         np.less(log_u[t], np.subtract(candidate, log_density, out=delta[t]), out=accepted[t])
         np.copyto(states, proposal, where=accepted[t, :, None, None])
         np.copyto(log_density, candidate, where=accepted[t])
+        if t in keep:
+            retained.append(states.copy())
     # a NaN proposal is rejected and moves no state, so one test after the batch suffices
     if np.isnan(delta).any():
         raise FloatingPointError(UNREPRESENTABLE)
-    return int(np.count_nonzero(accepted))
+    return int(np.count_nonzero(accepted)), retained
 
 
-def _scalar_walk(pts, log_density, increments, log_u, w):
-    """Sequential Metropolis at p = 1 over a batch of scaled increments, in Python floats.
+def _scalar_walk(states, log_density, increments, log_u, w, keep):
+    """:func:`_steps` for one chain at p = 1, in Python floats.
 
     Each proposal is increment + state, and its log density is the kernel's
     in the kernel's order of operations, with math.log for np.log; the two
     logs may differ in the last bit, which changes a decision only where
     log u falls within that bit. As in :func:`_steps`, a nonpositive
-    coordinate is a rejection, log u = -inf accepts any finite proposal, and
-    a proposal whose |z|^2 overflows or underflows to 0 raises
-    FloatingPointError. Returns (transitions consumed, the (transition,
-    state) of each acceptance, the state, its log density), each state as
-    ((x, y),).
+    coordinate is a rejection, log u = -inf accepts any finite proposal, a
+    proposal whose |z|^2 overflows or underflows to 0 raises
+    FloatingPointError, and ``states`` (1, 1, 2) and ``log_density`` (1,)
+    are updated in place.
     """
     neg_gamma = -float(w.gamma)
-    x, y = map(float, pts[0])
-    accepted = []
-    for k, ((dx, dy),) in enumerate(increments.tolist()):
+    (((x, y),),), (current,) = states.tolist(), log_density.tolist()
+    accepts, retained = 0, []
+    for t, ((dx, dy), lu) in enumerate(zip(increments.reshape(-1, 2).tolist(), log_u.ravel().tolist())):
         px, py = dx + x, dy + y
         if px > 0.0 and py > 0.0:
             r2 = px * px + py * py
             if not 0.0 < r2 < math.inf:
                 raise FloatingPointError(UNREPRESENTABLE)
             candidate = neg_gamma * r2 + (math.log(px) + math.log(py) + 0.5 * math.log(r2))
-            if log_u[k] < candidate - log_density:
-                x, y, log_density = px, py, candidate
-                accepted.append((k, ((x, y),)))
-    return len(increments), accepted, accepted[-1][1] if accepted else pts, log_density
+            if lu < candidate - current:
+                x, y, current = px, py, candidate
+                accepts += 1
+        if t in keep:
+            retained.append([[(x, y)]])
+    states[0, 0], log_density[0] = (x, y), current
+    return accepts, retained
 
 
 def run_chain(
@@ -179,73 +190,19 @@ def run_chain(
     if burn_in < 0 or thinning < 1:
         raise ValueError("burn_in must be >= 0 and thinning >= 1")
 
-    normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
-    normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
     if p == 1:
-        return _one_chain(w, n_samples, burn_in, thinning, normals, uniforms)
-    return _chains(p, w, n_samples, burn_in, thinning, normals, uniforms)
-
-
-def _one_chain(w, n_samples, burn_in, thinning, normals, uniforms) -> ChainReport:
-    """The p = 1 chain of :func:`run_chain`, one transition at a time by :func:`_scalar_walk`."""
-    pts = np.array(grid_initialization(1).points)
-    log_density = log_rho(pts, w)
-    scale = 0.5
-    total = burn_in + n_samples * thinning
-
-    samples = np.empty((n_samples, 1, 2))
-    retained = 0
-    next_retained = burn_in + thinning  # transitions made when the next sample is retained
-    window_accepts = accepted_total = 0
-    adaptation = []
-    made = block_end = 0
-    while made < total:
-        if made == block_end:
-            steps = normals.standard_normal((DRAW_BLOCK, 1, 2))
-            with np.errstate(divide="ignore"):  # a uniform of 0 accepts any finite proposal
-                log_u = np.log(uniforms.random(DRAW_BLOCK)).tolist()
-            block_start, block_end = made, made + DRAW_BLOCK
-        # a span ends at an adaptation boundary, at the end of burn-in and at
-        # the end of the drawn block; the scale holds over it
-        stop = min(burn_in, (made // ADAPT_WINDOW + 1) * ADAPT_WINDOW) if made < burn_in else total
-        span = slice(made - block_start, min(stop, block_end) - block_start)
-        before = pts
-        _, accepted, pts, log_density = _scalar_walk(pts, log_density, scale * steps[span], log_u[span], w)
-        start, made = made, block_start + span.stop
-        if made <= burn_in:
-            window_accepts += len(accepted)
-            if made % ADAPT_WINDOW == 0:
-                rate = window_accepts / ADAPT_WINDOW
-                scale = _adapted(scale, rate)
-                adaptation.append((made, rate, scale))
-                window_accepts = 0
-        else:
-            accepted_total += len(accepted)
-            # a retained state is the span's last acceptance at or before its
-            # transition, or the state the span started from
-            state, later = before, 0
-            while next_retained <= made:
-                while later < len(accepted) and start + accepted[later][0] < next_retained:
-                    state = accepted[later][1]
-                    later += 1
-                samples[retained] = state
-                retained += 1
-                next_retained += thinning
-
-    acceptance = accepted_total / (n_samples * thinning)
-    return ChainReport(samples, acceptance, burn_in, thinning, scale, adaptation=tuple(adaptation))
-
-
-def _chains(p, w, n_samples, burn_in, thinning, normals, uniforms) -> ChainReport:
-    """The K chains of :func:`run_chain` at p >= 2, stepped as one stack by :func:`_steps`."""
-    k = min(n_samples, max(1, min(MAX_CHAINS, PAIR_TERMS // (p * (p - 1) // 2))))
+        k, walk = 1, _scalar_walk
+    else:
+        k, walk = min(n_samples, max(1, min(MAX_CHAINS, PAIR_TERMS // (p * (p - 1) // 2)))), _steps
     burn, kept = -(-burn_in // k), -(-n_samples // k)  # steps of burn-in, states retained per chain
     total, window, block = burn + kept * thinning, -(-ADAPT_WINDOW // k), max(1, DRAW_BLOCK // k)
+    normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
+    normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
     start = np.array(grid_initialization(p).points)
     states, log_density = np.repeat(start[None], k, axis=0), np.full(k, log_rho(start, w))
     scale = 0.5
 
-    samples = np.empty((kept, k, p, 2))
+    samples = []  # the (K, p, 2) states of each retention
     window_accepts = accepted_total = 0
     adaptation = []
     made = block_end = 0  # steps
@@ -255,14 +212,15 @@ def _chains(p, w, n_samples, burn_in, thinning, normals, uniforms) -> ChainRepor
             with np.errstate(divide="ignore"):  # a uniform of 0 accepts any finite proposal
                 log_u = np.log(uniforms.random((block, k)))
             block_start, block_end = made, made + block
-        # a span ends at an adaptation boundary, at the end of burn-in, at a
-        # retention and at the end of the drawn block; the scale holds over it
-        if made < burn:
-            stop = min(burn, (made // window + 1) * window)
-        else:
-            stop = made + thinning - (made - burn) % thinning
+        # a span ends at an adaptation boundary, at the end of burn-in and at
+        # the end of the drawn block, and the scale holds over it; the walk
+        # copies the states after each step burn + j * thinning (j >= 1) in
+        # it, the next being the one past the retentions made so far
+        stop = min(burn, (made // window + 1) * window) if made < burn else total
         span = slice(made - block_start, min(stop, block_end) - block_start)
-        accepts = _steps(states, log_density, scale * steps[span], log_u[span], w)
+        keep = range(burn + (len(samples) + 1) * thinning - made - 1, span.stop - span.start, thinning)
+        accepts, retained = walk(states, log_density, scale * steps[span], log_u[span], w, keep)
+        samples += retained
         made = block_start + span.stop
         if made <= burn:
             window_accepts += accepts
@@ -273,12 +231,10 @@ def _chains(p, w, n_samples, burn_in, thinning, normals, uniforms) -> ChainRepor
                 window_accepts = 0
         else:
             accepted_total += accepts
-            if (made - burn) % thinning == 0:
-                samples[(made - burn) // thinning - 1] = states
 
-    rows = samples.reshape(-1, p, 2)[:n_samples]
-    acceptance, adaptation = accepted_total / (k * kept * thinning), tuple(adaptation)
-    return ChainReport(rows, acceptance, burn_in, thinning, scale, chains=k, kernel_calls=total, adaptation=adaptation)
+    rows = np.reshape(samples, (-1, p, 2))[:n_samples]
+    acceptance = accepted_total / (k * kept * thinning)
+    return ChainReport(rows, acceptance, burn_in, thinning, scale, chains=k, adaptation=tuple(adaptation))
 
 
 # numpy has no erfc, and the runtime dependency is numpy only

@@ -48,7 +48,7 @@ def test_propose_and_decide_is_metropolis_rule():
         log_u = LOG_U_NEAR_ONE if u is None else np.log(u)
         # a zero increment proposes the current points themselves
         states, log_density = np.array([pts]), np.array([cached])
-        accepts = _steps(states, log_density, np.zeros((1, 1, 2, 2)), np.array([[log_u]]), W_HALF)
+        accepts, _ = _steps(states, log_density, np.zeros((1, 1, 2, 2)), np.array([[log_u]]), W_HALF, range(0))
         assert accepts == int(accepted)
         assert log_density[0] == (target if accepted else cached)
 
@@ -66,7 +66,7 @@ def test_propose_and_decide_rejects_outside_quadrant():
     states, log_density = _chains_from_grid(2, 20)
     before, cached = states.copy(), log_density.copy()
     increments, log_u = 200.0 * rng.standard_normal((1, 20, 2, 2)), np.log(rng.uniform(size=(1, 20)))
-    accepts = _steps(states, log_density, increments, log_u, W_HALF)
+    accepts, _ = _steps(states, log_density, increments, log_u, W_HALF, range(0))
     rejected = np.all(states == before, axis=(1, 2))
     assert accepts == 20 - np.count_nonzero(rejected) <= 2
     assert np.array_equal(log_density[rejected], cached[rejected])
@@ -80,7 +80,7 @@ def test_off_quadrant_proposal_is_rejected_whatever_log_u():
     increments[0, 0, 1, 0] = -5.0  # chain 0 proposes x_2 = -4
     increments[0, 1] = 10.0  # chain 1 proposes a far but finite configuration
     before, cached = states.copy(), log_density.copy()
-    assert _steps(states, log_density, increments, np.full((1, 2), -math.inf), W_HALF) == 1
+    assert _steps(states, log_density, increments, np.full((1, 2), -math.inf), W_HALF, range(0)) == (1, [])
     assert np.array_equal(states[0], before[0]) and log_density[0] == cached[0]
     assert np.array_equal(states[1], before[1] + 10.0) and log_density[1] == log_rho(states[1], W_HALF)
 
@@ -91,7 +91,7 @@ def test_proposals_that_underflow_raise():
     tiny = np.array([[[1.0, 2.0], [3.0, 1.5]]]) * 1e-170
     for log_u in (-math.inf, 0.0):
         with pytest.raises(FloatingPointError):
-            _steps(tiny.copy(), np.zeros(1), np.zeros((1, 1, 2, 2)), np.array([[log_u]]), W_HALF)
+            _steps(tiny.copy(), np.zeros(1), np.zeros((1, 1, 2, 2)), np.array([[log_u]]), W_HALF, range(0))
 
 
 def _batches(p, seed, n_batches, k=4, depth=4):
@@ -101,7 +101,7 @@ def _batches(p, seed, n_batches, k=4, depth=4):
     for _ in range(n_batches):
         increments = 0.5 * rng.standard_normal((depth, k, p, 2))
         log_u = np.log(rng.uniform(size=(depth, k)))
-        accepted = _steps(states, log_density, increments, log_u, W_HALF)
+        accepted, _ = _steps(states, log_density, increments, log_u, W_HALF, range(0))
         yield accepted, states, log_density
 
 
@@ -126,21 +126,16 @@ def test_metropolis_trajectory_stays_finite():
     assert log_density.tolist() == [log_rho(pts, W_HALF) for pts in states]
 
 
-def _kernel_step(pts, log_density, increments, log_u, w):
-    """:func:`_steps` on one chain, with the walks' arguments and results."""
-    states, densities = np.array([pts]), np.array([log_density])
-    accepted = _steps(states, densities, increments[:, None], np.array(log_u)[:, None], w)
-    out = states[0] if accepted else pts
-    return len(increments), [(0, out)] if accepted else [], out, float(densities[0])
-
-
-# the p = 1 chain's scalar walk and the K chains' step, each on a batch of one transition
-P1_WALKS = [_scalar_walk, _kernel_step]
+# the p = 1 chain's scalar walk and the K chains' step, each on one chain
+P1_WALKS = [_scalar_walk, _steps]
 P1_WALK_IDS = ["_scalar_walk", "walk1"]  # case names that stay put when the second walk changes
 
 
 def _one_transition(walk, state, increment, log_u, log_density=0.0):
-    return walk(np.array([state]), log_density, np.array([[increment]], dtype=float), [log_u], W_HALF)
+    """One transition of one p = 1 chain: (acceptances, state after it, its log density)."""
+    states, densities = np.array([[state]], dtype=float), np.array([log_density])
+    accepts, _ = walk(states, densities, np.array([[[increment]]], dtype=float), np.array([[log_u]]), W_HALF, range(0))
+    return accepts, states[0], densities[0]
 
 
 @pytest.mark.parametrize("walk", P1_WALKS, ids=P1_WALK_IDS)
@@ -156,20 +151,41 @@ def test_p1_walk_raises_where_r2_cannot_be_represented(walk, state, increment):
 @pytest.mark.parametrize("walk", P1_WALKS, ids=P1_WALK_IDS)
 @pytest.mark.parametrize("increment", [(-2.0, 0.5), (-1.0, 0.0), (0.5, -3.0), (-1.0, -1.0)])
 def test_p1_walk_rejects_a_nonpositive_proposal(walk, increment):
-    state = np.array([[1.0, 1.0]])
-    log_density = log_rho(state, W_HALF)
-    consumed, accepted, out, out_log = walk(state, log_density, np.array([[increment]]), [-math.inf], W_HALF)
-    assert (consumed, accepted, out_log) == (1, [], log_density)
-    assert out is state
+    log_density = log_rho(np.array([[1.0, 1.0]]), W_HALF)
+    accepts, out, out_log = _one_transition(walk, (1.0, 1.0), increment, -math.inf, log_density)
+    assert (accepts, out_log) == (0, log_density)
+    assert np.array_equal(out, [[1.0, 1.0]])
 
 
 def test_p1_walk_with_log_u_of_minus_inf_accepts():
     # a proposal far down the tail is accepted by a uniform of 0, by both walks
     outcomes = [_one_transition(walk, (1.0, 1.0), (20.0, 30.0), -math.inf, 5.0) for walk in P1_WALKS]
-    for consumed, accepted, out, out_log in outcomes:
-        assert consumed == 1 and [k for k, _ in accepted] == [0]
+    for accepts, out, out_log in outcomes:
+        assert accepts == 1
         assert np.array_equal(out, [[21.0, 31.0]])
         assert out_log == pytest.approx(log_rho(out, W_HALF), rel=1e-15)
+
+
+def test_p1_walks_retain_the_same_states_mid_span():
+    # one p = 1 batch of 60 steps through both walks, retaining every 7th
+    # state from offset 5; each log u is -inf or just below 0, so a decision
+    # turns on the quadrant or on the sign of delta, which the walks' last-bit
+    # difference in log density could flip only for a delta within ulps of 0
+    rng = np.random.default_rng(17)
+    increments = 0.8 * rng.standard_normal((60, 1, 1, 2))
+    log_u = np.where(rng.uniform(size=(60, 1)) < 0.5, -math.inf, LOG_U_NEAR_ONE)
+    keep = range(5, 60, 7)
+    runs = []
+    for walk in P1_WALKS:
+        states, log_density = _chains_from_grid(1, 1)
+        accepts, retained = walk(states, log_density, increments, log_u, W_HALF, keep)
+        runs.append((accepts, np.array(retained), states, log_density))
+    (accepts, retained, states, log_density), (accepts_k, retained_k, states_k, log_density_k) = runs
+    assert 0 < accepts == accepts_k < 60
+    assert retained.shape == (len(keep), 1, 1, 2)
+    assert np.array_equal(retained, retained_k) and np.array_equal(states, states_k)
+    assert len({tuple(state.ravel()) for state in retained}) > 1
+    assert log_density[0] == pytest.approx(log_density_k[0], rel=1e-15)
 
 
 def test_scalar_candidate_within_4_ulp_of_log_rho():
@@ -178,45 +194,12 @@ def test_scalar_candidate_within_4_ulp_of_log_rho():
     rng = np.random.default_rng(9)
     pts = np.exp(rng.uniform(-8.0, 5.0, (100_000, 1, 2)))
     exact = _log_rho_of(_kernel(pts), W_HALF)  # log_rho of each point, bit for bit
-    zero = np.zeros((1, 1, 2))
-    scalar = np.array([_scalar_walk(state, 0.0, zero, [-math.inf], W_HALF)[3] for state in pts.tolist()])
+    scalar = np.array([_one_transition(_scalar_walk, state, (0.0, 0.0), -math.inf)[2] for state in pts[:, 0].tolist()])
     assert np.all(np.abs(scalar - exact) <= 4 * np.spacing(np.abs(exact)))
 
 
-def _sequential_metropolis(p, w, n_samples, burn_in, thinning, seed):
-    """One transition at a time on the chain's two streams, as run_chain's docstring states it."""
-    normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
-    normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
-    pts = grid_initialization(p).points
-    log_density = log_rho(pts, w)
-    scale = 0.5
-    window_accepts = accepted_total = 0
-    samples = []
-    for step in range(1, burn_in + n_samples * thinning + 1):
-        proposal = pts + scale * normals.standard_normal((p, 2))
-        log_u = np.log(uniforms.random())
-        candidate = log_rho(proposal, w)
-        accepted = bool(log_u < candidate - log_density)
-        if accepted:
-            pts, log_density = proposal, candidate
-        if step <= burn_in:
-            window_accepts += accepted
-            if step % ADAPT_WINDOW == 0:
-                rate = window_accepts / ADAPT_WINDOW
-                if rate > ACCEPT_TARGET_HIGH:
-                    scale *= 1.2
-                elif rate < ACCEPT_TARGET_LOW:
-                    scale /= 1.2
-                window_accepts = 0
-        else:
-            accepted_total += accepted
-            if (step - burn_in) % thinning == 0:
-                samples.append(pts)
-    return np.array(samples), accepted_total / (n_samples * thinning), scale
-
-
 def _sequential_chains(p, w, n_samples, burn_in, thinning, seed, k):
-    """K chains at p >= 2, one proposal at a time through log_rho, as run_chain's docstring states them."""
+    """K chains, one proposal at a time through log_rho, as run_chain's docstring states them."""
     normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
     normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
     states = [grid_initialization(p).points] * k
@@ -252,14 +235,15 @@ def _sequential_chains(p, w, n_samples, burn_in, thinning, seed, k):
 
 @pytest.mark.parametrize("chains", [1, 2, 8, 64])
 def test_chain_is_sequential_metropolis(monkeypatch, chains):
-    # at p >= 2, K = min(n_samples, MAX_CHAINS) chains here; a draw block of
-    # 7 transitions draws one step at a time for K >= 4
+    # at p >= 2, K = min(n_samples, MAX_CHAINS) chains here, and one chain
+    # at p = 1; a draw block of 7 transitions draws one step at a time for K >= 4
     import skewspec.sampler
 
     monkeypatch.setattr(skewspec.sampler, "MAX_CHAINS", chains)
     for p, burn_in, thinning in [(1, 450, 1), (1, 300, 7)]:
         chain = run_chain(p, W_HALF, 50, burn_in=burn_in, thinning=thinning, seed=4)
-        samples, acceptance, scale = _sequential_metropolis(p, W_HALF, 50, burn_in, thinning, seed=4)
+        samples, acceptance, scale = _sequential_chains(p, W_HALF, 50, burn_in, thinning, 4, 1)
+        assert chain.chains == 1
         assert np.array_equal(chain.samples, samples)
         assert (chain.acceptance_rate, chain.step_scale) == (acceptance, scale)
     for p, burn_in, thinning, block in [(2, 450, 1, 1024), (3, 400, 3, 1024), (3, 410, 7, 7)]:
