@@ -15,13 +15,13 @@ Library layout:
 - :mod:`skewspec.fekete` — maximal-likelihood configurations by
   unconstrained L-BFGS;
 - :mod:`skewspec.sampler` — Metropolis sampling, K chains in one kernel
-  call at p >= 2, validated at p = 1 against the exact marginal CDF and at
-  every p against the exact law of sum |z_k|^2
+  call, validated at p = 1 against the exact marginal CDF and at every p
+  against the exact law of sum |z_k|^2 and by split R-hat across the chains
   (``sample_generic_pair(chain.spectrum(i))`` gives an ambient pair);
 - :mod:`skewspec.cli` — the ``skewspec`` command-line frontend.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .density import (
     WeightSpec,
@@ -58,7 +58,7 @@ from .jacobian import (
     verify_density_shape,
 )
 from .matrixcore import frobenius_norm, haar_unitary, hermitian_eig
-from .sampler import ChainReport, ks_compare, p1_quadrature_cdf, radial_ks, run_chain
+from .sampler import ChainReport, ks_compare, p1_quadrature_cdf, radial_ks, run_chain, split_rhat
 
 __all__ = [
     "ChainReport",
@@ -92,6 +92,7 @@ __all__ = [
     "sample_generic_pair",
     "solve_K_bound",
     "spacing_stats",
+    "split_rhat",
     "tau",
     "tau_and_grad",
     "verify_density_shape",

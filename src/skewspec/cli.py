@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, _tau_of
+from .density import PAIR_TERMS, UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, _tau_of
 from .ensemble import SkewSpectrum
 from .fekete import DEFAULT_GAMMA, OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
 from .fekete import _k_constraint_lhs
 from .jacobian import JACOBIAN_TOL, DegenerateJacobian, verify_density_shape
-from .sampler import KS_MIN_SAMPLES, ks_compare, p1_quadrature_cdf, radial_ks, run_chain
+from .sampler import KS_MIN_SAMPLES, ks_compare, p1_quadrature_cdf, radial_ks, run_chain, split_rhat
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
@@ -43,7 +43,6 @@ SAMPLE_PAIR_TERMS = 1 << 22
 # coordinates, samples * 2p, one `sample` run retains; each costs about 50 B
 # on its way to samples.csv, so the limit is about 850 MB
 SAMPLE_COORDINATES = 1 << 24
-DENSITY_PAIR_TERMS = 1 << 16  # pair terms per kernel call of `density`, which bounds its temporaries
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -322,13 +321,14 @@ def cmd_sample(args, parser: _Parser) -> int:
         "chains": report.chains,
         "transitions": report.transitions,
         "kernel_calls": report.kernel_calls,
-        # the chain count at p >= 2; null at p = 1, where no kernel call serves a transition
-        "transitions_per_kernel_call": report.transitions / report.kernel_calls if report.kernel_calls else None,
+        "transitions_per_kernel_call": report.transitions / report.kernel_calls,
         # one [transitions made, window acceptance rate, scale from then on]
         # row per burn-in window, pooled over the chains
         "adaptation": [list(row) for row in report.adaptation],
         # recorded, not gated: KS of sum |z_k|^2 against its exact Gamma law
         "radial_ks": radial_ks(report, w),
+        # recorded, not gated: split R-hat across the chains (BDA3 form)
+        "split_rhat": split_rhat(report),
     }
     artifacts = ["samples.csv", "chain.json"]
 
@@ -398,11 +398,11 @@ def cmd_density(args, parser: _Parser) -> int:
 
     print("log_rho,tau")
     # one kernel call per run of rows of equal p, split where the run's pair
-    # terms would exceed DENSITY_PAIR_TERMS, and one write of its lines
+    # terms would exceed PAIR_TERMS, and one write of its lines
     for _, run in itertools.groupby(rows, key=len):
         run = list(run)
         p = len(run[0]) // 2
-        size = max(1, DENSITY_PAIR_TERMS // max(1, p * (p - 1) // 2))
+        size = max(1, PAIR_TERMS // max(1, p * (p - 1) // 2))
         for start in range(0, len(run), size):
             terms = _kernel(np.array(run[start : start + size]).reshape(-1, p, 2))
             # log_rho at --gamma, tau at gamma = 1

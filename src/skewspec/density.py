@@ -107,6 +107,11 @@ def _stack_pair_index(p: int, b: int) -> np.ndarray:
     return index
 
 
+# pair terms, B p(p - 1)/2, that callers keep one kernel call to: below it a
+# call costs mostly numpy's per-call overhead, and well above it the kernel's
+# temporaries come back from the allocator on each call
+PAIR_TERMS = 4096
+
 # the columns of a flagged configuration: no weight or pair term, and the
 # point term that carries the flag
 _FLAG = np.array([[0.0], [np.nan], [0.0]])

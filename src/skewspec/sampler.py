@@ -13,15 +13,13 @@ R = sum_k |z_k|^2 is Gamma((4p^2 + p)/2, rate gamma) (:func:`radial_ks`).
 
 The sampler runs K independent chains from the grid start as one (K, p, 2)
 stack, and step t of chain k takes increment [t, k] and uniform [t, k] of
-two streams spawned from the seed. One driver loop serves every p; only K
-and the walk, which takes the steps of one span, depend on p. At p >= 2
-each step proposes for every chain, makes one call of the density kernel
-and decides the K proposals together (:func:`_steps`), so every evaluated
-proposal is a transition; K is MAX_CHAINS while a step's kernel call holds
-few pair terms and falls to 1 as p grows (see PAIR_TERMS). At p = 1 there
-is no pair term, and a kernel call costs far more than the transition it
-serves, so K = 1 and the chain takes its transitions one at a time in
-Python floats (:func:`_scalar_walk`).
+two streams spawned from the seed. Each step proposes for every chain,
+makes one call of the density kernel and decides the K proposals together
+(:func:`_steps`), so every evaluated proposal is a transition. K is
+MAX_CHAINS while a step's kernel call holds few pair terms, as it does at
+p = 1, and falls to 1 as p grows (see density.PAIR_TERMS). Split R-hat
+across the K chains (:func:`split_rhat`) checks that they forget their
+common start.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, log_rho
+from .density import PAIR_TERMS, UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, log_rho
 from .ensemble import SkewSpectrum
 from .fekete import grid_initialization
 
@@ -41,11 +39,7 @@ ACCEPT_TARGET_LOW = 0.2
 ACCEPT_TARGET_HIGH = 0.4
 KS_MIN_SAMPLES = 1000  # fewest samples for which the KS statistic is meaningful
 GAMMA_TOL = 1e-15  # relative size of the last term or factor of the incomplete gamma's expansions
-MAX_CHAINS = 64  # most chains stepped as one stack at p >= 2
-# pair terms of a step's kernel call, K p(p - 1)/2, that the chain count
-# keeps to: below it a call costs mostly numpy's per-call overhead, and well
-# above it the kernel's temporaries come back from the allocator on each call
-PAIR_TERMS = 4096
+MAX_CHAINS = 64  # most chains stepped as one stack
 DRAW_BLOCK = 1024  # transitions whose increments and uniforms are drawn at once
 
 
@@ -53,7 +47,7 @@ DRAW_BLOCK = 1024  # transitions whose increments and uniforms are drawn at once
 class ChainReport:
     """Retained (post burn-in, thinned) samples and chain statistics.
 
-    ``chains`` independent chains (K, 1 at p = 1) ran side by side: each took
+    ``chains`` independent chains (K) ran side by side: each took
     ceil(burn_in / K) burn-in steps, then retained ceil(n_samples / K)
     states, one every ``thinning`` steps. Row i of ``samples`` is chain
     i mod K at its (i div K)-th retained state; the surplus of the last
@@ -86,8 +80,8 @@ class ChainReport:
 
     @property
     def kernel_calls(self) -> int:
-        """Density kernel calls of the transitions: one a step at p >= 2, none at p = 1."""
-        return 0 if self.p == 1 else self.transitions // self.chains
+        """Density kernel calls of the transitions: one a step, for all K chains."""
+        return self.transitions // self.chains
 
     def spectrum(self, index: int) -> SkewSpectrum:
         return SkewSpectrum(self.samples[index])
@@ -130,37 +124,6 @@ def _steps(states, log_density, increments, log_u, w, keep):
     return int(np.count_nonzero(accepted)), retained
 
 
-def _scalar_walk(states, log_density, increments, log_u, w, keep):
-    """:func:`_steps` for one chain at p = 1, in Python floats.
-
-    Each proposal is increment + state, and its log density is the kernel's
-    in the kernel's order of operations, with math.log for np.log; the two
-    logs may differ in the last bit, which changes a decision only where
-    log u falls within that bit. As in :func:`_steps`, a nonpositive
-    coordinate is a rejection, log u = -inf accepts any finite proposal, a
-    proposal whose |z|^2 overflows or underflows to 0 raises
-    FloatingPointError, and ``states`` (1, 1, 2) and ``log_density`` (1,)
-    are updated in place.
-    """
-    neg_gamma = -float(w.gamma)
-    (((x, y),),), (current,) = states.tolist(), log_density.tolist()
-    accepts, retained = 0, []
-    for t, ((dx, dy), lu) in enumerate(zip(increments.reshape(-1, 2).tolist(), log_u.ravel().tolist())):
-        px, py = dx + x, dy + y
-        if px > 0.0 and py > 0.0:
-            r2 = px * px + py * py
-            if not 0.0 < r2 < math.inf:
-                raise FloatingPointError(UNREPRESENTABLE)
-            candidate = neg_gamma * r2 + (math.log(px) + math.log(py) + 0.5 * math.log(r2))
-            if lu < candidate - current:
-                x, y, current = px, py, candidate
-                accepts += 1
-        if t in keep:
-            retained.append([[(x, y)]])
-    states[0, 0], log_density[0] = (x, y), current
-    return accepts, retained
-
-
 def run_chain(
     p: int,
     w: WeightSpec,
@@ -190,10 +153,7 @@ def run_chain(
     if burn_in < 0 or thinning < 1:
         raise ValueError("burn_in must be >= 0 and thinning >= 1")
 
-    if p == 1:
-        k, walk = 1, _scalar_walk
-    else:
-        k, walk = min(n_samples, max(1, min(MAX_CHAINS, PAIR_TERMS // (p * (p - 1) // 2)))), _steps
+    k = max(1, min(n_samples, MAX_CHAINS, PAIR_TERMS // max(1, p * (p - 1) // 2)))
     burn, kept = -(-burn_in // k), -(-n_samples // k)  # steps of burn-in, states retained per chain
     total, window, block = burn + kept * thinning, -(-ADAPT_WINDOW // k), max(1, DRAW_BLOCK // k)
     normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
@@ -213,13 +173,13 @@ def run_chain(
                 log_u = np.log(uniforms.random((block, k)))
             block_start, block_end = made, made + block
         # a span ends at an adaptation boundary, at the end of burn-in and at
-        # the end of the drawn block, and the scale holds over it; the walk
+        # the end of the drawn block, and the scale holds over it; _steps
         # copies the states after each step burn + j * thinning (j >= 1) in
         # it, the next being the one past the retentions made so far
         stop = min(burn, (made // window + 1) * window) if made < burn else total
         span = slice(made - block_start, min(stop, block_end) - block_start)
         keep = range(burn + (len(samples) + 1) * thinning - made - 1, span.stop - span.start, thinning)
-        accepts, retained = walk(states, log_density, scale * steps[span], log_u[span], w, keep)
+        accepts, retained = _steps(states, log_density, scale * steps[span], log_u[span], w, keep)
         samples += retained
         made = block_start + span.stop
         if made <= burn:
@@ -342,3 +302,33 @@ def radial_ks(chain: ChainReport, w: WeightSpec) -> float:
     shape = (4 * chain.p**2 + chain.p) / 2
     radial = np.sum(chain.samples * chain.samples, axis=(1, 2))
     return _ks_statistic(radial, lambda r: _gamma_p(shape, w.gamma * r))
+
+
+def split_rhat(chain: ChainReport) -> dict[str, float | None]:
+    """Split R-hat across the K chains of R = sum_k |z_k|^2, the least x_k and the largest |z_k|.
+
+    The form of Gelman et al., *Bayesian Data Analysis* (3rd ed., section
+    11.4); the rank-normalised form (Vehtari et al. 2021) needs an inverse
+    normal CDF, which numpy lacks. Each chain's whole retentions are cut
+    into a first and a last half of m draws; with W the mean variance within
+    the 2K halves and B/m the variance of their means, R-hat =
+    sqrt(((m - 1)/m W + B/m) / W). It is near 1 where the chains have
+    forgotten their start, and None where m < 2 or every half is constant.
+    """
+    k = chain.chains
+    whole = chain.samples[: chain.n_samples // k * k]
+    squares = np.sum(whole * whole, axis=2)  # (n K, p) of |z_k|^2
+    statistics = {
+        "R": np.sum(squares, axis=1),
+        "least_x": np.min(whole[:, :, 0], axis=1),
+        "max_norm": np.sqrt(np.max(squares, axis=1)),
+    }
+    rhat, m = dict.fromkeys(statistics), len(whole) // k // 2
+    for name, values in statistics.items():
+        draws = values.reshape(-1, k)
+        halves = np.concatenate([draws[:m], draws[len(draws) - m :]], axis=1)
+        # a constant half's variance may round to above 0, so test the range
+        if m >= 2 and np.any(np.ptp(halves, axis=0)):
+            within, between = np.mean(np.var(halves, axis=0, ddof=1)), np.var(np.mean(halves, axis=0), ddof=1)
+            rhat[name] = math.sqrt(((m - 1) / m * within + between) / within)
+    return rhat

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import skewspec
 from skewspec.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from skewspec.density import PAIR_TERMS, WeightSpec, _kernel, _log_rho_of, _tau_of
 
 
 def run_cli(*argv):
@@ -276,6 +277,9 @@ def test_sample_p1_with_ks(tmp_path):
     chain = read_json(out / "chain.json")
     assert chain["n_samples"] == 1500
     assert 0.0 < chain["acceptance_rate"] < 1.0
+    # 64 chains of 23 whole retentions: split R-hat of each statistic is recorded
+    assert sorted(chain["split_rhat"]) == ["R", "least_x", "max_norm"]
+    assert all(isinstance(value, float) and value > 0.0 for value in chain["split_rhat"].values())
 
 
 def test_sample_p3_schema(tmp_path):
@@ -302,8 +306,7 @@ def test_sample_p3_schema(tmp_path):
 
 
 def test_sample_p1_schema(tmp_path):
-    # no kernel call serves a p = 1 transition, so the count is 0 and the
-    # ratio is null, not a division by zero
+    # 20 chains as at p = 3; one retention per chain leaves split R-hat undefined
     out = tmp_path / "smp1"
     code = run_cli(
         "sample", "--p", "1", "--samples", "20", "--burnin", "200",
@@ -317,9 +320,9 @@ def test_sample_p1_schema(tmp_path):
     assert all(len(line.split(",")) == 2 for line in lines[1:])
     assert not (out / "ks.json").exists()
     chain = read_json(out / "chain.json")
-    assert (chain["chains"], chain["kernel_calls"], chain["transitions"]) == (1, 0, 240)
-    assert chain["transitions_per_kernel_call"] is None
-    assert '"transitions_per_kernel_call": null' in (out / "chain.json").read_text()
+    assert (chain["chains"], chain["kernel_calls"], chain["transitions"]) == (20, 12, 240)
+    assert chain["transitions_per_kernel_call"] == 20
+    assert chain["split_rhat"] == {"R": None, "least_x": None, "max_norm": None}
     assert chain["ks_check"].startswith("skipped")
     [(step, rate, scale)] = chain["adaptation"]
     assert step == 200 and 0.0 <= rate <= 1.0 and scale == chain["step_scale"]
@@ -388,6 +391,27 @@ def test_density_underflow_exits_numerical(tmp_path, capsys):
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+
+
+def test_density_rows_spanning_several_kernel_calls(tmp_path, capsys):
+    # a run of rows past PAIR_TERMS pair terms goes to the kernel in chunks:
+    # p = 1 and p = 3 runs of three chunks each, a vanishing row inside the
+    # first; every line is what a kernel call on its row alone gives
+    rng = np.random.default_rng(12)
+    p1 = (0.1 + 3.0 * rng.random((2 * PAIR_TERMS + 5, 2))).tolist()
+    p1[PAIR_TERMS + 1] = [0.0, 1.0]
+    p3 = (0.1 + 3.0 * rng.random((2 * (PAIR_TERMS // 3) + 7, 6))).tolist()
+    rows = p1 + p3
+    csv = tmp_path / "pts.csv"
+    csv.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    assert run_cli("density", "--points", str(csv), "--gamma", "2") == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    expected = []
+    for row in rows:
+        terms = _kernel(np.array(row).reshape(1, -1, 2))
+        expected.append(f"{float(_log_rho_of(terms, WeightSpec(2.0))[0])!r},{float(_tau_of(terms, 1.0)[0])!r}")
+    assert lines == ["log_rho,tau", *expected]
+    assert lines[PAIR_TERMS + 2] == "-inf,inf"
 
 
 def test_density_tau_column_ignores_gamma(tmp_path, capsys):

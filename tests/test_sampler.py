@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skewspec.cli import main
-from skewspec.density import WeightSpec, _kernel, _log_rho_of, log_rho
+from skewspec.density import WeightSpec, log_rho
 from skewspec.ensemble import extract_skew_spectrum, sample_generic_pair
 from skewspec.fekete import grid_initialization
 from skewspec.matrixcore import frobenius_norm
@@ -16,12 +16,12 @@ from skewspec.sampler import (
     ACCEPT_TARGET_LOW,
     ChainReport,
     _gamma_p,
-    _scalar_walk,
     _steps,
     ks_compare,
     p1_quadrature_cdf,
     radial_ks,
     run_chain,
+    split_rhat,
 )
 
 W_HALF = WeightSpec(gamma=0.5)
@@ -126,76 +126,52 @@ def test_metropolis_trajectory_stays_finite():
     assert log_density.tolist() == [log_rho(pts, W_HALF) for pts in states]
 
 
-# the p = 1 chain's scalar walk and the K chains' step, each on one chain
-P1_WALKS = [_scalar_walk, _steps]
-P1_WALK_IDS = ["_scalar_walk", "walk1"]  # case names that stay put when the second walk changes
+# the p = 1 edge cases in a lone chain, and in the last of run_chain's 64
+P1_CHAINS = [1, 64]
+P1_CHAIN_IDS = ["walk1", "walk64"]
 
 
-def _one_transition(walk, state, increment, log_u, log_density=0.0):
-    """One transition of one p = 1 chain: (acceptances, state after it, its log density)."""
-    states, densities = np.array([[state]], dtype=float), np.array([log_density])
-    accepts, _ = walk(states, densities, np.array([[[increment]]], dtype=float), np.array([[log_u]]), W_HALF, range(0))
-    return accepts, states[0], densities[0]
+def _one_transition(k, state, increment, log_u, log_density=0.0):
+    """One p = 1 step of k chains, the case in the last: (acceptances, its state after it, its log density).
+
+    The other chains sit at (1, 1) with its exact log density and propose it
+    again with log u = 0, so delta is exactly 0 and each rejects.
+    """
+    states, densities = np.ones((k, 1, 2)), np.full(k, log_rho(np.ones((1, 2)), W_HALF))
+    states[-1, 0], densities[-1] = state, log_density
+    increments, log_us = np.zeros((1, k, 1, 2)), np.zeros((1, k))
+    increments[0, -1, 0], log_us[0, -1] = increment, log_u
+    accepts, _ = _steps(states, densities, increments, log_us, W_HALF, range(0))
+    assert np.all(states[:-1] == 1.0)
+    return accepts, states[-1], densities[-1]
 
 
-@pytest.mark.parametrize("walk", P1_WALKS, ids=P1_WALK_IDS)
+@pytest.mark.parametrize("k", P1_CHAINS, ids=P1_CHAIN_IDS)
 @pytest.mark.parametrize("state,increment", [((1.0, 1.0), (1e160, 0.0)), ((1e-170, 1e-170), (0.0, 0.0))])
-def test_p1_walk_raises_where_r2_cannot_be_represented(walk, state, increment):
-    # |z|^2 of the proposal overflows, or underflows to 0: the kernel flags NaN,
-    # and the scalar walk raises where the kernel's step does, whatever log u is
+def test_p1_walk_raises_where_r2_cannot_be_represented(k, state, increment):
+    # |z|^2 of the proposal overflows, or underflows to 0: the kernel flags
+    # NaN, and the step raises, whatever log u is
     for log_u in (-math.inf, 0.0):
         with pytest.raises(FloatingPointError):
-            _one_transition(walk, state, increment, log_u)
+            _one_transition(k, state, increment, log_u)
 
 
-@pytest.mark.parametrize("walk", P1_WALKS, ids=P1_WALK_IDS)
+@pytest.mark.parametrize("k", P1_CHAINS, ids=P1_CHAIN_IDS)
 @pytest.mark.parametrize("increment", [(-2.0, 0.5), (-1.0, 0.0), (0.5, -3.0), (-1.0, -1.0)])
-def test_p1_walk_rejects_a_nonpositive_proposal(walk, increment):
+def test_p1_walk_rejects_a_nonpositive_proposal(k, increment):
     log_density = log_rho(np.array([[1.0, 1.0]]), W_HALF)
-    accepts, out, out_log = _one_transition(walk, (1.0, 1.0), increment, -math.inf, log_density)
+    accepts, out, out_log = _one_transition(k, (1.0, 1.0), increment, -math.inf, log_density)
     assert (accepts, out_log) == (0, log_density)
     assert np.array_equal(out, [[1.0, 1.0]])
 
 
 def test_p1_walk_with_log_u_of_minus_inf_accepts():
-    # a proposal far down the tail is accepted by a uniform of 0, by both walks
-    outcomes = [_one_transition(walk, (1.0, 1.0), (20.0, 30.0), -math.inf, 5.0) for walk in P1_WALKS]
-    for accepts, out, out_log in outcomes:
+    # a proposal far down the tail is accepted by a uniform of 0, alone or among 64 chains
+    for k in P1_CHAINS:
+        accepts, out, out_log = _one_transition(k, (1.0, 1.0), (20.0, 30.0), -math.inf, 5.0)
         assert accepts == 1
         assert np.array_equal(out, [[21.0, 31.0]])
-        assert out_log == pytest.approx(log_rho(out, W_HALF), rel=1e-15)
-
-
-def test_p1_walks_retain_the_same_states_mid_span():
-    # one p = 1 batch of 60 steps through both walks, retaining every 7th
-    # state from offset 5; each log u is -inf or just below 0, so a decision
-    # turns on the quadrant or on the sign of delta, which the walks' last-bit
-    # difference in log density could flip only for a delta within ulps of 0
-    rng = np.random.default_rng(17)
-    increments = 0.8 * rng.standard_normal((60, 1, 1, 2))
-    log_u = np.where(rng.uniform(size=(60, 1)) < 0.5, -math.inf, LOG_U_NEAR_ONE)
-    keep = range(5, 60, 7)
-    runs = []
-    for walk in P1_WALKS:
-        states, log_density = _chains_from_grid(1, 1)
-        accepts, retained = walk(states, log_density, increments, log_u, W_HALF, keep)
-        runs.append((accepts, np.array(retained), states, log_density))
-    (accepts, retained, states, log_density), (accepts_k, retained_k, states_k, log_density_k) = runs
-    assert 0 < accepts == accepts_k < 60
-    assert retained.shape == (len(keep), 1, 1, 2)
-    assert np.array_equal(retained, retained_k) and np.array_equal(states, states_k)
-    assert len({tuple(state.ravel()) for state in retained}) > 1
-    assert log_density[0] == pytest.approx(log_density_k[0], rel=1e-15)
-
-
-def test_scalar_candidate_within_4_ulp_of_log_rho():
-    # the scalar walk takes math.log where the kernel takes np.log; they may
-    # differ in the last bit, so its log density may too, but barely
-    rng = np.random.default_rng(9)
-    pts = np.exp(rng.uniform(-8.0, 5.0, (100_000, 1, 2)))
-    exact = _log_rho_of(_kernel(pts), W_HALF)  # log_rho of each point, bit for bit
-    scalar = np.array([_one_transition(_scalar_walk, state, (0.0, 0.0), -math.inf)[2] for state in pts[:, 0].tolist()])
-    assert np.all(np.abs(scalar - exact) <= 4 * np.spacing(np.abs(exact)))
+        assert out_log == log_rho(out, W_HALF)
 
 
 def _sequential_chains(p, w, n_samples, burn_in, thinning, seed, k):
@@ -235,18 +211,13 @@ def _sequential_chains(p, w, n_samples, burn_in, thinning, seed, k):
 
 @pytest.mark.parametrize("chains", [1, 2, 8, 64])
 def test_chain_is_sequential_metropolis(monkeypatch, chains):
-    # at p >= 2, K = min(n_samples, MAX_CHAINS) chains here, and one chain
-    # at p = 1; a draw block of 7 transitions draws one step at a time for K >= 4
+    # K = min(n_samples, MAX_CHAINS) chains here at every p; a draw block of
+    # 7 transitions draws one step at a time for K >= 4
     import skewspec.sampler
 
     monkeypatch.setattr(skewspec.sampler, "MAX_CHAINS", chains)
-    for p, burn_in, thinning in [(1, 450, 1), (1, 300, 7)]:
-        chain = run_chain(p, W_HALF, 50, burn_in=burn_in, thinning=thinning, seed=4)
-        samples, acceptance, scale = _sequential_chains(p, W_HALF, 50, burn_in, thinning, 4, 1)
-        assert chain.chains == 1
-        assert np.array_equal(chain.samples, samples)
-        assert (chain.acceptance_rate, chain.step_scale) == (acceptance, scale)
-    for p, burn_in, thinning, block in [(2, 450, 1, 1024), (3, 400, 3, 1024), (3, 410, 7, 7)]:
+    cases = [(1, 450, 1, 1024), (1, 300, 7, 1024), (2, 450, 1, 1024), (3, 400, 3, 1024), (3, 410, 7, 7)]
+    for p, burn_in, thinning, block in cases:
         monkeypatch.setattr(skewspec.sampler, "DRAW_BLOCK", block)
         chain = run_chain(p, W_HALF, 50, burn_in=burn_in, thinning=thinning, seed=4)
         k = min(50, chains)
@@ -318,10 +289,9 @@ def _poisoned_normals(monkeypatch, row):
 def test_speculative_nan_row_does_not_raise(monkeypatch):
     # the streams are drawn ahead of need; a drawn row past the last step is
     # never proposed, so a row whose density cannot be represented raises
-    # only where a chain steps on it. At p = 1 the 830 transitions leave
-    # rows 830..1023 of the first block unused, and at p = 3 the 60 chains
+    # only where a chain steps on it. At p = 1 and at p = 3 the 60 chains
     # make 7 + 7 steps of a 17-step block.
-    for p, total in [(1, 830), (3, 14)]:
+    for p, total in [(1, 14), (3, 14)]:
         reference = run_chain(p, W_HALF, 60, burn_in=410, thinning=7, seed=3)
         assert reference.transitions // reference.chains == total
         with monkeypatch.context() as patch:
@@ -400,18 +370,18 @@ def test_run_chain_stationarity_between_segments():
 # sha256 of the samples (little-endian float64), the acceptance rate, the
 # step scale, and the stdout of `density --gamma 0.5` on the samples, in the
 # layout of two spawned streams (increments, uniforms) drawn step by step and
-# chain by chain. The p3 row is the 64 chains of version 0.3.0; the p1 row
-# has not moved since 0.2.0. Recorded with numpy 2.4 on x86-64 with AVX-512;
+# chain by chain. The p3 row is the 64 chains of version 0.3.0, the p1 row
+# the 64 chains of version 0.4.0. Recorded with numpy 2.4 on x86-64 with AVX-512;
 # numpy's log kernels differ between instruction sets, so the digests can
 # differ on another processor.
 PINNED_CHAINS = [
     (
         1,
         dict(n_samples=300, burn_in=400, thinning=5, seed=11),
-        "58747d48912243a12047a8992a0879cf2493d752adf5f3abefd417c2e9a02a8d",
-        0.5186666666666667,
-        0.72,
-        "9f7cdf6328bf53d21c86f678631f43646fbccbfd95d1c92c06284f1879d34dc4",
+        "89bd915b04dc46e4755509346186c5d583e64921dd47db6bb4a438bb67754dc3",
+        0.606875,
+        0.6,
+        "9abae669948d2f15725ad27dcfbd56e73e041c8c3452d858d688d604f22892e3",
     ),
     (
         3,
@@ -578,3 +548,29 @@ def test_radial_law_of_seeded_chains(p, n_samples):
     bad = run_chain(p, WeightSpec(gamma=1.0), n_samples, burn_in=20_000, thinning=20, seed=40 + p)
     assert radial_ks(bad, W_HALF) > 0.05
     assert radial_ks(bad, WeightSpec(gamma=1.0)) < 0.05
+
+
+@pytest.mark.parametrize("seed", [110, 3, 7, 11])
+def test_p1_chains_forget_the_grid_start(seed):
+    # the benchmark's p = 1 chain: 64 chains of 157 burn-in steps each, whose
+    # split R-hat of every statistic stays under 1.01
+    chain = run_chain(1, W_HALF, 10_000, seed=seed)
+    assert (chain.chains, -(-chain.burn_in // chain.chains)) == (64, 157)
+    assert all(value < 1.01 for value in split_rhat(chain).values())
+
+
+def test_split_rhat_sees_chains_with_shifted_means():
+    # 8 synthetic p = 2 chains of 400 independent draws give split R-hat near
+    # 1; shifting chain k's coordinates by k/2 must push it past 1.1
+    rng = np.random.default_rng(5)
+    draws = 1.0 + np.abs(rng.standard_normal((400, 8, 2, 2)))  # [retention, chain, point, coordinate]
+
+    def chains(d):
+        return ChainReport(d.reshape(-1, 2, 2), acceptance_rate=0.3, burn_in=0, thinning=1, step_scale=0.5, chains=8)
+
+    assert all(abs(value - 1.0) < 0.01 for value in split_rhat(chains(draws)).values())
+    shifted = draws + 0.5 * np.arange(8)[None, :, None, None]
+    assert all(value > 1.1 for value in split_rhat(chains(shifted)).values())
+    # three whole retentions leave halves of one draw, and constant halves no variance
+    assert set(split_rhat(chains(draws[:3])).values()) == {None}
+    assert set(split_rhat(chains(np.ones((400, 8, 2, 2)))).values()) == {None}
