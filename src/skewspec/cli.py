@@ -321,7 +321,6 @@ def cmd_sample(args, parser: _Parser) -> int:
         "chains": report.chains,
         "transitions": report.transitions,
         "kernel_calls": report.kernel_calls,
-        "transitions_per_kernel_call": report.transitions / report.kernel_calls,
         # one [transitions made, window acceptance rate, scale from then on]
         # row per burn-in window, pooled over the chains
         "adaptation": [list(row) for row in report.adaptation],

@@ -72,9 +72,9 @@ class SkewSpectrum:
         """
         return _distinct(self.points, rel_gap)
 
-    def has_distinct_x(self, rel_gap: float = GENERIC_GAP_TOL) -> bool:
-        """True when all x_j are distinct, in the sense of :meth:`is_generic`; the y_j may repeat."""
-        return _distinct(self.x, rel_gap)
+    def has_distinct_x(self) -> bool:
+        """True when all x_j are distinct, in the sense of :meth:`is_generic` at its default gap; the y_j may repeat."""
+        return _distinct(self.x, GENERIC_GAP_TOL)
 
     def sorted(self) -> "SkewSpectrum":
         """Canonical ordering: ascending in x."""

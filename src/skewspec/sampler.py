@@ -15,7 +15,7 @@ The sampler runs K independent chains from the grid start as one (K, p, 2)
 stack, and step t of chain k takes increment [t, k] and uniform [t, k] of
 two streams spawned from the seed. Each step proposes for every chain,
 makes one call of the density kernel and decides the K proposals together
-(:func:`_steps`), so every evaluated proposal is a transition. K is
+(:func:`_step`), so every evaluated proposal is a transition. K is
 MAX_CHAINS while a step's kernel call holds few pair terms, as it does at
 p = 1, and falls to 1 as p grows (see density.PAIR_TERMS). Split R-hat
 across the K chains (:func:`split_rhat`) checks that they forget their
@@ -96,32 +96,23 @@ def _adapted(scale: float, rate: float) -> float:
     return scale
 
 
-def _steps(states, log_density, increments, log_u, w, keep):
-    """Metropolis steps of K chains over a (T, K, p, 2) batch of scaled increments, one kernel call a step.
+def _step(states, log_density, proposal, log_u, w):
+    """One Metropolis step of K chains, one kernel call for the K proposals: the number of acceptances.
 
-    At step t chain k proposes its state plus ``increments[t, k]`` and
-    accepts iff log_u[t, k] < log_rho(proposal) - log_rho(state), so a
-    proposal off the quadrant is a rejection and log u = -inf accepts any
-    finite proposal. ``states`` (K, p, 2) and ``log_density`` (K,) are
-    updated in place. Returns the number of acceptances and a copy of the
-    states after each step whose offset in the batch is in ``keep``. Raises
-    FloatingPointError where a proposal's density cannot be represented.
+    Chain k moves to ``proposal[k]`` iff log_u[k] < log_rho(proposal[k]) -
+    log_rho(states[k]), so a proposal off the quadrant is a rejection and
+    log u = -inf accepts any finite proposal. ``states`` (K, p, 2) and
+    ``log_density`` (K,) are updated in place. Raises FloatingPointError
+    where a proposal's density cannot be represented.
     """
-    accepted = np.empty(log_u.shape, dtype=bool)
-    delta = np.empty(log_u.shape)
-    retained = []
-    for t, increment in enumerate(increments):
-        proposal = increment + states
-        candidate = _log_rho_of(_kernel(proposal), w)
-        np.less(log_u[t], np.subtract(candidate, log_density, out=delta[t]), out=accepted[t])
-        np.copyto(states, proposal, where=accepted[t, :, None, None])
-        np.copyto(log_density, candidate, where=accepted[t])
-        if t in keep:
-            retained.append(states.copy())
-    # a NaN proposal is rejected and moves no state, so one test after the batch suffices
+    candidate = _log_rho_of(_kernel(proposal), w)
+    delta = candidate - log_density
     if np.isnan(delta).any():
         raise FloatingPointError(UNREPRESENTABLE)
-    return int(np.count_nonzero(accepted)), retained
+    accepted = log_u < delta
+    np.copyto(states, proposal, where=accepted[:, None, None])
+    np.copyto(log_density, candidate, where=accepted)
+    return int(np.count_nonzero(accepted))
 
 
 def run_chain(
@@ -163,37 +154,27 @@ def run_chain(
     scale = 0.5
 
     samples = []  # the (K, p, 2) states of each retention
-    window_accepts = accepted_total = 0
     adaptation = []
-    made = block_end = 0  # steps
-    while made < total:
-        if made == block_end:
+    accepts = 0  # acceptances in the current adaptation window, then in the sampling phase
+    for step in range(1, total + 1):
+        row = (step - 1) % block
+        if row == 0:
             steps = normals.standard_normal((block, k, p, 2))
             with np.errstate(divide="ignore"):  # a uniform of 0 accepts any finite proposal
                 log_u = np.log(uniforms.random((block, k)))
-            block_start, block_end = made, made + block
-        # a span ends at an adaptation boundary, at the end of burn-in and at
-        # the end of the drawn block, and the scale holds over it; _steps
-        # copies the states after each step burn + j * thinning (j >= 1) in
-        # it, the next being the one past the retentions made so far
-        stop = min(burn, (made // window + 1) * window) if made < burn else total
-        span = slice(made - block_start, min(stop, block_end) - block_start)
-        keep = range(burn + (len(samples) + 1) * thinning - made - 1, span.stop - span.start, thinning)
-        accepts, retained = _steps(states, log_density, scale * steps[span], log_u[span], w, keep)
-        samples += retained
-        made = block_start + span.stop
-        if made <= burn:
-            window_accepts += accepts
-            if made % window == 0:
-                rate = window_accepts / (window * k)
+        accepts += _step(states, log_density, scale * steps[row] + states, log_u[row], w)
+        if step <= burn:
+            if step % window == 0:
+                rate = accepts / (window * k)
                 scale = _adapted(scale, rate)
-                adaptation.append((made * k, rate, scale))
-                window_accepts = 0
-        else:
-            accepted_total += accepts
+                adaptation.append((step * k, rate, scale))
+            if step % window == 0 or step == burn:
+                accepts = 0  # the next window, or the sampling phase, counts afresh
+        elif (step - burn) % thinning == 0:
+            samples.append(states.copy())
 
     rows = np.reshape(samples, (-1, p, 2))[:n_samples]
-    acceptance = accepted_total / (k * kept * thinning)
+    acceptance = accepts / (k * kept * thinning)
     return ChainReport(rows, acceptance, burn_in, thinning, scale, chains=k, adaptation=tuple(adaptation))
 
 

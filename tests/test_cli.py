@@ -299,7 +299,6 @@ def test_sample_p3_schema(tmp_path):
     # adaptation window of 200 pooled transitions, then one retention 2 steps on
     chain = read_json(out / "chain.json")
     assert (chain["chains"], chain["kernel_calls"], chain["transitions"]) == (20, 12, 240)
-    assert chain["transitions_per_kernel_call"] == 20
     [(transitions, rate, scale)] = chain["adaptation"]
     assert transitions == 200 and 0.0 <= rate <= 1.0 and scale == chain["step_scale"]
     assert 0.0 < chain["radial_ks"] < 1.0
@@ -321,7 +320,6 @@ def test_sample_p1_schema(tmp_path):
     assert not (out / "ks.json").exists()
     chain = read_json(out / "chain.json")
     assert (chain["chains"], chain["kernel_calls"], chain["transitions"]) == (20, 12, 240)
-    assert chain["transitions_per_kernel_call"] == 20
     assert chain["split_rhat"] == {"R": None, "least_x": None, "max_norm": None}
     assert chain["ks_check"].startswith("skipped")
     [(step, rate, scale)] = chain["adaptation"]

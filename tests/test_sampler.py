@@ -16,7 +16,7 @@ from skewspec.sampler import (
     ACCEPT_TARGET_LOW,
     ChainReport,
     _gamma_p,
-    _steps,
+    _step,
     ks_compare,
     p1_quadrature_cdf,
     radial_ks,
@@ -46,10 +46,9 @@ def test_propose_and_decide_is_metropolis_rule():
     for delta, u, accepted in cases:
         cached = target - delta
         log_u = LOG_U_NEAR_ONE if u is None else np.log(u)
-        # a zero increment proposes the current points themselves
+        # the proposal is a copy of the current points
         states, log_density = np.array([pts]), np.array([cached])
-        accepts, _ = _steps(states, log_density, np.zeros((1, 1, 2, 2)), np.array([[log_u]]), W_HALF, range(0))
-        assert accepts == int(accepted)
+        assert _step(states, log_density, states.copy(), np.array([log_u]), W_HALF) == int(accepted)
         assert log_density[0] == (target if accepted else cached)
 
 
@@ -65,8 +64,8 @@ def test_propose_and_decide_rejects_outside_quadrant():
     rng = np.random.default_rng(0)
     states, log_density = _chains_from_grid(2, 20)
     before, cached = states.copy(), log_density.copy()
-    increments, log_u = 200.0 * rng.standard_normal((1, 20, 2, 2)), np.log(rng.uniform(size=(1, 20)))
-    accepts, _ = _steps(states, log_density, increments, log_u, W_HALF, range(0))
+    proposal, log_u = states + 200.0 * rng.standard_normal((20, 2, 2)), np.log(rng.uniform(size=20))
+    accepts = _step(states, log_density, proposal, log_u, W_HALF)
     rejected = np.all(states == before, axis=(1, 2))
     assert accepts == 20 - np.count_nonzero(rejected) <= 2
     assert np.array_equal(log_density[rejected], cached[rejected])
@@ -76,11 +75,11 @@ def test_off_quadrant_proposal_is_rejected_whatever_log_u():
     # an off-quadrant proposal has a vanishing density, which even log u = -inf
     # does not accept, while the chain beside it accepts a finite proposal
     states, log_density = _chains_from_grid(2, 2)
-    increments = np.zeros((1, 2, 2, 2))
-    increments[0, 0, 1, 0] = -5.0  # chain 0 proposes x_2 = -4
-    increments[0, 1] = 10.0  # chain 1 proposes a far but finite configuration
+    proposal = states.copy()
+    proposal[0, 1, 0] = -4.0  # chain 0 proposes x_2 = -4
+    proposal[1] += 10.0  # chain 1 proposes a far but finite configuration
     before, cached = states.copy(), log_density.copy()
-    assert _steps(states, log_density, increments, np.full((1, 2), -math.inf), W_HALF, range(0)) == (1, [])
+    assert _step(states, log_density, proposal, np.full(2, -math.inf), W_HALF) == 1
     assert np.array_equal(states[0], before[0]) and log_density[0] == cached[0]
     assert np.array_equal(states[1], before[1] + 10.0) and log_density[1] == log_rho(states[1], W_HALF)
 
@@ -91,7 +90,7 @@ def test_proposals_that_underflow_raise():
     tiny = np.array([[[1.0, 2.0], [3.0, 1.5]]]) * 1e-170
     for log_u in (-math.inf, 0.0):
         with pytest.raises(FloatingPointError):
-            _steps(tiny.copy(), np.zeros(1), np.zeros((1, 1, 2, 2)), np.array([[log_u]]), W_HALF, range(0))
+            _step(tiny.copy(), np.zeros(1), tiny.copy(), np.array([log_u]), W_HALF)
 
 
 def _batches(p, seed, n_batches, k=4, depth=4):
@@ -101,7 +100,7 @@ def _batches(p, seed, n_batches, k=4, depth=4):
     for _ in range(n_batches):
         increments = 0.5 * rng.standard_normal((depth, k, p, 2))
         log_u = np.log(rng.uniform(size=(depth, k)))
-        accepted, _ = _steps(states, log_density, increments, log_u, W_HALF, range(0))
+        accepted = sum(_step(states, log_density, states + d, u, W_HALF) for d, u in zip(increments, log_u))
         yield accepted, states, log_density
 
 
@@ -139,9 +138,10 @@ def _one_transition(k, state, increment, log_u, log_density=0.0):
     """
     states, densities = np.ones((k, 1, 2)), np.full(k, log_rho(np.ones((1, 2)), W_HALF))
     states[-1, 0], densities[-1] = state, log_density
-    increments, log_us = np.zeros((1, k, 1, 2)), np.zeros((1, k))
-    increments[0, -1, 0], log_us[0, -1] = increment, log_u
-    accepts, _ = _steps(states, densities, increments, log_us, W_HALF, range(0))
+    proposal, log_us = states.copy(), np.zeros(k)
+    proposal[-1, 0] += increment
+    log_us[-1] = log_u
+    accepts = _step(states, densities, proposal, log_us, W_HALF)
     assert np.all(states[:-1] == 1.0)
     return accepts, states[-1], densities[-1]
 
