@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import PAIR_TERMS, UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, _tau_of
+from .density import WeightSpec, _kernel, _log_rho_of, _tau_of
 from .ensemble import SkewSpectrum
 from .fekete import DEFAULT_GAMMA, OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
 from .fekete import _k_constraint_lhs
@@ -396,21 +396,12 @@ def cmd_density(args, parser: _Parser) -> int:
         return EXIT_DATA
 
     print("log_rho,tau")
-    # one kernel call per run of rows of equal p, split where the run's pair
-    # terms would exceed PAIR_TERMS, and one write of its lines
-    for _, run in itertools.groupby(rows, key=len):
-        run = list(run)
-        p = len(run[0]) // 2
-        size = max(1, PAIR_TERMS // max(1, p * (p - 1) // 2))
-        for start in range(0, len(run), size):
-            terms = _kernel(np.array(run[start : start + size]).reshape(-1, p, 2))
-            # log_rho at --gamma, tau at gamma = 1
-            values = _log_rho_of(terms, w).tolist()
-            printable = next((k for k, value in enumerate(values) if math.isnan(value)), len(values))
-            lines = zip(values[:printable], _tau_of(terms, 1.0).tolist())
-            sys.stdout.write("".join(f"{value!r},{t!r}\n" for value, t in lines))
-            if printable < len(values):
-                raise FloatingPointError(UNREPRESENTABLE)
+    # one kernel call and one write of its lines per run of rows of equal p
+    for length, run in itertools.groupby(rows, key=len):
+        terms = _kernel(np.array(list(run)).reshape(-1, length // 2, 2))
+        # log_rho at --gamma, tau at gamma = 1
+        lines = zip(_log_rho_of(terms, w).tolist(), _tau_of(terms, 1.0).tolist())
+        sys.stdout.write("".join(f"{value!r},{t!r}\n" for value, t in lines))
     return EXIT_OK
 
 

@@ -107,17 +107,22 @@ def _stack_pair_index(p: int, b: int) -> np.ndarray:
     return index
 
 
-# pair terms, B p(p - 1)/2, that callers keep one kernel call to: below it a
-# call costs mostly numpy's per-call overhead, and well above it the kernel's
-# temporaries come back from the allocator on each call
+# pair terms, B p(p - 1)/2, of one pass of the kernel: below it a pass costs
+# mostly numpy's per-call overhead, and well above it the pass's temporaries
+# come back from the allocator each time
 PAIR_TERMS = 4096
 
-# the columns of a flagged configuration: no weight or pair term, and the
-# point term that carries the flag
-_FLAG = np.array([[0.0], [np.nan], [0.0]])
+# the columns of a vanishing configuration: no weight or pair term, and a
+# point term of -inf
+_VANISHED = np.array([[0.0], [-np.inf], [0.0]])
 
 
-# a flagged column takes logs of zeros and negatives; the decorator form of
+def stack_size(p: int) -> int:
+    """Configurations of p points in one pass of the kernel: PAIR_TERMS pair terms, and at least one."""
+    return max(1, PAIR_TERMS // max(1, p * (p - 1) // 2))
+
+
+# a vanishing column takes logs of zeros and negatives; the decorator form of
 # errstate costs about half of the context-manager form per call
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _kernel(stack: np.ndarray, grad: bool = False):
@@ -125,16 +130,20 @@ def _kernel(stack: np.ndarray, grad: bool = False):
 
     Returns a (3, B) array whose rows are sum_k |z_k|^2, sum_k log(x_k y_k
     |z_k|) and sum_{i<j} log f(z_i, z_j), each column bit for bit what a
-    stack of that one configuration gives. The kernel does not raise; it
-    flags a column by its point term, with the other two terms 0: -inf where
-    the density vanishes (a nonpositive coordinate or two coincident
-    points), NaN where a term cannot be represented (a pair factor of
-    distinct points that rounds to 0, or a point or pair log that is not
-    finite). With ``grad`` the stack holds one configuration, and the pair
-    (terms, (p, 2) gradient of the pair sum) comes from the same pass over
-    the unordered pairs.
+    stack of that one configuration gives. The stack goes through in passes
+    of :func:`stack_size` configurations, which bounds the temporaries. A
+    column where the density vanishes (a nonpositive coordinate or two
+    coincident points) is (0, -inf, 0); where a term cannot be represented
+    (a pair factor of distinct points that rounds to 0, or a point or pair
+    log that is not finite) the kernel raises FloatingPointError. With
+    ``grad`` the stack holds one configuration, and the pair (terms, (p, 2)
+    gradient of the pair sum) comes from the same pass over the unordered
+    pairs.
     """
     b, p = stack.shape[:2]
+    size = stack_size(p)
+    if b > size:
+        return np.concatenate([_kernel(stack[start : start + size]) for start in range(0, b, size)], axis=1)
     terms, pair_grad = np.zeros((3, b)), np.zeros((p, 2)) if grad else None
     # each configuration's least coordinate; fmin skips a NaN, so a
     # nonpositive coordinate still shows
@@ -177,29 +186,24 @@ def _kernel(stack: np.ndarray, grad: bool = False):
     # it is finite
     total = log_point + log_pairs
     if not math.isfinite(np.add.reduce(total)):
-        flagged = ~np.isfinite(total)
-        vanishes = least <= 0.0
-        np.copyto(terms, _FLAG, where=flagged)
-        # only a flagged column with every coordinate positive can hold coincident points
+        flagged, vanishes = ~np.isfinite(total), least <= 0.0
+        # only a non-finite column with every coordinate positive can hold coincident points
         if p > 1 and (flagged > vanishes).any():
             vanishes |= ((d[0] == 0.0) & (d[1] == 0.0)).any(axis=1)
-        log_point[vanishes] = -np.inf  # a vanishing column is never finite
+        # a vanishing column is never finite, and any other non-finite one cannot be represented
+        if (flagged > vanishes).any():
+            raise FloatingPointError(UNREPRESENTABLE)
+        np.copyto(terms, _VANISHED, where=vanishes)
     return (terms, pair_grad) if grad else terms
 
 
-def _terms(pts: np.ndarray, grad: bool = False):
+def _terms(pts: np.ndarray):
     """The kernel at one (p, 2) configuration, as a list of its three terms.
 
-    A vanishing density is the kernel's flag column (0, -inf, 0), which
-    gives log_rho = -inf and tau = +inf through the formulas. Raises
-    FloatingPointError where a term cannot be represented; with ``grad`` the
-    pair (terms, pair gradients) as :func:`_kernel` gives it.
+    A vanishing density is the kernel's column (0, -inf, 0), which gives
+    log_rho = -inf and tau = +inf through the formulas.
     """
-    out = _kernel(pts[None], grad)
-    terms = (out[0] if grad else out)[:, 0].tolist()
-    if math.isnan(terms[1]):
-        raise FloatingPointError(UNREPRESENTABLE)
-    return (terms, out[1]) if grad else terms
+    return _kernel(pts[None])[:, 0].tolist()
 
 
 def _log_rho_of(terms, w: WeightSpec):
@@ -246,7 +250,8 @@ def tau_and_grad(s, gamma: float = 1.0) -> tuple[float, np.ndarray | None]:
     a term of the gradient is not finite.
     """
     pts = _points(s)
-    terms, pair_grad = _terms(pts, grad=True)
+    out, pair_grad = _kernel(pts[None], grad=True)
+    terms = out[:, 0].tolist()
     if terms[1] == -math.inf:
         return np.inf, None
     x, y = pts[:, 0], pts[:, 1]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -52,31 +52,21 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class FeketeResult:
-    """Optimized configuration with convergence bookkeeping.
+    """Optimized configuration with convergence bookkeeping, in either mode.
 
-    ``trace`` has one row per accepted iterate of the best restart:
-    (iteration, tau, max point norm).
+    ``points`` is a SkewSpectrum in anti mode and an (n, 2) array in
+    commuting mode, where ``K_bound`` is None. ``trace`` has one row per
+    accepted iterate of the best restart: (iteration, objective, max point
+    norm).
     """
 
-    points: SkewSpectrum
-    tau_final: float
-    grad_norm_final: float
-    iterations: int
-    K_bound: float
-    converged: bool
-    trace: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class CommutingResult:
-    """Optimizer output for the commuting reference density."""
-
-    points: np.ndarray
+    points: SkewSpectrum | np.ndarray
     tau_final: float
     grad_norm_final: float
     iterations: int
     converged: bool
     trace: np.ndarray = field(repr=False)
+    K_bound: float | None = None
 
 
 class SpacingStats(NamedTuple):
@@ -182,12 +172,12 @@ def _descend(z, fun, config, grad_tol):
     value is infinite. The quasi-Newton step is tried first at unit
     length; where it is no descent direction or its line search fails,
     the memory resets and a steepest-descent step from ``STEP_INIT`` is
-    taken instead. Returns (points, value, grad_inf_norm, iterations,
-    trace, converged); value is +inf when the start itself is infeasible.
+    taken instead. Returns a :class:`FeketeResult` without ``K_bound``,
+    whose ``tau_final`` is +inf when the start itself is infeasible.
     """
     f, g = fun(z)
     if not np.isfinite(f):
-        return z, np.inf, np.inf, 0, np.zeros((0, 3)), False
+        return FeketeResult(z, np.inf, np.inf, 0, False, np.zeros((0, 3)))
     trace = [(0, f, _max_norm(z))]
     memory = deque(maxlen=LBFGS_MEMORY)  # (step, gradient change, 1 / curvature) triples
     iteration = 0
@@ -219,7 +209,7 @@ def _descend(z, fun, config, grad_tol):
         if stalled >= 10:
             break
     gnorm = float(np.max(np.abs(g)))
-    return z, f, gnorm, iteration, np.array(trace), gnorm <= grad_tol
+    return FeketeResult(z, float(f), gnorm, iteration, gnorm <= grad_tol, np.array(trace))
 
 
 def _multistart(start, perturb, fun, cfg, gamma, mode):
@@ -243,8 +233,8 @@ def _multistart(start, perturb, fun, cfg, gamma, mode):
     for r in range(cfg.restarts):
         z0 = start.copy() if r == 0 else perturb(start, np.random.default_rng(streams[r]))
         result = _descend(z0, fun, cfg, grad_tol)
-        f = result[1]
-        if np.isfinite(f) and (best is None or f < best[1] - _tie_tol(best[1])):
+        f = result.tau_final
+        if np.isfinite(f) and (best is None or f < best.tau_final - _tie_tol(best.tau_final)):
             best = result
     if best is None:
         raise RuntimeError("no restart reached a finite objective value")
@@ -263,7 +253,7 @@ def minimize_tau(p: int, config: OptimizerConfig | None = None, gamma: float = D
     """
     cfg = config or OptimizerConfig()
     k_bound = solve_K_bound(p) / math.sqrt(gamma)
-    z, f, gnorm, iters, trace, conv = _multistart(
+    result = _multistart(
         grid_initialization(p).points,
         lambda start, rng: start * np.exp(0.1 * rng.standard_normal(start.shape)),
         lambda z: tau_and_grad(z, gamma),
@@ -271,16 +261,8 @@ def minimize_tau(p: int, config: OptimizerConfig | None = None, gamma: float = D
         gamma,
         "anti",
     )
-    order = np.argsort(z[:, 0], kind="stable")
-    return FeketeResult(
-        points=SkewSpectrum(z[order]),
-        tau_final=float(f),
-        grad_norm_final=gnorm,
-        iterations=iters,
-        K_bound=k_bound,
-        converged=conv,
-        trace=trace,
-    )
+    z = result.points
+    return replace(result, points=SkewSpectrum(z[np.argsort(z[:, 0], kind="stable")]), K_bound=k_bound)
 
 
 def fekete_set(p: int, config: OptimizerConfig | None = None) -> SkewSpectrum:
@@ -295,14 +277,9 @@ def _commuting_objective(z, gamma):
     return -value, None if grad is None else -grad
 
 
-def _commuting_grid(n: int) -> np.ndarray:
-    pts = grid_initialization(n).points
-    return pts - np.mean(pts, axis=0)
-
-
 def minimize_commuting(
     n: int, d: int = 2, gamma: float = DEFAULT_GAMMA["commuting"], config: OptimizerConfig | None = None
-) -> CommutingResult:
+) -> FeketeResult:
     """Minimize the negative log of the commuting joint-eigenvalue density.
 
     Unconstrained over the plane; gamma = 1/2 reproduces the reference
@@ -314,23 +291,16 @@ def minimize_commuting(
     if d != 2:
         raise ValueError(f"only planar (d = 2) configurations are supported, got d = {d}")
     cfg = config or OptimizerConfig()
-    z, f, gnorm, iters, trace, conv = _multistart(
-        _commuting_grid(n),
+    grid = grid_initialization(n).points
+    result = _multistart(
+        grid - np.mean(grid, axis=0),
         lambda start, rng: start + 0.1 * rng.standard_normal(start.shape),
         lambda z: _commuting_objective(z, gamma),
         cfg,
         gamma,
         "commuting",
     )
-    order = np.lexsort(z.T[::-1])
-    return CommutingResult(
-        points=z[order],
-        tau_final=float(f),
-        grad_norm_final=gnorm,
-        iterations=iters,
-        converged=conv,
-        trace=trace,
-    )
+    return replace(result, points=result.points[np.lexsort(result.points.T[::-1])])
 
 
 def spacing_stats(points) -> SpacingStats:

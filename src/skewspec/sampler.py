@@ -16,8 +16,8 @@ stack, and step t of chain k takes increment [t, k] and uniform [t, k] of
 two streams spawned from the seed. Each step proposes for every chain,
 makes one call of the density kernel and decides the K proposals together
 (:func:`_step`), so every evaluated proposal is a transition. K is
-MAX_CHAINS while a step's kernel call holds few pair terms, as it does at
-p = 1, and falls to 1 as p grows (see density.PAIR_TERMS). Split R-hat
+MAX_CHAINS while the K proposals fit one pass of the kernel, as they do at
+p = 1, and falls to 1 as p grows (see density.stack_size). Split R-hat
 across the K chains (:func:`split_rhat`) checks that they forget their
 common start.
 """
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import PAIR_TERMS, UNREPRESENTABLE, WeightSpec, _kernel, _log_rho_of, log_rho
+from .density import WeightSpec, _kernel, _log_rho_of, log_rho, stack_size
 from .ensemble import SkewSpectrum
 from .fekete import grid_initialization
 
@@ -106,10 +106,7 @@ def _step(states, log_density, proposal, log_u, w):
     where a proposal's density cannot be represented.
     """
     candidate = _log_rho_of(_kernel(proposal), w)
-    delta = candidate - log_density
-    if np.isnan(delta).any():
-        raise FloatingPointError(UNREPRESENTABLE)
-    accepted = log_u < delta
+    accepted = log_u < candidate - log_density
     np.copyto(states, proposal, where=accepted[:, None, None])
     np.copyto(log_density, candidate, where=accepted)
     return int(np.count_nonzero(accepted))
@@ -133,7 +130,8 @@ def run_chain(
     (reversible) kernel. The reported acceptance rate covers the sampling
     phase only. A transition accepts iff log u < log_rho(proposal) -
     log_rho(state), so a proposal outside the quadrant is a rejection; one
-    whose density cannot be represented raises FloatingPointError.
+    whose density cannot be represented raises FloatingPointError, as does
+    a start whose weight underflows.
     """
     if p < 1 or n_samples < 1:
         raise ValueError("p and n_samples must be >= 1")
@@ -144,13 +142,16 @@ def run_chain(
     if burn_in < 0 or thinning < 1:
         raise ValueError("burn_in must be >= 0 and thinning >= 1")
 
-    k = max(1, min(n_samples, MAX_CHAINS, PAIR_TERMS // max(1, p * (p - 1) // 2)))
+    k = min(n_samples, MAX_CHAINS, stack_size(p))
     burn, kept = -(-burn_in // k), -(-n_samples // k)  # steps of burn-in, states retained per chain
     total, window, block = burn + kept * thinning, -(-ADAPT_WINDOW // k), max(1, DRAW_BLOCK // k)
     normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
     normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
     start = np.array(grid_initialization(p).points)
-    states, log_density = np.repeat(start[None], k, axis=0), np.full(k, log_rho(start, w))
+    start_density = log_rho(start, w)
+    if start_density == -math.inf:  # gamma sum_k |z_k|^2 overflows
+        raise FloatingPointError("the density at the grid start cannot be represented at this gamma")
+    states, log_density = np.repeat(start[None], k, axis=0), np.full(k, start_density)
     scale = 0.5
 
     samples = []  # the (K, p, 2) states of each retention

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import skewspec
 from skewspec.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from skewspec.density import PAIR_TERMS, WeightSpec, _kernel, _log_rho_of, _tau_of
+from skewspec.density import WeightSpec, _kernel, _log_rho_of, _tau_of, stack_size
 
 
 def run_cli(*argv):
@@ -391,14 +391,15 @@ def test_density_underflow_exits_numerical(tmp_path, capsys):
         assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
 
 
-def test_density_rows_spanning_several_kernel_calls(tmp_path, capsys):
-    # a run of rows past PAIR_TERMS pair terms goes to the kernel in chunks:
-    # p = 1 and p = 3 runs of three chunks each, a vanishing row inside the
+def test_density_rows_spanning_several_kernel_passes(tmp_path, capsys):
+    # a run of rows past one pass of the kernel goes through it in passes:
+    # p = 1 and p = 3 runs of three passes each, a vanishing row inside the
     # first; every line is what a kernel call on its row alone gives
     rng = np.random.default_rng(12)
-    p1 = (0.1 + 3.0 * rng.random((2 * PAIR_TERMS + 5, 2))).tolist()
-    p1[PAIR_TERMS + 1] = [0.0, 1.0]
-    p3 = (0.1 + 3.0 * rng.random((2 * (PAIR_TERMS // 3) + 7, 6))).tolist()
+    size = stack_size(1)
+    p1 = (0.1 + 3.0 * rng.random((2 * size + 5, 2))).tolist()
+    p1[size + 1] = [0.0, 1.0]
+    p3 = (0.1 + 3.0 * rng.random((2 * stack_size(3) + 7, 6))).tolist()
     rows = p1 + p3
     csv = tmp_path / "pts.csv"
     csv.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
@@ -409,7 +410,22 @@ def test_density_rows_spanning_several_kernel_calls(tmp_path, capsys):
         terms = _kernel(np.array(row).reshape(1, -1, 2))
         expected.append(f"{float(_log_rho_of(terms, WeightSpec(2.0))[0])!r},{float(_tau_of(terms, 1.0)[0])!r}")
     assert lines == ["log_rho,tau", *expected]
-    assert lines[PAIR_TERMS + 2] == "-inf,inf"
+    assert lines[size + 2] == "-inf,inf"
+
+
+def test_density_prints_no_line_of_a_run_that_cannot_be_represented(tmp_path, capsys):
+    # a p = 1 run, then a p = 2 run of one good row and one row of distinct
+    # points near 1e-170: the p = 1 lines are printed, the p = 2 run's are not
+    good = tmp_path / "good.csv"
+    good.write_text("1,1\n2,3\n")
+    assert run_cli("density", "--points", str(good)) == EXIT_OK
+    expected = capsys.readouterr().out
+    csv = tmp_path / "pts.csv"
+    csv.write_text("1,1\n2,3\n1,2,3,1.5\n1e-170,2e-170,3e-170,1.5e-170\n")
+    assert run_cli("density", "--points", str(csv)) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+    assert out == expected and len(out.splitlines()) == 3
 
 
 def test_density_tau_column_ignores_gamma(tmp_path, capsys):

@@ -137,6 +137,7 @@ def test_minimize_commuting_n2_symmetric():
     # stationarity: |u| = 1 at gamma = 1/2
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-8)
     assert result.grad_norm_final <= 1e-8
+    assert result.K_bound is None
 
 
 def test_minimize_commuting_is_planar():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skewspec.cli import main
-from skewspec.density import WeightSpec, log_rho
+from skewspec.density import WeightSpec, log_rho, stack_size
 from skewspec.ensemble import extract_skew_spectrum, sample_generic_pair
 from skewspec.fekete import grid_initialization
 from skewspec.matrixcore import frobenius_norm
@@ -14,6 +14,7 @@ from skewspec.sampler import (
     ADAPT_WINDOW,
     ACCEPT_TARGET_HIGH,
     ACCEPT_TARGET_LOW,
+    MAX_CHAINS,
     ChainReport,
     _gamma_p,
     _step,
@@ -149,8 +150,8 @@ def _one_transition(k, state, increment, log_u, log_density=0.0):
 @pytest.mark.parametrize("k", P1_CHAINS, ids=P1_CHAIN_IDS)
 @pytest.mark.parametrize("state,increment", [((1.0, 1.0), (1e160, 0.0)), ((1e-170, 1e-170), (0.0, 0.0))])
 def test_p1_walk_raises_where_r2_cannot_be_represented(k, state, increment):
-    # |z|^2 of the proposal overflows, or underflows to 0: the kernel flags
-    # NaN, and the step raises, whatever log u is
+    # |z|^2 of the proposal overflows, or underflows to 0: the kernel
+    # raises, whatever log u is
     for log_u in (-math.inf, 0.0):
         with pytest.raises(FloatingPointError):
             _one_transition(k, state, increment, log_u)
@@ -428,6 +429,22 @@ def test_chain_builds_pair_indices_once(monkeypatch):
         i[0] = 1
     with pytest.raises(ValueError):
         j[0] = 1
+
+
+@pytest.mark.parametrize("p,k", [(11, 64), (12, 62), (64, 2), (65, 1)])
+def test_chain_count_is_one_kernel_pass(p, k):
+    # K is 64 from p = 1 to p = 11, falls as the pair terms of a step pass
+    # 4096, and is 1 from p = 65: the K proposals of a step make one pass of
+    # the kernel
+    assert min(MAX_CHAINS, stack_size(p)) == k
+    assert run_chain(p, W_HALF, 64, burn_in=0, thinning=1).chains == k
+
+
+def test_chain_raises_where_the_start_density_cannot_be_represented():
+    # gamma sum_k |z_k|^2 of the grid start overflows at gamma = 1e308
+    for p in (1, 3):
+        with pytest.raises(FloatingPointError, match="grid start"):
+            run_chain(p, WeightSpec(gamma=1e308), 10, burn_in=10, thinning=1)
 
 
 def test_run_chain_argument_validation():
