@@ -8,7 +8,8 @@ Library layout:
   decomposing anti-commuting pairs;
 - :mod:`skewspec.density` — the skew-spectrum density (``log_rho`` returns a
   float, -inf where the density vanishes), tau and its gradient from one
-  pass over the pairs, and the commuting-pair reference density;
+  pass over the pairs, and the commuting-pair reference density from the
+  same pair kernel;
 - :mod:`skewspec.jacobian` — numerical verification of the parametrization
   Jacobian against its closed form, from a tangent basis held as labels and
   one array of skew-Hermitian generators;
@@ -21,7 +22,7 @@ Library layout:
 - :mod:`skewspec.cli` — the ``skewspec`` command-line frontend.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .density import (
     WeightSpec,

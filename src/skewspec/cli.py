@@ -342,7 +342,7 @@ def cmd_sample(args, parser: _Parser) -> int:
                 "statistic_x": ks.x,
                 "statistic_y": ks.y,
                 "threshold": KS_THRESHOLD,
-                "normalization_c1": law.normalization,
+                "log_normalization_c1": law.log_normalization,
                 "passed": passed,
             },
         )
@@ -399,8 +399,13 @@ def cmd_density(args, parser: _Parser) -> int:
     # one kernel call and one write of its lines per run of rows of equal p
     for length, run in itertools.groupby(rows, key=len):
         terms = _kernel(np.array(list(run)).reshape(-1, length // 2, 2))
-        # log_rho at --gamma, tau at gamma = 1
-        lines = zip(_log_rho_of(terms, w).tolist(), _tau_of(terms, 1.0).tolist())
+        # log_rho at --gamma, tau at gamma = 1; where the weight overflows, a
+        # density that does not vanish has no representable log_rho
+        with np.errstate(over="ignore"):
+            log_rho = _log_rho_of(terms, w)
+        if (np.isfinite(terms[1]) > np.isfinite(log_rho)).any():
+            raise FloatingPointError("log_rho cannot be represented at this gamma")
+        lines = zip(log_rho.tolist(), _tau_of(terms, 1.0).tolist())
         sys.stdout.write("".join(f"{value!r},{t!r}\n" for value, t in lines))
     return EXIT_OK
 

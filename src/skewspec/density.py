@@ -125,7 +125,7 @@ def stack_size(p: int) -> int:
 # a vanishing column takes logs of zeros and negatives; the decorator form of
 # errstate costs about half of the context-manager form per call
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _kernel(stack: np.ndarray, grad: bool = False):
+def _kernel(stack: np.ndarray, grad: bool = False, commuting: bool = False):
     """The one evaluation of the density's terms at a (B, p, 2) stack of configurations.
 
     Returns a (3, B) array whose rows are sum_k |z_k|^2, sum_k log(x_k y_k
@@ -134,20 +134,22 @@ def _kernel(stack: np.ndarray, grad: bool = False):
     of :func:`stack_size` configurations, which bounds the temporaries. A
     column where the density vanishes (a nonpositive coordinate or two
     coincident points) is (0, -inf, 0); where a term cannot be represented
-    (a pair factor of distinct points that rounds to 0, or a point or pair
-    log that is not finite) the kernel raises FloatingPointError. With
-    ``grad`` the stack holds one configuration, and the pair (terms, (p, 2)
-    gradient of the pair sum) comes from the same pass over the unordered
-    pairs.
+    (a pair factor of distinct points that rounds to 0, or a term that is
+    not finite) the kernel raises FloatingPointError. With ``grad`` the
+    stack holds one configuration, and the pair (terms, (p, 2) gradient of
+    the pair sum) comes from the same pass over the unordered pairs.
+    ``commuting`` takes the commuting density's terms instead: the pair
+    factor is the first factor of f alone, |z_i - z_j|^2, the point term
+    is 0, and only coincident points vanish.
     """
     b, p = stack.shape[:2]
     size = stack_size(p)
     if b > size:
-        return np.concatenate([_kernel(stack[start : start + size]) for start in range(0, b, size)], axis=1)
+        return np.concatenate([_kernel(stack[k : k + size], commuting=commuting) for k in range(0, b, size)], axis=1)
     terms, pair_grad = np.zeros((3, b)), np.zeros((p, 2)) if grad else None
-    # each configuration's least coordinate; fmin skips a NaN, so a
-    # nonpositive coordinate still shows
-    least = np.fmin.reduce(stack.reshape(b, -1), axis=1)
+    # each configuration's least coordinate, which no commuting one needs
+    # positive; fmin skips a NaN, so a nonpositive coordinate still shows
+    least = np.ones(b) if commuting else np.fmin.reduce(stack.reshape(b, -1), axis=1)
     if p > 1 and np.maximum.reduce(least) <= 0.0:
         terms[1] = -np.inf  # every column vanishes, so no pair term is needed
         return (terms, pair_grad) if grad else terms
@@ -156,37 +158,38 @@ def _kernel(stack: np.ndarray, grad: bool = False):
         ends = stack.reshape(-1).take(_stack_pair_index(p, b))
         d, s = ends[0] - ends[1], ends[0] + ends[1]  # (dx, dy) and (sx, sy)
         (dx2, dy2), (sx2, sy2) = d * d, s * s
-        # the four factors as (4, m) rows of each configuration, so their
-        # logs are taken in place
-        f = np.empty((b, 4, d.shape[2]))
+        # the factors as (4, m) rows of each configuration, so their logs
+        # are taken in place; the commuting case keeps the first row
+        f = np.empty((b, 1 if commuting else 4, d.shape[2]))
         np.add(dx2, dy2, out=f[:, 0])
-        np.add(sx2, dy2, out=f[:, 1])
-        np.add(dx2, sy2, out=f[:, 2])
-        np.add(sx2, sy2, out=f[:, 3])
+        if not commuting:
+            np.add(sx2, dy2, out=f[:, 1])
+            np.add(dx2, sy2, out=f[:, 2])
+            np.add(sx2, sy2, out=f[:, 3])
         if grad:
             i, j = _pair_index(p)
-            (dx, dy), (sx, sy) = d[:, 0], s[:, 0]
-            inv1, inv2, inv3, inv4 = 1.0 / f[0]
-            # d/dx_i of the pair's log f is a + b and d/dx_j is b - a, with a
-            # from the dx factors and b from the sx factors; likewise in y
-            ax, bx = 2.0 * dx * (inv1 + inv3), 2.0 * sx * (inv2 + inv4)
-            ay, by = 2.0 * dy * (inv1 + inv2), 2.0 * sy * (inv3 + inv4)
-            np.add(np.bincount(i, ax + bx, p), np.bincount(j, bx - ax, p), out=pair_grad[:, 0])
-            np.add(np.bincount(i, ay + by, p), np.bincount(j, by - ay, p), out=pair_grad[:, 1])
+            inv = 1.0 / f[0]
+            # d/dx_i of the pair's log f is from_d + from_s and d/dx_j is from_s - from_d, with
+            # the dx factors (1, 3) and sx factors (2, 4); in y the dy (1, 2) and sy (3, 4)
+            from_d = 2.0 * d[:, 0] * (inv[0] if commuting else inv[0] + inv[[2, 1]])
+            from_s = 0.0 if commuting else 2.0 * s[:, 0] * (inv[[1, 2]] + inv[3])
+            for k, (at_i, at_j) in enumerate(zip(from_d + from_s, from_s - from_d)):
+                np.add(np.bincount(i, at_i, p), np.bincount(j, at_j, p), out=pair_grad[:, k])
         # one sum over each configuration's contiguous (4, m) block: its
         # order fixes the bits of every seeded artifact
         np.add.reduce(np.log(f, out=f).reshape(b, -1), axis=1, out=log_pairs)
     # each operation on the whole stack, then the x and y halves combined
-    squares, logs = stack * stack, np.log(stack)
+    squares = stack * stack
     r2 = squares[..., 0] + squares[..., 1]
-    np.add.reduce(logs[..., 0] + logs[..., 1] + 0.5 * np.log(r2), axis=1, out=log_point)
+    if not commuting:
+        logs = np.log(stack)
+        np.add.reduce(logs[..., 0] + logs[..., 1] + 0.5 * np.log(r2), axis=1, out=log_point)
     np.add.reduce(r2, axis=1, out=sq_sum)
-    # a zero pair factor or a log of a nonpositive coordinate leaves its
-    # column non-finite, and so their sum, which needs no further test where
-    # it is finite
-    total = log_point + log_pairs
-    if not math.isfinite(np.add.reduce(total)):
-        flagged, vanishes = ~np.isfinite(total), least <= 0.0
+    # a zero pair factor, a log of a nonpositive coordinate or an overflow
+    # leaves a term non-finite, and so the sum of all terms, which needs no
+    # further test where it is finite
+    if not math.isfinite(np.add.reduce(terms, axis=None)):
+        flagged, vanishes = ~np.isfinite(terms).all(axis=0), least <= 0.0
         # only a non-finite column with every coordinate positive can hold coincident points
         if p > 1 and (flagged > vanishes).any():
             vanishes |= ((d[0] == 0.0) & (d[1] == 0.0)).any(axis=1)
@@ -240,6 +243,12 @@ def tau(s, gamma: float = 1.0) -> float:
     return _tau_of(_terms(_points(s)), gamma)
 
 
+def _finite_grad(value: float, g: np.ndarray) -> tuple[float, np.ndarray]:
+    if not np.isfinite(g).all():
+        raise FloatingPointError("a gradient term is not finite at this scale")
+    return value, g
+
+
 def tau_and_grad(s, gamma: float = 1.0) -> tuple[float, np.ndarray | None]:
     """``tau(s, gamma)`` and its analytic gradient, shape (p, 2), from one pass over the pairs.
 
@@ -256,10 +265,7 @@ def tau_and_grad(s, gamma: float = 1.0) -> tuple[float, np.ndarray | None]:
         return np.inf, None
     x, y = pts[:, 0], pts[:, 1]
     r2 = x * x + y * y
-    g = gamma * pts - 1.0 / pts - pts / r2[:, None] - pair_grad
-    if not np.isfinite(g).all():
-        raise FloatingPointError("a gradient term is not finite at this scale")
-    return _tau_of(terms, gamma), g
+    return _finite_grad(_tau_of(terms, gamma), gamma * pts - 1.0 / pts - pts / r2[:, None] - pair_grad)
 
 
 def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
@@ -274,27 +280,17 @@ def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
 
 
 def log_kappa_and_grad(lambdas, gamma: float) -> tuple[float, np.ndarray | None]:
-    """Log of the commuting-pair joint eigenvalue density and its (n, d) gradient.
+    """Log of the commuting-pair joint eigenvalue density and its (n, 2) gradient.
 
     The density is exp(-gamma sum |lambda_j|^2) * prod_{i<j} |lambda_i - lambda_j|^2
-    with Euclidean norms in R^d; the constant is omitted. Value and gradient
-    come from one pass over the pairs. Coincident eigenvalues give
-    (-inf, None).
+    over planar eigenvalues, an (n, 2) array; the constant is omitted.
+    Value and gradient come from one pass of the density kernel, under its
+    contract: coincident eigenvalues give (-inf, None), and a term that
+    cannot be represented raises FloatingPointError.
     """
-    pts = np.asarray(lambdas, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"expected (n, d) eigenvalues, got shape {pts.shape}")
-    n = pts.shape[0]
-    value, g = -gamma * float(np.sum(pts * pts)), -2.0 * gamma * pts
-    if n < 2:
-        return value, g
-    i, j = _pair_index(n)
-    diff = pts[i] - pts[j]
-    gaps = np.sum(diff * diff, axis=1)
-    if np.any(gaps <= 0.0):
+    pts = _points(lambdas)
+    out, pair_grad = _kernel(pts[None], grad=True, commuting=True)
+    sq_sum, vanished, log_pairs = out[:, 0].tolist()
+    if vanished == -math.inf:
         return -math.inf, None
-    # d/d lambda_i of log |lambda_i - lambda_j|^2 is 2 diff / gap, and minus that for lambda_j
-    pair = 2.0 * diff / gaps[:, None]
-    for k in range(pts.shape[1]):
-        g[:, k] += np.bincount(i, pair[:, k], n) - np.bincount(j, pair[:, k], n)
-    return value + float(np.sum(np.log(gaps))), g
+    return _finite_grad(-gamma * sq_sum + log_pairs, -2.0 * gamma * pts + pair_grad)

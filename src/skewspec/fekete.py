@@ -271,12 +271,6 @@ def fekete_set(p: int, config: OptimizerConfig | None = None) -> SkewSpectrum:
     return SkewSpectrum(result.points.points / np.sqrt(p))
 
 
-def _commuting_objective(z, gamma):
-    """The negated log_kappa_and_grad, the gradient None where the value is infinite."""
-    value, grad = log_kappa_and_grad(z, gamma)
-    return -value, None if grad is None else -grad
-
-
 def minimize_commuting(
     n: int, d: int = 2, gamma: float = DEFAULT_GAMMA["commuting"], config: OptimizerConfig | None = None
 ) -> FeketeResult:
@@ -295,7 +289,8 @@ def minimize_commuting(
     result = _multistart(
         grid - np.mean(grid, axis=0),
         lambda start, rng: start + 0.1 * rng.standard_normal(start.shape),
-        lambda z: _commuting_objective(z, gamma),
+        # minus log kappa and its gradient, which stays None where log kappa is -inf
+        lambda z: tuple(None if part is None else -part for part in log_kappa_and_grad(z, gamma)),
         cfg,
         gamma,
         "commuting",

@@ -190,14 +190,15 @@ class P1Marginal:
     Integrating e^{-gamma r^2} x y r over y leaves
     x Gamma(3/2, gamma x^2) / (2 gamma^{3/2}), so with s = sqrt(gamma) t the CDF is
     erf(s) - (2/sqrt(pi)) s e^{-s^2} + (2/3) s^2 erfc(s). The density is
-    symmetric in x and y, so both coordinates share it. ``normalization``
-    is 1 over the integrand's mass on the quadrant, 16 gamma^{5/2} / (3 sqrt(pi)).
+    symmetric in x and y, so both coordinates share it. ``log_normalization``
+    is minus the log of the integrand's mass on the quadrant,
+    log(16 / (3 sqrt(pi))) + (5/2) log gamma.
     ``cdf`` evaluates 1 minus the upper tail, which keeps it monotone where
     it rounds to 1.
     """
 
     gamma: float
-    normalization: float
+    log_normalization: float
 
     def cdf(self, t) -> np.ndarray:
         s = math.sqrt(self.gamma) * np.asarray(t, dtype=float)
@@ -207,7 +208,7 @@ class P1Marginal:
 
 def p1_quadrature_cdf(w: WeightSpec) -> P1Marginal:
     """The exact marginal law of the p = 1 density under ``w``."""
-    return P1Marginal(gamma=w.gamma, normalization=16.0 * w.gamma**2.5 / (3.0 * math.sqrt(math.pi)))
+    return P1Marginal(w.gamma, math.log(16.0 / (3.0 * math.sqrt(math.pi))) + 2.5 * math.log(w.gamma))
 
 
 class KSResult(NamedTuple):

@@ -248,6 +248,15 @@ def test_fekete_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "a" / "points.csv").read_bytes() == (tmp_path / "b" / "points.csv").read_bytes()
 
 
+def test_fekete_commuting_fails_loudly_where_its_terms_overflow(tmp_path, capsys):
+    # the first steps from the start grid at gamma = 1e250 reach coordinates
+    # whose squared gaps overflow: a numerical failure, not a silent stop
+    argv = ["fekete", "--n", "40", "--mode", "commuting", "--restarts", "1", "--gamma", "1e250"]
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+
+
 def test_fekete_commuting_outputs(tmp_path):
     out = tmp_path / "fkc"
     code = run_cli(
@@ -272,14 +281,34 @@ def test_sample_p1_with_ks(tmp_path):
     assert code == EXIT_OK
     ks = read_json(out / "ks.json")
     assert ks["passed"] and ks["statistic_x"] < 0.05 and ks["statistic_y"] < 0.05
-    # the exact normalization of the p = 1 integrand at gamma = 1/2
-    assert ks["normalization_c1"] == 16.0 * 0.5**2.5 / (3.0 * math.sqrt(math.pi))
+    # the log of the exact normalization of the p = 1 integrand at gamma = 1/2
+    assert ks["log_normalization_c1"] == math.log(16.0 / (3.0 * math.sqrt(math.pi))) + 2.5 * math.log(0.5)
     chain = read_json(out / "chain.json")
     assert chain["n_samples"] == 1500
     assert 0.0 < chain["acceptance_rate"] < 1.0
     # 64 chains of 23 whole retentions: split R-hat of each statistic is recorded
     assert sorted(chain["split_rhat"]) == ["R", "least_x", "max_norm"]
     assert all(isinstance(value, float) and value > 0.0 for value in chain["split_rhat"].values())
+
+
+@pytest.mark.parametrize("gamma", ["1e123", "1e124", "1e300"])
+def test_sample_p1_far_from_unit_gamma_fails_with_strict_json(tmp_path, gamma):
+    # the chain does not reach the target's scale, so KS fails; the
+    # normalization is carried as its log, which stays finite where
+    # gamma^(5/2) overflows
+    out = tmp_path / "smp"
+    argv = ["sample", "--p", "1", "--gamma", gamma, "--samples", "1000", "--seed", "1", "--out", str(out)]
+    assert run_cli(*argv) == EXIT_NUMERICAL
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    for name in ("ks.json", "chain.json", "manifest.json"):
+        with open(out / name) as fh:
+            json.load(fh, parse_constant=reject)
+    ks = read_json(out / "ks.json")
+    assert not ks["passed"]
+    assert ks["log_normalization_c1"] == math.log(16.0 / (3.0 * math.sqrt(math.pi))) + 2.5 * math.log(float(gamma))
 
 
 def test_sample_p3_schema(tmp_path):
@@ -426,6 +455,24 @@ def test_density_prints_no_line_of_a_run_that_cannot_be_represented(tmp_path, ca
     out, err = capsys.readouterr()
     assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
     assert out == expected and len(out.splitlines()) == 3
+
+
+def test_density_whose_weight_overflows_exits_numerical(tmp_path, capsys):
+    # at gamma = 1e308 the weight of rows that do not vanish overflows, so
+    # log_rho cannot be represented: no line of the run, one failure line
+    csv = tmp_path / "pts.csv"
+    csv.write_text("1,2\n0.5,0.7\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("density", "--points", str(csv), "--gamma", "1e308") == EXIT_NUMERICAL
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert out == "log_rho,tau\n"
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+    # a vanishing row still prints -inf at that gamma
+    csv.write_text("0,1\n")
+    assert run_cli("density", "--points", str(csv), "--gamma", "1e308") == EXIT_OK
+    assert capsys.readouterr().out == "log_rho,tau\n-inf,inf\n"
 
 
 def test_density_tau_column_ignores_gamma(tmp_path, capsys):

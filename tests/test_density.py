@@ -105,6 +105,15 @@ def test_kernel_fails_loudly_at_tiny_scale():
     assert tau(coincident) == np.inf
 
 
+def test_kernel_raises_where_the_sum_of_squares_overflows():
+    # every |z_k|^2 and pair factor is finite, but their sum over the points
+    # is not: a density that does not vanish, so not -inf
+    a = math.sqrt(0.497 * np.finfo(float).max)
+    pts = np.array([[a, 1e-3 * a], [0.1 * a, 0.1 * a], [1e-3 * a, a]])
+    with pytest.raises(FloatingPointError):
+        log_rho(pts, WeightSpec(gamma=1.0))
+
+
 def log_rho_stack(stack, w):
     return _log_rho_of(_kernel(stack), w)
 
@@ -292,11 +301,23 @@ def test_tau_and_grad_is_one_pass_of_tau_and_the_ordered_pair_gradient(pts, gamm
     assert np.linalg.norm(g - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+def broadcast_log_kappa_and_grad(pts, gamma):
+    """The commuting log density and its gradient over all ordered pairs, without the density kernel."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    gaps = np.sum(diff * diff, axis=2)
+    np.fill_diagonal(gaps, 1.0)  # each diagonal term adds log 1 = 0 and a zero difference
+    value = -gamma * np.sum(pts * pts) + 0.5 * np.sum(np.log(gaps))
+    return value, -2.0 * gamma * pts + np.sum(2.0 * diff / gaps[:, :, None], axis=1)
+
+
 def test_log_kappa_grad_matches_central_differences():
     rng = np.random.default_rng(9)
     for n, gamma in ((1, 0.5), (2, 1.0), (7, 0.5), (20, 0.3)):
-        pts = rng.normal(size=(n, 2))
-        analytic = log_kappa_and_grad(pts, gamma)[1]
+        pts = rng.normal(size=(n, 2))  # coordinates of either sign
+        value, analytic = log_kappa_and_grad(pts, gamma)
+        expected_value, expected = broadcast_log_kappa_and_grad(pts, gamma)
+        assert value == pytest.approx(expected_value, rel=1e-13, abs=1e-13)
+        assert np.linalg.norm(analytic - expected) <= 1e-13 * max(1.0, np.linalg.norm(expected))
         numeric = np.zeros_like(pts)
         for idx in np.ndindex(pts.shape):
             up, down = pts.copy(), pts.copy()
@@ -313,7 +334,8 @@ def orbit(pts):
 
 
 # image-charge oracles: the skew-spectrum density is the commuting density of
-# the mirror-symmetric orbit, which shares no code with the pair kernel
+# the mirror-symmetric orbit. Both sides run on the one pair kernel, so the
+# commuting side is checked against broadcast_log_kappa_and_grad above
 @PROPERTY_SETTINGS
 @given(configurations, st.floats(0.1, 4.0))
 def test_log_rho_is_quarter_log_kappa_of_orbit(pts, gamma):
@@ -347,6 +369,15 @@ def test_log_kappa_examples():
     # eigenvalues come as an (n, d) array; a flat vector is not read as d = 1
     with pytest.raises(ValueError):
         log_kappa_and_grad(np.array([0.0, 1.0]), gamma=0.5)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_log_kappa_fails_loudly_at_extreme_scales(scale):
+    # distinct eigenvalues whose squared gaps underflow to 0 or overflow to
+    # inf cannot be represented: neither is a coincidence
+    pts = np.array([[1.0, 2.0], [3.0, 1.0], [2.5, 4.0]])
+    with pytest.raises(FloatingPointError):
+        log_kappa_and_grad(pts * scale, 0.5)
 
 
 def test_weight_spec_validation():
