@@ -12,7 +12,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -43,6 +42,10 @@ SAMPLE_PAIR_TERMS = 1 << 22
 # coordinates, samples * 2p, one `sample` run retains; each costs about 50 B
 # on its way to samples.csv, so the limit is about 850 MB
 SAMPLE_COORDINATES = 1 << 24
+# fields of a points file that `density` converts in one block: enough that
+# the block's few numpy calls cost little, few enough that its field strings
+# take a few MB
+BLOCK_FIELDS = 1 << 16
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -359,13 +362,81 @@ def cmd_sample(args, parser: _Parser) -> int:
     return exit_code
 
 
+def _convert(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Every comma-separated field of ``lines`` through ``float`` in one pass.
+
+    Returns the row widths and all values in row order; raises ValueError
+    where a field does not parse. The fields come from one split of the
+    lines joined by commas, which costs less than a split per line.
+    """
+    widths = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, len(lines)) + 1
+    return widths, np.fromiter(map(float, ",".join(lines).split(",")), float, int(widths.sum()))
+
+
+def _stripped(line: str) -> str:
+    """``line`` without the whitespace around its fields, U+001F included, which float keeps."""
+    return ",".join(map(str.strip, line.split(",")))
+
+
+def _parses(line: str) -> bool:
+    try:
+        _convert([_stripped(line)])
+    except ValueError:
+        return False
+    return True
+
+
+def _read_points(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a points file: their widths, and all their values in one array.
+
+    Blank lines are skipped and line 1 is a header where it does not parse.
+    The rows are converted in blocks of about ``BLOCK_FIELDS`` fields, and
+    only a block that fails is searched for its first offending line, whose
+    checks run in the order parse, even width, finite values. Raises
+    ValueError with that line's diagnostic, or where no row is found.
+    """
+    data = list(filter(str.strip, lines))
+    widths, values = [], []
+    start = 1 if lines and lines[0].strip() and not _parses(lines[0]) else 0  # past a header
+    while start < len(data):
+        block = data[start : start + max(1, BLOCK_FIELDS // (data[start].count(",") + 1))]
+        try:
+            width, value = _convert(block)
+            unparsed = len(block)
+        except ValueError:
+            # the first line a field of which does not parse; every line before it does
+            unparsed = next((k for k, line in enumerate(block) if not _parses(line)), len(block))
+            width, value = _convert(list(map(_stripped, block[:unparsed])))
+        # the first offending line: the one that does not parse, the first of
+        # odd width, or the one that holds the first non-finite value
+        odd, finite = width % 2 != 0, np.isfinite(value)
+        offending = [unparsed]
+        if odd.any():
+            offending.append(int(np.argmax(odd)))
+        if not finite.all():
+            offending.append(int(np.searchsorted(np.cumsum(width), np.argmin(finite), side="right")))
+        k = min(offending)
+        if k < len(block):
+            lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][start + k]
+            if k == unparsed:
+                raise ValueError(f"line {lineno}: cannot parse {block[k]!r} as numbers")
+            if odd[k]:
+                raise ValueError(f"line {lineno}: expected an even number of coordinates")
+            raise ValueError(f"line {lineno}: coordinates must be finite")
+        widths.append(width)
+        values.append(value)
+        start += len(block)
+    if not widths:
+        raise ValueError("no data rows found")
+    return np.concatenate(widths), np.concatenate(values)
+
+
 def cmd_density(args, parser: _Parser) -> int:
     path = Path(args.points)
     if not path.is_file():
         print(f"points file not found: {path}", file=sys.stderr)
         return EXIT_DATA
     w = WeightSpec(gamma=args.gamma)
-    rows = []
     try:
         # utf-8-sig strips a byte-order mark, which would make row 1 pass for a header
         with open(path, encoding="utf-8-sig") as fh:
@@ -373,32 +444,19 @@ def cmd_density(args, parser: _Parser) -> int:
     except UnicodeDecodeError as exc:
         print(f"points file is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_DATA
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        tokens = [tok.strip() for tok in line.split(",")]
-        try:
-            values = [float(tok) for tok in tokens]
-        except ValueError:
-            if lineno == 1 and not rows:
-                continue  # header row
-            print(f"line {lineno}: cannot parse {line!r} as numbers", file=sys.stderr)
-            return EXIT_DATA
-        if len(values) % 2 != 0 or not values:
-            print(f"line {lineno}: expected an even number of coordinates", file=sys.stderr)
-            return EXIT_DATA
-        if not all(map(math.isfinite, values)):
-            print(f"line {lineno}: coordinates must be finite", file=sys.stderr)
-            return EXIT_DATA
-        rows.append(values)
-    if not rows:
-        print("no data rows found", file=sys.stderr)
+    try:
+        widths, values = _read_points(lines)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_DATA
 
     print("log_rho,tau")
-    # one kernel call and one write of its lines per run of rows of equal p
-    for length, run in itertools.groupby(rows, key=len):
-        terms = _kernel(np.array(list(run)).reshape(-1, length // 2, 2))
+    # one kernel call and one write of its lines per run of rows of equal p,
+    # each run a slice of the one array of values
+    offsets = np.concatenate(([0], np.cumsum(widths))).tolist()
+    firsts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()  # the first row of each run
+    for first, stop in zip(firsts, firsts[1:] + [len(widths)]):
+        terms = _kernel(values[offsets[first] : offsets[stop]].reshape(-1, widths[first] // 2, 2))
         # log_rho at --gamma, tau at gamma = 1; where the weight overflows, a
         # density that does not vanish has no representable log_rho
         with np.errstate(over="ignore"):

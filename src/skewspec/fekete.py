@@ -123,7 +123,8 @@ def solve_K_bound(p: int) -> float:
 
 
 def _max_norm(pts: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(pts, axis=1)))
+    # what np.linalg.norm(pts, axis=1).max() gives: sqrt commutes with max
+    return math.sqrt(np.add.reduce(pts * pts, axis=1).max())
 
 
 def _tie_tol(value: float) -> float:
@@ -237,7 +238,9 @@ def _multistart(start, perturb, fun, cfg, gamma, mode):
         if np.isfinite(f) and (best is None or f < best.tau_final - _tie_tol(best.tau_final)):
             best = result
     if best is None:
-        raise RuntimeError("no restart reached a finite objective value")
+        # every start lies where the objective cannot be represented, such as
+        # a weight that overflows at this gamma
+        raise FloatingPointError("no restart reached a finite objective value")
     return best
 
 

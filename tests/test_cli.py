@@ -1,3 +1,5 @@
+import io
+import itertools
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewspec
-from skewspec.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from skewspec.cli import BLOCK_FIELDS, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from skewspec.density import WeightSpec, _kernel, _log_rho_of, _tau_of, stack_size
 
 
@@ -257,6 +260,20 @@ def test_fekete_commuting_fails_loudly_where_its_terms_overflow(tmp_path, capsys
     assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("mode", ["anti", "commuting"])
+@pytest.mark.parametrize("restarts", ["1", "2"])
+def test_fekete_whose_start_weight_overflows_exits_numerical(tmp_path, capsys, mode, restarts):
+    # at gamma = 1e306 the weight of every start overflows, so no restart
+    # has a finite objective: one failure line, no traceback, no warning
+    argv = ["fekete", "--n", "50", "--mode", mode, "--gamma", "1e306", "--restarts", restarts]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_NUMERICAL
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+
+
 def test_fekete_commuting_outputs(tmp_path):
     out = tmp_path / "fkc"
     code = run_cli(
@@ -423,15 +440,21 @@ def test_density_underflow_exits_numerical(tmp_path, capsys):
 def test_density_rows_spanning_several_kernel_passes(tmp_path, capsys):
     # a run of rows past one pass of the kernel goes through it in passes:
     # p = 1 and p = 3 runs of three passes each, a vanishing row inside the
-    # first; every line is what a kernel call on its row alone gives
+    # first, then a p = 10 run of two; every line is what a kernel call on
+    # its row alone gives
     rng = np.random.default_rng(12)
     size = stack_size(1)
     p1 = (0.1 + 3.0 * rng.random((2 * size + 5, 2))).tolist()
     p1[size + 1] = [0.0, 1.0]
     p3 = (0.1 + 3.0 * rng.random((2 * stack_size(3) + 7, 6))).tolist()
-    rows = p1 + p3
+    p10 = (0.1 + 3.0 * rng.random((stack_size(10) + 3, 20))).tolist()
+    rows = p1 + p3 + p10
+    # a header and blank lines, which the runs sliced from the values skip
+    text = [",".join(map(repr, row)) + "\n" for row in rows]
+    text[len(p1) + 1] += "\n  \n"
+    text[-2] += "\t\n"
     csv = tmp_path / "pts.csv"
-    csv.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    csv.write_text("x1,y1\n" + "".join(text))
     assert run_cli("density", "--points", str(csv), "--gamma", "2") == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     expected = []
@@ -490,6 +513,121 @@ def test_density_tau_column_ignores_gamma(tmp_path, capsys):
     with pytest.raises(SystemExit):
         run_cli("density", "--help")
     assert "tau always uses gamma = 1" in " ".join(capsys.readouterr().out.split())
+
+
+def reference_density(path, gamma):
+    """(exit code, stdout, stderr) of `density` as a per-line reader gives them.
+
+    The loop is the one `density` ran before it converted its rows in
+    blocks, kept here verbatim as the reference for its grammar and its
+    diagnostics. It covers files whose rows are all representable.
+    """
+    w = WeightSpec(gamma=gamma)
+    rows = []
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        tokens = [tok.strip() for tok in line.split(",")]
+        try:
+            values = [float(tok) for tok in tokens]
+        except ValueError:
+            if lineno == 1 and not rows:
+                continue  # header row
+            return EXIT_DATA, "", f"line {lineno}: cannot parse {line!r} as numbers\n"
+        if len(values) % 2 != 0 or not values:
+            return EXIT_DATA, "", f"line {lineno}: expected an even number of coordinates\n"
+        if not all(map(math.isfinite, values)):
+            return EXIT_DATA, "", f"line {lineno}: coordinates must be finite\n"
+        rows.append(values)
+    if not rows:
+        return EXIT_DATA, "", "no data rows found\n"
+    out = ["log_rho,tau\n"]
+    for length, run in itertools.groupby(rows, key=len):
+        terms = _kernel(np.array(list(run)).reshape(-1, length // 2, 2))
+        lines = zip(_log_rho_of(terms, w).tolist(), _tau_of(terms, 1.0).tolist())
+        out.append("".join(f"{value!r},{t!r}\n" for value, t in lines))
+    return EXIT_OK, "".join(out), ""
+
+
+def assert_density_matches_reference(path, gamma="0.5"):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli("density", "--points", str(path), "--gamma", gamma)
+    assert (code, out.getvalue(), err.getvalue()) == reference_density(path, float(gamma))
+    return code, out.getvalue(), err.getvalue()
+
+
+# rows of p = 1 that fill one block of the bulk reader
+BLOCK_ROWS = BLOCK_FIELDS // 2
+BLOCK_TEXT = "".join(f"{1 + k % 7}.25,{2 + k % 5}.5\n" for k in range(BLOCK_ROWS))
+
+DENSITY_FILES = {
+    "header": "x1,y1\n1,2\n3,4\n",
+    "header-after-blank-line": "\nx1,y1\n1,2\n",
+    "header-after-whitespace-line": " \t\nx1,y1\n1,2\n",
+    "bom-before-row": "\ufeff1,2\n3,4\n",
+    "bom-before-header": "\ufeffx,y\n1,2\n",
+    "whitespace-only-lines": "1,2\n   \n\t\n\n3,4\n\u00a0\u2003\n",
+    "crlf-and-cr-lines": "x,y\r\n1,2\r\n3,4\r5,6\x0c7,8\x1c1,1\n",
+    "padded-fields": " 1 ,\t2\u00a0,\u20033, 4\n",
+    "unit-separator-padding": "\x1f1,2\x1f\n3,\x1f4\n",
+    "unit-separator-padding-on-the-last-line": "1,2\n\x1f3,4\n",
+    "underscored-literals": "1_0,2_5\n1_000.5,3e0_1\n",
+    "unicode-digits": "\u0661,\u0662\n\uff11.\uff15,\u0968\n",
+    "mixed-widths": "1,2\n1,2,3,4\n5,6\n7,8\n0.5,1.5,2.5,3.5,4.5,5.5\n",
+    "nan-row": "1,2\nnan,1\n",
+    "inf-row": "1,inf\n",
+    "nan-on-line-1": "nan,1\n2,3\n",
+    "negative-infinity-literal": "1,2\n-Infinity,3\n",
+    "vanishing-rows": "0,1\n1,2\n1,2,1,2\n",
+    "odd-width": "1,2,3\n",
+    "odd-width-after-rows": "1,2\n3,4\n5\n",
+    "trailing-comma-on-line-1": "1,2,\n",
+    "trailing-comma": "1,2\n3,4,\n",
+    "empty-field": "1,,2,3\n1,2\n4,,5,6\n",
+    "unparsable": "1,1\nabc,1\n",
+    "empty-file": "",
+    "header-only": "x1,y1\n",
+    "blank-lines-only": "\n \n\t\n",
+    "non-finite-before-unparsable": "1,2\ninf,1\nabc,1\n",
+    "odd-before-non-finite": "1,2\n1,2,3\ninf,1\n",
+    "odd-and-non-finite-on-one-line": "1,2\n1,nan,3\n",
+    "unparsable-and-odd-on-one-line": "1,2\n1,abc,3\n",
+    "unparsable-before-odd": "1,2\nabc\n1,2,3\n",
+    "across-a-block": "x,y\n" + BLOCK_TEXT + "\n1,2,3,4\n5,6\n",
+    "unit-separator-in-the-second-block": BLOCK_TEXT + "\x1f1,2\n3,4\n",
+    "unparsable-in-the-second-block": BLOCK_TEXT + "1,2\n1,x\n",
+    "odd-in-the-second-block": "\n" + BLOCK_TEXT + "1,2\n1,2,3\n",
+    "non-finite-in-the-second-block": BLOCK_TEXT + "1,2\n \n1,nan\n",
+    # a block of BLOCK_FIELDS // 128 lines, sized by its p = 64 first row
+    "wide-row-first-in-a-block": ",".join(f"{1 + k / 128}" for k in range(128)) + "\n1,2" * BLOCK_FIELDS + "\n1,2,3\n",
+}
+
+
+@pytest.mark.parametrize("name", DENSITY_FILES)
+def test_density_reader_matches_a_per_line_reader(tmp_path, name):
+    # the bulk reader gives the exit code, the stdout bytes and the
+    # diagnostic of the per-line reader on every file of the table
+    csv = tmp_path / "pts.csv"
+    csv.write_text(DENSITY_FILES[name], encoding="utf-8", newline="")
+    code, out, err = assert_density_matches_reference(csv)
+    assert len(err.splitlines()) == (code != EXIT_OK)
+
+
+FIELDS = st.sampled_from(["1", "2.5", " 3 ", "0", "-1", "nan", "inf", "abc", "", "1_0", "\x1f4", "\u00a05", "\u0663"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.lists(FIELDS, min_size=1, max_size=5), max_size=8), blank=st.lists(st.integers(0, 8), max_size=3))
+def test_density_reader_matches_a_per_line_reader_on_random_files(tmp_path_factory, rows, blank):
+    lines = [",".join(row) for row in rows]
+    for k in blank:
+        lines.insert(min(k, len(lines)), " ")
+    csv = tmp_path_factory.mktemp("fuzz") / "pts.csv"
+    csv.write_text("\n".join(lines), encoding="utf-8", newline="")
+    assert_density_matches_reference(csv)
 
 
 def test_kbound_output(capsys):
