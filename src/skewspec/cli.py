@@ -12,6 +12,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -33,12 +34,13 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 KS_THRESHOLD = 0.05
-# dG columns, trials * (4p^2 + p), one `verify-jacobian --p` run may take;
+# dG columns, trials * (4p^2 + p), one `verify-jacobian` run may take (a `--spectrum` is one trial);
 # each costs about 1.6 KB of peak memory, so the limit is about 2.5 GB
 VERIFY_COLUMNS = 1_500_000
-# pair terms, p(p - 1)/2, of one `sample --p` configuration; the density
+# pair terms, p(p - 1)/2, of one configuration of p points: a `sample --p`
+# configuration, the points of `fekete --n` or a `density` row; the density
 # kernel takes about 180 B of peak memory per term, so the limit is about 750 MB
-SAMPLE_PAIR_TERMS = 1 << 22
+MAX_PAIR_TERMS = 1 << 22
 # coordinates, samples * 2p, one `sample` run retains; each costs about 50 B
 # on its way to samples.csv, so the limit is about 850 MB
 SAMPLE_COORDINATES = 1 << 24
@@ -174,17 +176,44 @@ def _output_dir(text: str, parser: _Parser) -> Path:
     return out_dir
 
 
+def _pair_terms_error(p: int, what: str) -> str:
+    """Why ``what``, a configuration of p points, is too large, or "" where it is not."""
+    if p * (p - 1) // 2 > MAX_PAIR_TERMS:
+        return f"{what} exceeds the limit of {MAX_PAIR_TERMS} pair terms, p(p - 1)/2, about 180 B of memory each"
+    return ""
+
+
+def _numbers(line: str) -> list[float] | None:
+    """Each field of ``line`` stripped (of U+001F too, which float keeps) and as a float; None where one fails."""
+    try:
+        return [float(field.strip()) for field in line.split(",")]
+    except ValueError:
+        return None
+
+
+def _row(line: str) -> list[float]:
+    """The values of a ``density`` or ``--spectrum`` row x1,y1,...,xp,yp.
+
+    Raises ValueError naming the first rule the row breaks, in this order:
+    its fields parse, are even in number and finite, and p(p - 1)/2 <= MAX_PAIR_TERMS.
+    """
+    values = _numbers(line)
+    if values is None:
+        raise ValueError(f"cannot parse {line!r} as numbers")
+    if len(values) % 2 != 0:
+        raise ValueError("expected an even number of coordinates")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("coordinates must be finite")
+    if error := _pair_terms_error(len(values) // 2, f"a row of {len(values) // 2} points"):
+        raise ValueError(error)
+    return values
+
+
 def _parse_spectrum_flag(text: str, parser: _Parser) -> SkewSpectrum:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        parser.error(f"--spectrum must be comma-separated numbers, got {text!r}")
-    if len(values) % 2 != 0 or not values:
-        parser.error("--spectrum needs an even, positive number of values (x1,y1,...)")
-    try:
-        return SkewSpectrum(np.array(values).reshape(-1, 2))
+        return SkewSpectrum(np.array(_row(text)).reshape(-1, 2))
     except ValueError as exc:
-        parser.error(f"--spectrum is not a valid skew spectrum: {exc}")
+        parser.error(f"--spectrum: {exc}")
 
 
 def cmd_verify_jacobian(args, parser: _Parser) -> int:
@@ -193,18 +222,19 @@ def cmd_verify_jacobian(args, parser: _Parser) -> int:
         s = _parse_spectrum_flag(args.spectrum, parser)
         if args.p is not None and args.p != s.p:
             parser.error(f"--p {args.p} contradicts --spectrum with p = {s.p}")
-        spectra, given = [s], {"spectrum": args.spectrum}
+        p, trials, flags, given = s.p, 1, f"--spectrum of p = {s.p}", {"spectrum": args.spectrum}
     elif args.p is None:
         parser.error("--p is required unless --spectrum is given")
     else:
-        if args.trials * (4 * args.p**2 + args.p) > VERIFY_COLUMNS:
-            parser.error(
-                f"--p {args.p} --trials {args.trials} exceeds the limit of {VERIFY_COLUMNS} "
-                "dG columns, trials * (4p^2 + p), about 1.6 KB of memory each"
-            )
-        rng = np.random.default_rng(args.seed)
-        spectra = [SkewSpectrum(rng.uniform(0.1, 5.0, (args.p, 2))) for _ in range(args.trials)]
-        given = {"p": args.p, "trials": args.trials}
+        p, trials, flags = args.p, args.trials, f"--p {args.p} --trials {args.trials}"
+        given = {"p": p, "trials": trials}
+    if trials * (4 * p**2 + p) > VERIFY_COLUMNS:
+        parser.error(
+            f"{flags} exceeds the limit of {VERIFY_COLUMNS} dG columns, trials * (4p^2 + p), "
+            "about 1.6 KB of memory each"
+        )
+    rng = np.random.default_rng(args.seed)
+    spectra = [s] if args.spectrum is not None else [SkewSpectrum(rng.uniform(0.1, 5.0, (p, 2))) for _ in range(trials)]
     out_dir = _output_dir(args.out, parser)
 
     try:
@@ -238,6 +268,9 @@ def cmd_fekete(args, parser: _Parser) -> int:
     started = time.perf_counter()
     if args.mode == "anti" and args.n % 2 != 0:
         parser.error("--n must be even in anti mode (n = 2p)")
+    points = args.n // 2 if args.mode == "anti" else args.n
+    if error := _pair_terms_error(points, f"--n {args.n} ({points} points in {args.mode} mode)"):
+        parser.error(error)
     gamma = args.gamma if args.gamma is not None else DEFAULT_GAMMA[args.mode]
     out_dir = _output_dir(args.out, parser)
 
@@ -295,11 +328,8 @@ def cmd_fekete(args, parser: _Parser) -> int:
 
 def cmd_sample(args, parser: _Parser) -> int:
     started = time.perf_counter()
-    if args.p * (args.p - 1) // 2 > SAMPLE_PAIR_TERMS:
-        parser.error(
-            f"--p {args.p} exceeds the limit of {SAMPLE_PAIR_TERMS} pair terms, p(p - 1)/2, "
-            "about 180 B of memory each"
-        )
+    if error := _pair_terms_error(args.p, f"--p {args.p}"):
+        parser.error(error)
     if args.samples * 2 * args.p > SAMPLE_COORDINATES:
         parser.error(
             f"--samples {args.samples} at --p {args.p} exceeds the limit of {SAMPLE_COORDINATES} "
@@ -362,67 +392,36 @@ def cmd_sample(args, parser: _Parser) -> int:
     return exit_code
 
 
-def _convert(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Every comma-separated field of ``lines`` through ``float`` in one pass.
-
-    Returns the row widths and all values in row order; raises ValueError
-    where a field does not parse. The fields come from one split of the
-    lines joined by commas, which costs less than a split per line.
-    """
-    widths = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, len(lines)) + 1
-    return widths, np.fromiter(map(float, ",".join(lines).split(",")), float, int(widths.sum()))
-
-
-def _stripped(line: str) -> str:
-    """``line`` without the whitespace around its fields, U+001F included, which float keeps."""
-    return ",".join(map(str.strip, line.split(",")))
-
-
-def _parses(line: str) -> bool:
-    try:
-        _convert([_stripped(line)])
-    except ValueError:
-        return False
-    return True
-
-
 def _read_points(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a points file: their widths, and all their values in one array.
 
     Blank lines are skipped and line 1 is a header where it does not parse.
-    The rows are converted in blocks of about ``BLOCK_FIELDS`` fields, and
-    only a block that fails is searched for its first offending line, whose
-    checks run in the order parse, even width, finite values. Raises
-    ValueError with that line's diagnostic, or where no row is found.
+    The rows are converted in blocks of about ``BLOCK_FIELDS`` fields, one
+    ``float`` pass over each. A block that fails goes through :func:`_row`
+    line by line, which raises the first error with its line number, or
+    converts the block where only U+001F padding failed it. Raises
+    ValueError where no row is found as well.
     """
     data = list(filter(str.strip, lines))
     widths, values = [], []
-    start = 1 if lines and lines[0].strip() and not _parses(lines[0]) else 0  # past a header
+    start = 1 if lines and lines[0].strip() and _numbers(lines[0]) is None else 0  # past a header
     while start < len(data):
         block = data[start : start + max(1, BLOCK_FIELDS // (data[start].count(",") + 1))]
+        width = np.fromiter(map(str.count, block, itertools.repeat(",")), np.intp, len(block)) + 1
         try:
-            width, value = _convert(block)
-            unparsed = len(block)
+            # one split of the lines joined by commas costs less than a split per line
+            value = np.fromiter(map(float, ",".join(block).split(",")), float, int(width.sum()))
+            if (width % 2).any() or not np.isfinite(value).all() or _pair_terms_error(int(width.max()) // 2, ""):
+                raise ValueError
         except ValueError:
-            # the first line a field of which does not parse; every line before it does
-            unparsed = next((k for k, line in enumerate(block) if not _parses(line)), len(block))
-            width, value = _convert(list(map(_stripped, block[:unparsed])))
-        # the first offending line: the one that does not parse, the first of
-        # odd width, or the one that holds the first non-finite value
-        odd, finite = width % 2 != 0, np.isfinite(value)
-        offending = [unparsed]
-        if odd.any():
-            offending.append(int(np.argmax(odd)))
-        if not finite.all():
-            offending.append(int(np.searchsorted(np.cumsum(width), np.argmin(finite), side="right")))
-        k = min(offending)
-        if k < len(block):
-            lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][start + k]
-            if k == unparsed:
-                raise ValueError(f"line {lineno}: cannot parse {block[k]!r} as numbers")
-            if odd[k]:
-                raise ValueError(f"line {lineno}: expected an even number of coordinates")
-            raise ValueError(f"line {lineno}: coordinates must be finite")
+            rows = []
+            for k, line in enumerate(block):
+                try:
+                    rows += _row(line)
+                except ValueError as exc:
+                    lineno = [n for n, text in enumerate(lines, start=1) if text.strip()][start + k]
+                    raise ValueError(f"line {lineno}: {exc}") from None
+            value = np.array(rows)
         widths.append(width)
         values.append(value)
         start += len(block)
@@ -432,15 +431,17 @@ def _read_points(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_density(args, parser: _Parser) -> int:
-    path = Path(args.points)
-    if not path.is_file():
-        print(f"points file not found: {path}", file=sys.stderr)
-        return EXIT_DATA
     w = WeightSpec(gamma=args.gamma)
     try:
         # utf-8-sig strips a byte-order mark, which would make row 1 pass for a header
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(args.points, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
+    except FileNotFoundError:
+        print(f"points file not found: {args.points}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        print(f"points file cannot be read: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_DATA
     except UnicodeDecodeError as exc:
         print(f"points file is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_DATA

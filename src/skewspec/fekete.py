@@ -292,8 +292,8 @@ def minimize_commuting(
     result = _multistart(
         grid - np.mean(grid, axis=0),
         lambda start, rng: start + 0.1 * rng.standard_normal(start.shape),
-        # minus log kappa and its gradient, which stays None where log kappa is -inf
-        lambda z: tuple(None if part is None else -part for part in log_kappa_and_grad(z, gamma)),
+        # minus log kappa (0.0 - part: 0.0, not -0.0, at zero) and its gradient, None where log kappa is -inf
+        lambda z: tuple(None if part is None else 0.0 - part for part in log_kappa_and_grad(z, gamma)),
         cfg,
         gamma,
         "commuting",

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewspec
-from skewspec.cli import BLOCK_FIELDS, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from skewspec.cli import BLOCK_FIELDS, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, MAX_PAIR_TERMS, main
+from skewspec.cli import _pair_terms_error
 from skewspec.density import WeightSpec, _kernel, _log_rho_of, _tau_of, stack_size
 
 
@@ -189,6 +190,52 @@ def test_verify_jacobian_degenerate_spectrum(tmp_path):
     assert "error" in report and report["spectrum"] == "1,2,1,2"
 
 
+# --spectrum values the row grammar or the skew spectrum rejects, with the
+# error line of each
+SPECTRUM_ERRORS = {
+    "abc": "cannot parse 'abc' as numbers",
+    "1": "expected an even number of coordinates",
+    "1,,1": "cannot parse '1,,1' as numbers",
+    "1,1,": "cannot parse '1,1,' as numbers",
+    "nan,1": "coordinates must be finite",
+    "0,1": "skew spectrum coordinates must be strictly positive",
+    "": "cannot parse '' as numbers",
+}
+
+
+@pytest.mark.parametrize("value", SPECTRUM_ERRORS, ids=lambda value: value or "empty")
+def test_verify_jacobian_spectrum_follows_the_row_grammar(tmp_path, capsys, value):
+    # --spectrum reads a `density` row: an empty field is an error, not a dropped value
+    out = tmp_path / "vj"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify-jacobian", "--spectrum", value, "--out", str(out))
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error:") == 1
+    assert err.splitlines()[-1] == f"skewspec: error: --spectrum: {SPECTRUM_ERRORS[value]}"
+    assert not out.exists()
+
+
+def test_verify_jacobian_spectrum_strips_its_fields_as_density_does(tmp_path):
+    # str.strip removes U+001F around a field, float alone does not
+    out = tmp_path / "vj"
+    assert run_cli("verify-jacobian", "--spectrum", "\x1f1, 1\x1f", "--out", str(out)) == EXIT_OK
+    assert read_json(out / "report.json")["spectrum"] == [[1.0, 1.0]]
+
+
+@pytest.mark.parametrize("p, limit", [(613, "limit of 1500000 dG columns"), (2897, "limit of 4194304 pair terms")])
+def test_verify_jacobian_spectrum_beyond_a_size_limit_exits_usage(tmp_path, capsys, p, limit):
+    # p = 613 needs 4p^2 + p = 1 503 689 dG columns, as --p 613 does; p = 2897
+    # points also have more pair terms than a row may
+    out = tmp_path / "vj"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify-jacobian", "--spectrum", ",".join(["1"] * (2 * p)), "--out", str(out))
+    assert exc.value.code == EXIT_USAGE
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"{p} points" in last or f"p = {p}" in last
+    assert limit in last and not out.exists()
+
+
 def test_fekete_anti_outputs(tmp_path):
     out = tmp_path / "fk"
     code = run_cli(
@@ -272,6 +319,28 @@ def test_fekete_whose_start_weight_overflows_exits_numerical(tmp_path, capsys, m
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+
+
+def test_fekete_commuting_single_point_reports_positive_zero(tmp_path, capsys):
+    # one point at the origin, where log kappa is 0: its negation is 0.0, not -0.0
+    assert run_cli("fekete", "--n", "1", "--mode", "commuting", "--out", str(tmp_path)) == EXIT_OK
+    assert "objective 0.000000," in capsys.readouterr().out
+    tau = read_json(tmp_path / "stats.json")["tau_final"]
+    assert tau == 0.0 and math.copysign(1.0, tau) == 1.0
+    assert (tmp_path / "trace.csv").read_text().splitlines()[1] == "0,0.0,0.0"
+
+
+@pytest.mark.parametrize("mode, n", [("anti", 5794), ("commuting", 2897)])
+def test_fekete_beyond_the_pair_term_limit_exits_usage(tmp_path, capsys, mode, n):
+    # 2897 points, one past the limit, in either mode: exit 64 before any start is built
+    out = tmp_path / "big"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fekete", "--n", str(n), "--mode", mode, "--out", str(out))
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    last = err.splitlines()[-1]
+    assert "Traceback" not in err and f"--n {n} (2897 points" in last and "limit of 4194304 pair terms" in last
+    assert not out.exists()
 
 
 def test_fekete_commuting_outputs(tmp_path):
@@ -421,6 +490,47 @@ def test_density_data_errors(tmp_path, capsys):
     assert run_cli("density", "--points", str(binary)) == EXIT_DATA
     err = capsys.readouterr().err
     assert "UTF-8" in err and len(err.splitlines()) == 1
+
+
+def test_density_row_beyond_the_pair_term_limit_exits_data(tmp_path, capsys):
+    # 2896 points are within the limit, 2897 are not: a row of 2897 points
+    # after a header and a blank line exits 65 naming its line, before the
+    # kernel sees any row
+    assert MAX_PAIR_TERMS == 1 << 22 and not _pair_terms_error(2896, "") and _pair_terms_error(2897, "")
+    csv = tmp_path / "pts.csv"
+    csv.write_text("x1,y1\n1,2\n\n" + ",".join(map(str, range(1, 2 * 2897 + 1))) + "\n")
+    assert run_cli("density", "--points", str(csv)) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "line 4: a row of 2897 points exceeds the limit of 4194304 pair terms, p(p - 1)/2, about 180 B of memory each\n"
+    )
+
+
+def test_density_points_that_cannot_be_read_exit_data(tmp_path, capsys):
+    # a directory, and /proc/self/mem where it exists, whose read fails with
+    # EIO: one line and exit 65 each, where the first was "not found"
+    paths = [tmp_path, Path("/proc/self/mem")]
+    for path in filter(Path.exists, paths):
+        assert run_cli("density", "--points", str(path)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("points file cannot be read: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_density_reads_points_that_are_not_regular_files(capsys):
+    # /dev/null reads as an empty file, and a pipe, as `<(printf '1,2\n')`
+    # gives, as the rows written to it
+    assert run_cli("density", "--points", os.devnull) == EXIT_DATA
+    assert capsys.readouterr().err == "no data rows found\n"
+    read, write = os.pipe()
+    os.write(write, b"1,2\n")
+    os.close(write)
+    try:
+        assert run_cli("density", "--points", f"/dev/fd/{read}") == EXIT_OK
+    finally:
+        os.close(read)
+    assert capsys.readouterr().out.splitlines()[0] == "log_rho,tau"
 
 
 def test_density_underflow_exits_numerical(tmp_path, capsys):
@@ -849,6 +959,57 @@ def test_sample_beyond_its_size_limits_exits_usage(tmp_path, capsys, argv, limit
     err = capsys.readouterr().err
     assert "Traceback" not in err and limit in err.splitlines()[-1]
     assert not out.exists()
+
+
+OUT = ("--out", "out")
+# malformed rows, each also out of the domain of every numeric flag
+BAD_VALUES = ["abc", "1,,1", "1,1,", "nan,1", "0,1", ""]
+# (argv run from a fresh directory, the text of pts.csv there or None)
+BAD_INPUTS = [
+    *((("verify-jacobian", "--spectrum", value, *OUT), None) for value in [*BAD_VALUES, "1"]),
+    *(
+        ((command, flag, value, *others), "1,2\n")
+        for command, flag, others in [
+            ("verify-jacobian", "--p", OUT),
+            ("fekete", "--n", OUT),
+            ("sample", "--p", ("--samples", "10", *OUT)),
+            ("kbound", "--p", ()),
+            ("density", "--gamma", ("--points", "pts.csv")),
+        ]
+        for value in BAD_VALUES
+    ),
+    *((("density", "--points", "pts.csv"), row + "\n") for row in ["abc", "1", "1,,1", "1,1,", "nan,1", ""]),
+    *((("density", "--points", path), None) for path in [".", os.devnull, "/proc/self/mem", "missing.csv"]),
+    # one past each size limit
+    (("verify-jacobian", "--p", "613", "--trials", "1", *OUT), None),
+    (("verify-jacobian", "--spectrum", ",".join(["1"] * 1226), *OUT), None),
+    (("fekete", "--n", "5794", *OUT), None),
+    (("fekete", "--n", "2897", "--mode", "commuting", *OUT), None),
+    (("sample", "--p", "2897", "--samples", "1", *OUT), None),
+    (("sample", "--p", "2", "--samples", str(2**22 + 1), *OUT), None),
+    (("density", "--points", "pts.csv"), ",".join(["1"] * 5794) + "\n"),
+]
+
+
+def _bad_input_id(case):
+    argv, text = case
+    words = [word if len(word) < 20 else f"<{word.count(',') + 1} fields>" for word in argv]
+    return " ".join(words) + ("" if text is None else f" <{text[:20]!r}>")
+
+
+@pytest.mark.parametrize("argv, text", BAD_INPUTS, ids=map(_bad_input_id, BAD_INPUTS))
+def test_bad_input_exits_with_a_documented_code(tmp_path, monkeypatch, capsys, argv, text):
+    # every command, on malformed values, unreadable or irregular points
+    # files and sizes past a limit: exit 2, 64 or 65, never a traceback
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        Path("pts.csv").write_text(text)
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in {EXIT_NUMERICAL, EXIT_USAGE, EXIT_DATA}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sample_defaults_resolved_in_run_chain(tmp_path):
