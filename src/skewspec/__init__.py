@@ -22,7 +22,7 @@ Library layout:
 - :mod:`skewspec.cli` — the ``skewspec`` command-line frontend.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .density import (
     WeightSpec,

@@ -52,11 +52,11 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage exit code this tool promises."""
+    """argparse with the usage exit code and the message line, ``skewspec: error: ...``, this tool promises."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"skewspec: error: {message}\n")
 
 
 def _domain(kind: type, positive: bool):
@@ -458,13 +458,8 @@ def cmd_density(args, parser: _Parser) -> int:
     firsts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()  # the first row of each run
     for first, stop in zip(firsts, firsts[1:] + [len(widths)]):
         terms = _kernel(values[offsets[first] : offsets[stop]].reshape(-1, widths[first] // 2, 2))
-        # log_rho at --gamma, tau at gamma = 1; where the weight overflows, a
-        # density that does not vanish has no representable log_rho
-        with np.errstate(over="ignore"):
-            log_rho = _log_rho_of(terms, w)
-        if (np.isfinite(terms[1]) > np.isfinite(log_rho)).any():
-            raise FloatingPointError("log_rho cannot be represented at this gamma")
-        lines = zip(log_rho.tolist(), _tau_of(terms, 1.0).tolist())
+        # log_rho at --gamma, tau at gamma = 1
+        lines = zip(_log_rho_of(terms, w).tolist(), _tau_of(terms, 1.0).tolist())
         sys.stdout.write("".join(f"{value!r},{t!r}\n" for value, t in lines))
     return EXIT_OK
 
@@ -489,7 +484,7 @@ def _build_parser() -> _Parser:
     pv.add_argument("--seed", type=_seed, default=None)
     pv.add_argument("--out", required=True, help="output directory")
     pv.add_argument("--spectrum", default=None, help="evaluate one fixed spectrum x1,y1,...")
-    pv.set_defaults(func=cmd_verify_jacobian)
+    pv.set_defaults(func=functools.partial(cmd_verify_jacobian, parser=pv))
 
     pf = sub.add_parser("fekete", help="compute a maximal-likelihood configuration")
     pf.add_argument("--n", type=positive_int, required=True, help="matrix dimension (even for anti mode)")
@@ -500,7 +495,7 @@ def _build_parser() -> _Parser:
     pf.add_argument("--grad-tol", type=_domain(float, positive=False), default=OptimizerConfig.grad_tol)
     pf.add_argument("--seed", type=_seed, default=None)
     pf.add_argument("--out", required=True)
-    pf.set_defaults(func=cmd_fekete)
+    pf.set_defaults(func=functools.partial(cmd_fekete, parser=pf))
 
     ps = sub.add_parser("sample", help="run a Metropolis chain over skew spectra")
     ps.add_argument("--p", type=positive_int, required=True)
@@ -510,16 +505,16 @@ def _build_parser() -> _Parser:
     ps.add_argument("--thin", type=positive_int, default=None)
     ps.add_argument("--seed", type=_seed, default=None)
     ps.add_argument("--out", required=True)
-    ps.set_defaults(func=cmd_sample)
+    ps.set_defaults(func=functools.partial(cmd_sample, parser=ps))
 
     pd = sub.add_parser("density", help="evaluate log_rho and tau for configurations in a CSV file")
     pd.add_argument("--points", required=True, help="CSV of rows x1,y1,...,xp,yp")
     pd.add_argument("--gamma", type=positive_float, default=1.0, help="weight of log_rho (tau always uses gamma = 1)")
-    pd.set_defaults(func=cmd_density)
+    pd.set_defaults(func=functools.partial(cmd_density, parser=pd))
 
     pk = sub.add_parser("kbound", help="solve the a-priori length bound for p points")
     pk.add_argument("--p", type=positive_int, required=True)
-    pk.set_defaults(func=cmd_kbound)
+    pk.set_defaults(func=functools.partial(cmd_kbound, parser=pk))
 
     return parser
 
@@ -534,7 +529,7 @@ def main(argv=None) -> int:
         except ValueError:
             parser.error(f"SKEWSPEC_SEED must be a {_seed.__name__}, got {text!r}")
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
     except FloatingPointError as exc:

@@ -8,7 +8,8 @@ Gaussian weight is
 with ||Z||_F^2 = 2 sum_k (x_k^2 + y_k^2) and f the four-factor repulsion
 product between two points. Everything is evaluated in log space; the
 normalization constant is never computed here. ``log_rho`` returns a plain
-float, -inf where the density vanishes.
+float, -inf where the density vanishes and nowhere else: it raises
+FloatingPointError where the weight overflows (:func:`_weight`).
 
 ``tau`` is the negative log density in the form the Fekete machinery is
 calibrated to: its quadratic term is (1/2) sum |z_k|^2, which corresponds
@@ -209,15 +210,27 @@ def _terms(pts: np.ndarray):
     return _kernel(pts[None])[:, 0].tolist()
 
 
+def _weight(sq_sum, c: float):
+    """c sum_k |z_k|^2 from the kernel's first term, a float or one per column: the one place the weight is formed.
+
+    That term is 0 where the density vanishes, so only a density that does
+    not vanish raises FloatingPointError, where the product overflows.
+    """
+    # the kernel's sums are finite, so no factor of at most 1 overflows them
+    if c > 1.0 and not math.isfinite(c * (sq_sum if type(sq_sum) is float else float(np.maximum.reduce(sq_sum)))):
+        raise FloatingPointError("the Gaussian weight overflows at this gamma")
+    return c * sq_sum
+
+
 def _log_rho_of(terms, w: WeightSpec):
     """log_rho from kernel terms: a float from :func:`_terms`, or per row from :func:`_kernel`."""
     sq_sum, log_point, log_pairs = terms
-    return -w.gamma * sq_sum + log_point + log_pairs
+    return -_weight(sq_sum, w.gamma) + log_point + log_pairs
 
 
 def _tau_of(terms, gamma: float):
     sq_sum, log_point, log_pairs = terms
-    return 0.5 * gamma * sq_sum - log_point - log_pairs
+    return _weight(sq_sum, 0.5 * gamma) - log_point - log_pairs
 
 
 def log_rho(s, w: WeightSpec) -> float:
@@ -225,7 +238,7 @@ def log_rho(s, w: WeightSpec) -> float:
 
     Accepts a SkewSpectrum or a raw configuration array; configurations
     with a vanishing factor (nonpositive coordinate, coincident points)
-    give -inf.
+    give -inf. Raises FloatingPointError where the weight overflows.
     """
     return _log_rho_of(_terms(_points(s)), w)
 
@@ -238,7 +251,8 @@ def tau(s, gamma: float = 1.0) -> float:
 
     with |z_k| = sqrt(x_k^2 + y_k^2). gamma = 1 is the formula the grid
     and length bounds of the Fekete module are calibrated to. Returns
-    +inf when any log argument vanishes.
+    +inf when any log argument vanishes, and raises FloatingPointError
+    where the weight overflows.
     """
     return _tau_of(_terms(_points(s)), gamma)
 
@@ -255,8 +269,8 @@ def tau_and_grad(s, gamma: float = 1.0) -> tuple[float, np.ndarray | None]:
     d tau / d x_k = gamma x_k - 1/x_k - x_k/(x_k^2+y_k^2)
                     - sum_{l != k} d/dx_k log f(z_k, z_l),
     and symmetrically in y. The value is bit for bit :func:`tau`'s. Returns
-    (inf, None) where tau is infinite, and raises FloatingPointError where
-    a term of the gradient is not finite.
+    (inf, None) where the density vanishes, and raises FloatingPointError
+    where the weight overflows or a term of the gradient is not finite.
     """
     pts = _points(s)
     out, pair_grad = _kernel(pts[None], grad=True)
@@ -286,11 +300,11 @@ def log_kappa_and_grad(lambdas, gamma: float) -> tuple[float, np.ndarray | None]
     over planar eigenvalues, an (n, 2) array; the constant is omitted.
     Value and gradient come from one pass of the density kernel, under its
     contract: coincident eigenvalues give (-inf, None), and a term that
-    cannot be represented raises FloatingPointError.
+    cannot be represented, the weight included, raises FloatingPointError.
     """
     pts = _points(lambdas)
     out, pair_grad = _kernel(pts[None], grad=True, commuting=True)
     sq_sum, vanished, log_pairs = out[:, 0].tolist()
     if vanished == -math.inf:
         return -math.inf, None
-    return _finite_grad(-gamma * sq_sum + log_pairs, -2.0 * gamma * pts + pair_grad)
+    return _finite_grad(-_weight(sq_sum, gamma) + log_pairs, -2.0 * gamma * pts + pair_grad)

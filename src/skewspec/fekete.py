@@ -173,12 +173,9 @@ def _descend(z, fun, config, grad_tol):
     value is infinite. The quasi-Newton step is tried first at unit
     length; where it is no descent direction or its line search fails,
     the memory resets and a steepest-descent step from ``STEP_INIT`` is
-    taken instead. Returns a :class:`FeketeResult` without ``K_bound``,
-    whose ``tau_final`` is +inf when the start itself is infeasible.
+    taken instead. Returns a :class:`FeketeResult` without ``K_bound``.
     """
     f, g = fun(z)
-    if not np.isfinite(f):
-        return FeketeResult(z, np.inf, np.inf, 0, False, np.zeros((0, 3)))
     trace = [(0, f, _max_norm(z))]
     memory = deque(maxlen=LBFGS_MEMORY)  # (step, gradient change, 1 / curvature) triples
     iteration = 0
@@ -224,6 +221,8 @@ def _multistart(start, perturb, fun, cfg, gamma, mode):
     the objective at gamma is the objective at the default of a copy
     rescaled by sqrt(gamma / default), plus a constant, so its gradient
     carries that factor and every gamma stops at the same relative accuracy.
+    A start's objective is finite or raises, since its points are distinct,
+    and positive in anti mode, so its density does not vanish.
     """
     if cfg.grad_tol is not None:
         grad_tol = cfg.grad_tol
@@ -234,13 +233,8 @@ def _multistart(start, perturb, fun, cfg, gamma, mode):
     for r in range(cfg.restarts):
         z0 = start.copy() if r == 0 else perturb(start, np.random.default_rng(streams[r]))
         result = _descend(z0, fun, cfg, grad_tol)
-        f = result.tau_final
-        if np.isfinite(f) and (best is None or f < best.tau_final - _tie_tol(best.tau_final)):
+        if best is None or result.tau_final < best.tau_final - _tie_tol(best.tau_final):
             best = result
-    if best is None:
-        # every start lies where the objective cannot be represented, such as
-        # a weight that overflows at this gamma
-        raise FloatingPointError("no restart reached a finite objective value")
     return best
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import WeightSpec, _kernel, _log_rho_of, _pair_index, _terms
+from .density import _kernel, _pair_index, _terms
 from .ensemble import SkewSpectrum, block_diag_arrays, build_block_diag
 from .matrixcore import check_unitary
 
@@ -253,13 +253,13 @@ def verify_density_shape(spectra, gamma: float = 1.0) -> DensityShapeReport:
     ``spectra`` is a sequence of SkewSpectrum (all the same p); the ratio
     is recorded per spectrum and the report passes when the coefficient of
     variation, taken from the log ratios shifted by their maximum, is
-    within ``JACOBIAN_TOL``.
+    within ``JACOBIAN_TOL``. The weight w at ``gamma`` is a factor of both
+    sides and cancels, so ``gamma`` does not enter the ratio.
     """
-    w = WeightSpec(gamma=gamma)
     log_gram = gram_log_determinants(spectra)
     stack = np.stack([s.points for s in spectra])
     terms = _kernel(stack)
-    log_ratios = 0.5 * log_gram - gamma * terms[0] - _log_rho_of(terms, w)
+    log_ratios = 0.5 * log_gram - terms[1] - terms[2]
     with np.errstate(over="ignore"):
         ratios = np.exp(log_ratios)
         mean = float(np.mean(ratios))

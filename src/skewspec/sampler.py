@@ -103,7 +103,7 @@ def _step(states, log_density, proposal, log_u, w):
     log_rho(states[k]), so a proposal off the quadrant is a rejection and
     log u = -inf accepts any finite proposal. ``states`` (K, p, 2) and
     ``log_density`` (K,) are updated in place. Raises FloatingPointError
-    where a proposal's density cannot be represented.
+    where a proposal's density, its weight included, cannot be represented.
     """
     candidate = _log_rho_of(_kernel(proposal), w)
     accepted = log_u < candidate - log_density
@@ -129,9 +129,9 @@ def run_chain(
     and is frozen afterwards, so the retained samples come from a fixed
     (reversible) kernel. The reported acceptance rate covers the sampling
     phase only. A transition accepts iff log u < log_rho(proposal) -
-    log_rho(state), so a proposal outside the quadrant is a rejection; one
-    whose density cannot be represented raises FloatingPointError, as does
-    a start whose weight underflows.
+    log_rho(state), so a proposal outside the quadrant is a rejection; a
+    state or proposal whose density cannot be represented, its weight
+    included, raises FloatingPointError.
     """
     if p < 1 or n_samples < 1:
         raise ValueError("p and n_samples must be >= 1")
@@ -148,10 +148,7 @@ def run_chain(
     normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
     normals, uniforms = np.random.default_rng(normal_seed), np.random.default_rng(uniform_seed)
     start = np.array(grid_initialization(p).points)
-    start_density = log_rho(start, w)
-    if start_density == -math.inf:  # gamma sum_k |z_k|^2 overflows
-        raise FloatingPointError("the density at the grid start cannot be represented at this gamma")
-    states, log_density = np.repeat(start[None], k, axis=0), np.full(k, start_density)
+    states, log_density = np.repeat(start[None], k, axis=0), np.full(k, log_rho(start, w))
     scale = 0.5
 
     samples = []  # the (K, p, 2) states of each retention

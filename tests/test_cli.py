@@ -52,6 +52,13 @@ def test_verify_jacobian_pinned_spectrum(tmp_path):
     assert report["shape_ratio"] == pytest.approx(16.0, rel=1e-9)
 
 
+def test_verify_jacobian_shape_ratio_away_from_unit_scale(tmp_path):
+    # the ratio is 16^p at any scale the rank test passes
+    out = tmp_path / "vj3"
+    assert run_cli("verify-jacobian", "--spectrum", "1e9,2e9,3e9,1e9,2.5e9,4e9", "--out", str(out)) == EXIT_OK
+    assert read_json(out / "report.json")["shape_ratio"] == pytest.approx(4096.0, rel=1e-9)
+
+
 def test_verify_jacobian_pinned_spectrum_beyond_double_range(tmp_path):
     # p = 8: the Gram determinant exceeds the double range, its log does not
     out = tmp_path / "vj8"
@@ -299,12 +306,14 @@ def test_fekete_rerun_is_byte_identical(tmp_path):
 
 
 def test_fekete_commuting_fails_loudly_where_its_terms_overflow(tmp_path, capsys):
-    # the first steps from the start grid at gamma = 1e250 reach coordinates
-    # whose squared gaps overflow: a numerical failure, not a silent stop
-    argv = ["fekete", "--n", "40", "--mode", "commuting", "--restarts", "1", "--gamma", "1e250"]
-    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+    # the first steps from the start grid reach coordinates whose weight
+    # overflows, and at gamma = 1e250 whose squared gaps overflow too: a
+    # numerical failure, not a silent stop
+    for gamma in ("1e150", "1e250"):
+        argv = ["fekete", "--n", "40", "--mode", "commuting", "--restarts", "1", "--gamma", gamma]
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("mode", ["anti", "commuting"])
@@ -395,6 +404,18 @@ def test_sample_p1_far_from_unit_gamma_fails_with_strict_json(tmp_path, gamma):
     ks = read_json(out / "ks.json")
     assert not ks["passed"]
     assert ks["log_normalization_c1"] == math.log(16.0 / (3.0 * math.sqrt(math.pi))) + 2.5 * math.log(float(gamma))
+
+
+def test_sample_whose_proposal_weight_overflows_exits_numerical(tmp_path, capsys):
+    # at gamma = 5e307 the weight of the p = 1 grid start is finite and that
+    # of a proposal past |z|^2 = 3.6 is not: one failure line, no warning
+    argv = ["sample", "--p", "1", "--gamma", "5e307", "--samples", "10", "--out", str(tmp_path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*argv) == EXIT_NUMERICAL
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
 
 
 def test_sample_p3_schema(tmp_path):
@@ -1009,7 +1030,11 @@ def test_bad_input_exits_with_a_documented_code(tmp_path, monkeypatch, capsys, a
     except SystemExit as exc:
         code = exc.code
     assert code in {EXIT_NUMERICAL, EXIT_USAGE, EXIT_DATA}
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # argparse's errors and the command's own both print the command's usage
+    if code == EXIT_USAGE:
+        assert err.splitlines()[0].startswith(f"usage: skewspec {argv[0]}")
 
 
 def test_sample_defaults_resolved_in_run_chain(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,27 @@ def test_kernel_raises_where_the_sum_of_squares_overflows():
     pts = np.array([[a, 1e-3 * a], [0.1 * a, 0.1 * a], [1e-3 * a, a]])
     with pytest.raises(FloatingPointError):
         log_rho(pts, WeightSpec(gamma=1.0))
+
+
+def test_every_density_function_raises_where_the_weight_overflows():
+    # at gamma = 1e307 the terms of (3, 4), (5, 1) are finite and gamma
+    # sum_k |z_k|^2 is not: a density that does not vanish raises, with no
+    # warning, and -inf or +inf still means a density that vanishes
+    pts, gamma, w = np.array([[3.0, 4.0], [5.0, 1.0]]), 1e307, WeightSpec(gamma=1e307)
+    vanishing, coincident = np.array([[0.0, 4.0], [5.0, 1.0]]), np.array([[3.0, 4.0], [3.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (tau, tau_and_grad, grad_tau, log_kappa_and_grad):
+            with pytest.raises(FloatingPointError, match="weight overflows"):
+                evaluate(pts, gamma)
+        with pytest.raises(FloatingPointError, match="weight overflows"):
+            log_rho(pts, w)
+        with pytest.raises(FloatingPointError, match="weight overflows"):
+            log_rho_stack(np.stack([vanishing, pts]), w)
+        assert log_rho(vanishing, w) == -np.inf and tau(vanishing, gamma) == np.inf
+        assert tau_and_grad(vanishing, gamma) == (np.inf, None)
+        assert log_kappa_and_grad(coincident, gamma) == (-np.inf, None)
+        assert log_rho_stack(np.stack([vanishing, coincident]), w).tolist() == [-np.inf, -np.inf]
 
 
 def log_rho_stack(stack, w):

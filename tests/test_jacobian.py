@@ -268,7 +268,7 @@ def test_shape_ratio_p1_is_16():
 def test_shape_ratio_scale_invariant():
     s = SkewSpectrum([(0.8, 1.4), (2.1, 0.9)])
     base = verify_density_shape([s]).ratios[0]
-    for t in (0.5, 2.0, 7.0):
+    for t in (0.5, 2.0, 7.0, 1e-9, 1e4, 1e6, 1e9):
         scaled = SkewSpectrum(np.asarray(s.points) * t)
         assert verify_density_shape([scaled]).ratios[0] == pytest.approx(base, rel=1e-9)
 
@@ -286,6 +286,17 @@ def test_shape_ratio_beyond_double_range(monkeypatch):
     assert report.passed and report.coefficient_of_variation <= 1e-8
     assert np.isinf(report.ratios).all() and report.mean == np.inf
     assert np.isfinite(report.log_ratios).all()
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_shape_check_passes_away_from_unit_scale(scale):
+    # criterion 2's spectra, scaled: the weight is a factor of both sides of
+    # the ratio, so the check must not depend on it cancelling in roundoff
+    rng = np.random.default_rng(102)
+    spectra = [random_generic_spectrum(2, rng, low=0.1, high=5.0, min_rel_gap=1e-3) for _ in range(50)]
+    report = verify_density_shape([SkewSpectrum(s.points * scale) for s in spectra])
+    assert report.passed and report.coefficient_of_variation <= 1e-8
+    assert report.mean == pytest.approx(256.0, rel=1e-9)
 
 
 def test_verify_density_shape_report():

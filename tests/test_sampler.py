@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -443,8 +444,17 @@ def test_chain_count_is_one_kernel_pass(p, k):
 def test_chain_raises_where_the_start_density_cannot_be_represented():
     # gamma sum_k |z_k|^2 of the grid start overflows at gamma = 1e308
     for p in (1, 3):
-        with pytest.raises(FloatingPointError, match="grid start"):
+        with pytest.raises(FloatingPointError, match="weight overflows"):
             run_chain(p, WeightSpec(gamma=1e308), 10, burn_in=10, thinning=1)
+
+
+def test_chain_raises_where_a_proposal_weight_overflows():
+    # at gamma = 5e307 the start's weight is finite; a proposal's past
+    # |z|^2 = 3.6 is not, and raises rather than warn and reject
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="weight overflows"):
+            run_chain(1, WeightSpec(gamma=5e307), 10, burn_in=10, thinning=1)
 
 
 def test_run_chain_argument_validation():
