@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import WeightSpec, _kernel, _log_rho_of, _tau_of
+from .density import WeightSpec, _kernel, _log_rho_of, _neg_log_of
 from .ensemble import SkewSpectrum
 from .fekete import DEFAULT_GAMMA, OptimizerConfig, minimize_commuting, minimize_tau, solve_K_bound, spacing_stats
 from .fekete import _k_constraint_lhs
@@ -34,6 +34,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 KS_THRESHOLD = 0.05
+TRIALS = 100  # random spectra of a `verify-jacobian --p` run without --trials
 # dG columns, trials * (4p^2 + p), one `verify-jacobian` run may take (a `--spectrum` is one trial);
 # each costs about 1.6 KB of peak memory, so the limit is about 2.5 GB
 VERIFY_COLUMNS = 1_500_000
@@ -80,12 +81,8 @@ def _domain(kind: type, positive: bool):
 _seed = _domain(int, positive=False)
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, int) else repr(float(value))
-
-
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
-    """Rows of Python ints and floats, as ``tolist()`` gives them, each written as :func:`_fmt` would."""
+    """Rows of Python ints and floats, as ``tolist()`` gives them, each value written as its ``repr``."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
@@ -222,10 +219,13 @@ def cmd_verify_jacobian(args, parser: _Parser) -> int:
         s = _parse_spectrum_flag(args.spectrum, parser)
         if args.p is not None and args.p != s.p:
             parser.error(f"--p {args.p} contradicts --spectrum with p = {s.p}")
+        if args.trials is not None:
+            parser.error(f"--trials {args.trials} does nothing with --spectrum, which is one trial")
         p, trials, flags, given = s.p, 1, f"--spectrum of p = {s.p}", {"spectrum": args.spectrum}
     elif args.p is None:
         parser.error("--p is required unless --spectrum is given")
     else:
+        args.trials = TRIALS if args.trials is None else args.trials  # the manifest records the default
         p, trials, flags = args.p, args.trials, f"--p {args.p} --trials {args.trials}"
         given = {"p": p, "trials": trials}
     if trials * (4 * p**2 + p) > VERIFY_COLUMNS:
@@ -458,16 +458,16 @@ def cmd_density(args, parser: _Parser) -> int:
     firsts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()  # the first row of each run
     for first, stop in zip(firsts, firsts[1:] + [len(widths)]):
         terms = _kernel(values[offsets[first] : offsets[stop]].reshape(-1, widths[first] // 2, 2))
-        # log_rho at --gamma, tau at gamma = 1
-        lines = zip(_log_rho_of(terms, w).tolist(), _tau_of(terms, 1.0).tolist())
+        # log_rho at --gamma, tau at gamma = 1, the weight c = 1/2
+        lines = zip(_log_rho_of(terms, w).tolist(), _neg_log_of(terms, 0.5).tolist())
         sys.stdout.write("".join(f"{value!r},{t!r}\n" for value, t in lines))
     return EXIT_OK
 
 
 def cmd_kbound(args, parser: _Parser) -> int:
     k = solve_K_bound(args.p)
-    print(f"K={_fmt(k)}")
-    print(f"lhs={_fmt(_k_constraint_lhs(k, args.p))}")
+    print(f"K={k!r}")
+    print(f"lhs={_k_constraint_lhs(k, args.p)!r}")
     return EXIT_OK
 
 
@@ -480,7 +480,7 @@ def _build_parser() -> _Parser:
 
     pv = sub.add_parser("verify-jacobian", help="compare the numeric Gram determinant to its closed form")
     pv.add_argument("--p", type=positive_int, default=None, help="number of skew-spectrum points")
-    pv.add_argument("--trials", type=positive_int, default=100)
+    pv.add_argument("--trials", type=positive_int, default=None, help=f"random spectra with --p (default {TRIALS})")
     pv.add_argument("--seed", type=_seed, default=None)
     pv.add_argument("--out", required=True, help="output directory")
     pv.add_argument("--spectrum", default=None, help="evaluate one fixed spectrum x1,y1,...")

@@ -11,13 +11,13 @@ normalization constant is never computed here. ``log_rho`` returns a plain
 float, -inf where the density vanishes and nowhere else: it raises
 FloatingPointError where the weight overflows (:func:`_weight`).
 
-``tau`` is the negative log density in the form the Fekete machinery is
-calibrated to: its quadratic term is (1/2) sum |z_k|^2, which corresponds
-to the Gaussian weight exp(-||Z||_F^2 / 4). With the WeightSpec convention
-w(t) = exp(-gamma t^2 / 2), ``-log_rho`` at gamma has quadratic term
-gamma * sum |z_k|^2, so -log_rho(z, WeightSpec(gamma)) = tau(z, 2 gamma)
-bit for bit while 2 gamma is finite: both scale the kernel's sum |z_k|^2
-by the same double. Both are kept verbatim; neither is "corrected".
+Every weight is written exp(-c sum_k |z_k|^2), and :func:`_objective`
+forms -log rho at weight c with its gradient, for this density and for
+the commuting one alike. ``WeightSpec(gamma)`` and ``log_kappa_and_grad``
+take c = gamma; ``tau`` at gamma, the Fekete normalization, takes c =
+gamma/2, so tau at its default gamma = 1 is the weight exp(-||Z||_F^2 / 4),
+and -log_rho(z, WeightSpec(gamma)) = tau(z, 2 gamma) up to the order of
+the sums. Both Fekete modes default to c = 1/2.
 """
 
 from __future__ import annotations
@@ -228,9 +228,10 @@ def _log_rho_of(terms, w: WeightSpec):
     return -_weight(sq_sum, w.gamma) + log_point + log_pairs
 
 
-def _tau_of(terms, gamma: float):
+def _neg_log_of(terms, c: float):
+    """-log rho under the weight exp(-c sum_k |z_k|^2) from kernel terms, as :func:`_log_rho_of` takes them."""
     sq_sum, log_point, log_pairs = terms
-    return _weight(sq_sum, 0.5 * gamma) - log_point - log_pairs
+    return _weight(sq_sum, c) - log_point - log_pairs
 
 
 def log_rho(s, w: WeightSpec) -> float:
@@ -254,32 +255,39 @@ def tau(s, gamma: float = 1.0) -> float:
     +inf when any log argument vanishes, and raises FloatingPointError
     where the weight overflows.
     """
-    return _tau_of(_terms(_points(s)), gamma)
+    return _neg_log_of(_terms(_points(s)), 0.5 * gamma)
 
 
-def _finite_grad(value: float, g: np.ndarray) -> tuple[float, np.ndarray]:
+def _objective(pts: np.ndarray, c: float, commuting: bool = False) -> tuple[float, np.ndarray | None]:
+    """-log rho under the weight exp(-c sum_k |z_k|^2) and its (p, 2) gradient, from one kernel pass.
+
+    ``commuting`` takes the commuting density of :func:`_kernel`, which has
+    no point term. In x, and symmetrically in y, the gradient is 2c x_k
+    - 1/x_k - x_k/(x_k^2+y_k^2) - sum_{l != k} d/dx_k log f(z_k, z_l), the
+    point terms 1/x_k and x_k/|z_k|^2 in the skew-spectrum case only.
+    Returns (inf, None) where the density vanishes, and raises
+    FloatingPointError where the weight overflows or a gradient term is not finite.
+    """
+    out, pair_grad = _kernel(pts[None], grad=True, commuting=commuting)
+    terms = out[:, 0].tolist()
+    if terms[1] == -math.inf:
+        return math.inf, None
+    value, g = _neg_log_of(terms, c), (2.0 * c) * pts
+    if not commuting:
+        g = g - 1.0 / pts - pts / np.add.reduce(pts * pts, axis=1)[:, None]
+    g = g - pair_grad
     if not np.isfinite(g).all():
         raise FloatingPointError("a gradient term is not finite at this scale")
     return value, g
 
 
 def tau_and_grad(s, gamma: float = 1.0) -> tuple[float, np.ndarray | None]:
-    """``tau(s, gamma)`` and its analytic gradient, shape (p, 2), from one pass over the pairs.
+    """``tau(s, gamma)``, bit for bit, and its analytic (p, 2) gradient: :func:`_objective` at c = gamma/2.
 
-    d tau / d x_k = gamma x_k - 1/x_k - x_k/(x_k^2+y_k^2)
-                    - sum_{l != k} d/dx_k log f(z_k, z_l),
-    and symmetrically in y. The value is bit for bit :func:`tau`'s. Returns
-    (inf, None) where the density vanishes, and raises FloatingPointError
-    where the weight overflows or a term of the gradient is not finite.
+    Returns (inf, None) where the density vanishes, and raises
+    FloatingPointError where the weight overflows or a gradient term is not finite.
     """
-    pts = _points(s)
-    out, pair_grad = _kernel(pts[None], grad=True)
-    terms = out[:, 0].tolist()
-    if terms[1] == -math.inf:
-        return np.inf, None
-    x, y = pts[:, 0], pts[:, 1]
-    r2 = x * x + y * y
-    return _finite_grad(_tau_of(terms, gamma), gamma * pts - 1.0 / pts - pts / r2[:, None] - pair_grad)
+    return _objective(_points(s), 0.5 * gamma)
 
 
 def grad_tau(s, gamma: float = 1.0) -> np.ndarray:
@@ -298,13 +306,9 @@ def log_kappa_and_grad(lambdas, gamma: float) -> tuple[float, np.ndarray | None]
 
     The density is exp(-gamma sum |lambda_j|^2) * prod_{i<j} |lambda_i - lambda_j|^2
     over planar eigenvalues, an (n, 2) array; the constant is omitted.
-    Value and gradient come from one pass of the density kernel, under its
+    Both are :func:`_objective`'s at c = gamma, negated, under the kernel's
     contract: coincident eigenvalues give (-inf, None), and a term that
     cannot be represented, the weight included, raises FloatingPointError.
     """
-    pts = _points(lambdas)
-    out, pair_grad = _kernel(pts[None], grad=True, commuting=True)
-    sq_sum, vanished, log_pairs = out[:, 0].tolist()
-    if vanished == -math.inf:
-        return -math.inf, None
-    return _finite_grad(-_weight(sq_sum, gamma) + log_pairs, -2.0 * gamma * pts + pair_grad)
+    value, g = _objective(_points(lambdas), gamma, commuting=True)
+    return -value, None if g is None else -g

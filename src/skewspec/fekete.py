@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import log_kappa_and_grad, tau_and_grad
+from .density import _objective
 from .ensemble import SkewSpectrum
 
 
@@ -210,29 +210,26 @@ def _descend(z, fun, config, grad_tol):
     return FeketeResult(z, float(f), gnorm, iteration, gnorm <= grad_tol, np.array(trace))
 
 
-def _multistart(start, perturb, fun, cfg, gamma, mode):
-    """Best ``_descend`` result over ``cfg.restarts`` starts.
+def _multistart(start, perturb, cfg, c, commuting):
+    """Best ``_descend`` result over ``cfg.restarts`` starts, on :func:`density._objective` at weight c.
 
     Restart 0 descends from ``start`` itself; restart r > 0 from
     ``perturb(start, rng)`` with the r-th stream spawned from the seed.
     The lowest value wins, ties resolved by restart index, so a fixed seed
     gives bit-identical output. The default gradient tolerance is 1e-6
-    per point at the mode's default gamma, times sqrt(gamma / default):
-    the objective at gamma is the objective at the default of a copy
-    rescaled by sqrt(gamma / default), plus a constant, so its gradient
-    carries that factor and every gamma stops at the same relative accuracy.
-    A start's objective is finite or raises, since its points are distinct,
-    and positive in anti mode, so its density does not vanish.
+    per point at c = 1/2, the default of both modes, times sqrt(2c): the
+    objective at c is the objective at 1/2 of a copy rescaled by sqrt(2c),
+    plus a constant, so its gradient carries that factor and every c stops
+    at the same relative accuracy. A start's objective is finite or
+    raises, since its points are distinct, and positive in anti mode, so
+    its density does not vanish.
     """
-    if cfg.grad_tol is not None:
-        grad_tol = cfg.grad_tol
-    else:
-        grad_tol = 1e-6 * start.shape[0] * math.sqrt(gamma / DEFAULT_GAMMA[mode])
+    grad_tol = 1e-6 * start.shape[0] * math.sqrt(2.0 * c) if cfg.grad_tol is None else cfg.grad_tol
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best = None
     for r in range(cfg.restarts):
         z0 = start.copy() if r == 0 else perturb(start, np.random.default_rng(streams[r]))
-        result = _descend(z0, fun, cfg, grad_tol)
+        result = _descend(z0, lambda z: _objective(z, c, commuting), cfg, grad_tol)
         if best is None or result.tau_final < best.tau_final - _tie_tol(best.tau_final):
             best = result
     return best
@@ -253,10 +250,9 @@ def minimize_tau(p: int, config: OptimizerConfig | None = None, gamma: float = D
     result = _multistart(
         grid_initialization(p).points,
         lambda start, rng: start * np.exp(0.1 * rng.standard_normal(start.shape)),
-        lambda z: tau_and_grad(z, gamma),
         cfg,
-        gamma,
-        "anti",
+        c=0.5 * gamma,
+        commuting=False,
     )
     z = result.points
     return replace(result, points=SkewSpectrum(z[np.argsort(z[:, 0], kind="stable")]), K_bound=k_bound)
@@ -286,11 +282,9 @@ def minimize_commuting(
     result = _multistart(
         grid - np.mean(grid, axis=0),
         lambda start, rng: start + 0.1 * rng.standard_normal(start.shape),
-        # minus log kappa (0.0 - part: 0.0, not -0.0, at zero) and its gradient, None where log kappa is -inf
-        lambda z: tuple(None if part is None else 0.0 - part for part in log_kappa_and_grad(z, gamma)),
         cfg,
-        gamma,
-        "commuting",
+        c=gamma,
+        commuting=True,
     )
     return replace(result, points=result.points[np.lexsort(result.points.T[::-1])])
 

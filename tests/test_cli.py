@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import skewspec
 from skewspec.cli import BLOCK_FIELDS, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, MAX_PAIR_TERMS, main
 from skewspec.cli import _pair_terms_error
-from skewspec.density import WeightSpec, _kernel, _log_rho_of, _tau_of, stack_size
+from skewspec.density import WeightSpec, _kernel, _log_rho_of, _neg_log_of, stack_size
 
 
 def run_cli(*argv):
@@ -28,6 +28,14 @@ def run_cli(*argv):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def test_verify_jacobian_trials_default_is_recorded(tmp_path):
+    # a --p run without --trials draws 100 spectra, and both files say so
+    out = tmp_path / "vj"
+    assert run_cli("verify-jacobian", "--p", "1", "--seed", "1", "--out", str(out)) == EXIT_OK
+    assert read_json(out / "report.json")["trials"] == 100
+    assert read_json(out / "manifest.json")["parameters"]["trials"] == 100
 
 
 def test_verify_jacobian_random_trials(tmp_path):
@@ -591,7 +599,7 @@ def test_density_rows_spanning_several_kernel_passes(tmp_path, capsys):
     expected = []
     for row in rows:
         terms = _kernel(np.array(row).reshape(1, -1, 2))
-        expected.append(f"{float(_log_rho_of(terms, WeightSpec(2.0))[0])!r},{float(_tau_of(terms, 1.0)[0])!r}")
+        expected.append(f"{float(_log_rho_of(terms, WeightSpec(2.0))[0])!r},{float(_neg_log_of(terms, 0.5)[0])!r}")
     assert lines == ["log_rho,tau", *expected]
     assert lines[size + 2] == "-inf,inf"
 
@@ -677,7 +685,7 @@ def reference_density(path, gamma):
     out = ["log_rho,tau\n"]
     for length, run in itertools.groupby(rows, key=len):
         terms = _kernel(np.array(list(run)).reshape(-1, length // 2, 2))
-        lines = zip(_log_rho_of(terms, w).tolist(), _tau_of(terms, 1.0).tolist())
+        lines = zip(_log_rho_of(terms, w).tolist(), _neg_log_of(terms, 0.5).tolist())
         out.append("".join(f"{value!r},{t!r}\n" for value, t in lines))
     return EXIT_OK, "".join(out), ""
 
@@ -988,6 +996,8 @@ BAD_VALUES = ["abc", "1,,1", "1,1,", "nan,1", "0,1", ""]
 # (argv run from a fresh directory, the text of pts.csv there or None)
 BAD_INPUTS = [
     *((("verify-jacobian", "--spectrum", value, *OUT), None) for value in [*BAD_VALUES, "1"]),
+    # --trials with --spectrum, which is one trial
+    (("verify-jacobian", "--spectrum", "1,1", "--trials", "5", *OUT), None),
     *(
         ((command, flag, value, *others), "1,2\n")
         for command, flag, others in [

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from skewspec.cli import main
 from skewspec.density import tau
 from skewspec.ensemble import SkewSpectrum
 from skewspec.fekete import (
@@ -207,3 +209,39 @@ def test_optimizer_config_validation():
     for grad_tol in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=grad_tol)
+
+
+# sha256 of points.csv and trace.csv of four `fekete` runs: the README's two
+# figures and one non-default gamma per mode. Recorded with numpy 2.4 on
+# x86-64 with AVX-512; numpy's log kernels differ between instruction sets,
+# so the digests can differ on another processor.
+PINNED_FEKETE = [
+    (
+        ("--n", "20", "--mode", "anti", "--seed", "1"),
+        "b992bf19f40e21aaadaffe4f12b874742af4758a8bdcb747ddffbea19a95e14f",
+        "e89c68b0af68847ce25de3ca00f0823bc6f947dbe3aef274a9174eb31db0a05d",
+    ),
+    (
+        ("--n", "40", "--mode", "commuting", "--seed", "1"),
+        "519cbcefa07959daa74613690c095b5d86d74b423fbd5018c18678e6d78590ff",
+        "3ef04a7deb4b4127b138cba80e653904870511a5bd76e8e004f0b3b88e3f2eb2",
+    ),
+    (
+        ("--n", "50", "--restarts", "2", "--gamma", "7.5", "--seed", "4"),
+        "9a90079960e9f9d308b7580c8db714cedfb8a2f13c0b55e15d9da1a928412705",
+        "76b8189812a1a41d0c598d8d1406c2cad6603834b50256f357cf7d7259aef760",
+    ),
+    (
+        ("--n", "24", "--mode", "commuting", "--gamma", "0.01", "--restarts", "2", "--seed", "0"),
+        "30406c54534702bbda6472d858f5d0d28ff8c3e02a99b0478d779b9f0d759465",
+        "2c7cbc3852cfd2df80868459deaaf56b4bfeb8cedf38a1d3fb6d35d774aa776f",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,points_sha,trace_sha", PINNED_FEKETE, ids=["fig1", "fig2", "anti-gamma", "commuting-gamma"])
+def test_fekete_bits_pinned(tmp_path, capsys, argv, points_sha, trace_sha):
+    # a rewritten objective or solver must not move a single bit of a seeded solve
+    assert main(["fekete", *argv, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "points.csv").read_bytes()).hexdigest() == points_sha
+    assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
