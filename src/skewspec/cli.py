@@ -115,40 +115,31 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, artif
 
 
 def _svg_scatter(points: np.ndarray, radius: float, mode: str) -> str:
-    """800x800 scatter with one reference quarter-arc (anti) or circle (commuting)."""
+    """800x800 scatter of [-1.2r, 1.2r]^2, or its first quadrant in anti mode, with axes and the reference circle of radius r."""
     size = 800
     extent = 1.2 * radius
+    low = 0.0 if mode == "anti" else -extent  # the view is [low, extent]^2
+    span = extent - low
+
+    def to_px(x, y):
+        return (x - low) / span * size, size - (y - low) / span * size
+
+    cx, cy = to_px(0.0, 0.0)
+    rpx = radius / span * size
+    if mode == "anti":
+        (x0, y0), (x1, y1) = to_px(radius, 0.0), to_px(0.0, radius)
+        reference = f'<path class="reference" d="M {x0:.3f} {y0:.3f} A {rpx:.3f} {rpx:.3f} 0 0 0 {x1:.3f} {y1:.3f}"'
+    else:
+        reference = f'<circle class="reference" cx="{cx:.3f}" cy="{cy:.3f}" r="{rpx:.3f}"'
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}" '
         f'width="{size}" height="{size}">',
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="white"/>',
+        f'{reference} fill="none" stroke="black" stroke-width="1.5"/>',
+        f'<line x1="0" y1="{cy:.3f}" x2="{size}" y2="{cy:.3f}" stroke="gray"/>',
+        f'<line x1="{cx:.3f}" y1="0" x2="{cx:.3f}" y2="{size}" stroke="gray"/>',
     ]
-    if mode == "anti":
-        def to_px(x, y):
-            return x / extent * size, size - y / extent * size
-
-        x0, y0 = to_px(radius, 0.0)
-        x1, y1 = to_px(0.0, radius)
-        rpx = radius / extent * size
-        parts.append(
-            f'<path class="reference" d="M {x0:.3f} {y0:.3f} A {rpx:.3f} {rpx:.3f} 0 0 0 '
-            f'{x1:.3f} {y1:.3f}" fill="none" stroke="black" stroke-width="1.5"/>'
-        )
-        parts.append(f'<line x1="0" y1="{size}" x2="{size}" y2="{size}" stroke="gray"/>')
-        parts.append(f'<line x1="0" y1="0" x2="0" y2="{size}" stroke="gray"/>')
-    else:
-        def to_px(x, y):
-            return (x + extent) / (2 * extent) * size, size - (y + extent) / (2 * extent) * size
-
-        cx, cy = to_px(0.0, 0.0)
-        rpx = radius / (2 * extent) * size
-        parts.append(
-            f'<circle class="reference" cx="{cx:.3f}" cy="{cy:.3f}" r="{rpx:.3f}" '
-            f'fill="none" stroke="black" stroke-width="1.5"/>'
-        )
-        parts.append(f'<line x1="0" y1="{cy:.3f}" x2="{size}" y2="{cy:.3f}" stroke="gray"/>')
-        parts.append(f'<line x1="{cx:.3f}" y1="0" x2="{cx:.3f}" y2="{size}" stroke="gray"/>')
     for x, y in points:
         px, py = to_px(float(x), float(y))
         parts.append(f'<circle class="point" cx="{px:.3f}" cy="{py:.3f}" r="4" fill="crimson"/>')
@@ -274,39 +265,32 @@ def cmd_fekete(args, parser: _Parser) -> int:
     gamma = args.gamma if args.gamma is not None else DEFAULT_GAMMA[args.mode]
     out_dir = _output_dir(args.out, parser)
 
-    config = OptimizerConfig(
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    config = OptimizerConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, restarts=args.restarts, seed=args.seed)
     if args.mode == "anti":
         result = minimize_tau(args.n // 2, config=config, gamma=gamma)
         points = result.points.points
-        reference_radius = 2.0 * np.sqrt(args.n / gamma)
-        stats = {"K_bound": result.K_bound}
     else:
         result = minimize_commuting(args.n, d=2, gamma=gamma, config=config)
         points = result.points
-        reference_radius = np.sqrt(args.n / gamma)
-        stats = {}
 
+    # sqrt(N/c), the support radius of N points at weight c: the anti set is a quarter of a 2n-point orbit at gamma/2
+    reference_radius = (2.0 if args.mode == "anti" else 1.0) * math.sqrt(args.n / gamma)
     spacing = spacing_stats(points) if points.shape[0] >= 2 else None
-    stats.update(
-        {
-            "tau_final": result.tau_final,
-            "mode": args.mode,
-            "n": args.n,
-            "gamma": gamma,
-            "grad_norm": result.grad_norm_final,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "nn_mean": spacing.nn_mean if spacing else None,
-            "nn_cv": spacing.nn_cv if spacing else None,
-            "max_norm": spacing.max_norm if spacing else float(np.linalg.norm(points[0])),
-            "reference_radius": float(reference_radius),
-        }
-    )
+    stats = {
+        "tau_final": result.tau_final,
+        "mode": args.mode,
+        "n": args.n,
+        "gamma": gamma,
+        "grad_norm": result.grad_norm_final,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "nn_mean": spacing.nn_mean if spacing else None,
+        "nn_cv": spacing.nn_cv if spacing else None,
+        "max_norm": float(result.trace[-1, 2]),  # the last iterate's, as trace.csv holds it
+        "reference_radius": reference_radius,
+    }
+    if result.K_bound is not None:
+        stats["K_bound"] = result.K_bound
 
     _write_csv(out_dir / "points.csv", ["x", "y"], points.tolist())
     # one row per accepted iterate of the best restart
@@ -317,11 +301,11 @@ def cmd_fekete(args, parser: _Parser) -> int:
     )
     _write_json(out_dir / "stats.json", stats)
     with open(out_dir / "figure.svg", "w") as fh:
-        fh.write(_svg_scatter(points, float(reference_radius), args.mode))
+        fh.write(_svg_scatter(points, reference_radius, args.mode))
     _write_manifest(out_dir, "fekete", args, ["points.csv", "trace.csv", "stats.json", "figure.svg"], started)
     print(
         f"{args.mode} n={args.n}: objective {result.tau_final:.6f}, "
-        f"max norm {stats['max_norm']:.4f}, reference radius {reference_radius:.4f}"
+        f"max norm {stats['max_norm']:.6g}, reference radius {reference_radius:.6g}"
     )
     return EXIT_OK
 

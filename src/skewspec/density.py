@@ -81,7 +81,10 @@ def lemma_d1_bounds(z_i, z_j, eps: float, m: float):
     return 128.0 * eps**6 * d2, 200.0 * m**6 * d2
 
 
-@functools.lru_cache(maxsize=16)
+# the index caches hold the two entries one run reuses (a chain's (p, K) and
+# (p, 1) stacks, a density run's full and last pass): each entry keeps 16 or
+# 32 B per pair term, so more widths would hold hundreds of MB at large p
+@functools.lru_cache(maxsize=2)
 def _pair_index(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of every unordered pair i < j of p points.
 
@@ -93,7 +96,7 @@ def _pair_index(p: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=2)
 def _stack_pair_index(p: int, b: int) -> np.ndarray:
     """Where each pair's coordinates lie in a flattened (b, p, 2) stack, shape (2, 2, b, m).
 

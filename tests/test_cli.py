@@ -273,7 +273,7 @@ def test_fekete_anti_outputs(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     assert [int(r[0]) for r in rows] == list(range(len(rows)))
     assert float(rows[-1][1]) == stats["tau_final"]
-    assert float(rows[-1][2]) == pytest.approx(stats["max_norm"], rel=1e-12)
+    assert float(rows[-1][2]) == stats["max_norm"]
     assert "trace.csv" in read_json(out / "manifest.json")["artifacts"]
 
     root = ET.parse(out / "figure.svg").getroot()
@@ -345,6 +345,18 @@ def test_fekete_commuting_single_point_reports_positive_zero(tmp_path, capsys):
     tau = read_json(tmp_path / "stats.json")["tau_final"]
     assert tau == 0.0 and math.copysign(1.0, tau) == 1.0
     assert (tmp_path / "trace.csv").read_text().splitlines()[1] == "0,0.0,0.0"
+
+
+@pytest.mark.parametrize("mode", ["anti", "commuting"])
+def test_fekete_summary_line_stays_short_at_a_tiny_gamma(tmp_path, capsys, mode):
+    # at gamma = 1e-300 the norms are near 1e150: printed to 6 significant
+    # digits, not as 150-digit fixed-point numbers
+    argv = ["fekete", "--n", "50", "--mode", mode, "--gamma", "1e-300", "--restarts", "1"]
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+    line = capsys.readouterr().out.strip()
+    stats = read_json(tmp_path / "stats.json")
+    assert len(line) < 100
+    assert f"max norm {stats['max_norm']:.6g}, reference radius {stats['reference_radius']:.6g}" in line
 
 
 @pytest.mark.parametrize("mode, n", [("anti", 5794), ("commuting", 2897)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,8 @@ from skewspec.density import (
     WeightSpec,
     _kernel,
     _log_rho_of,
+    _pair_index,
+    _stack_pair_index,
     grad_tau,
     lemma_d1_bounds,
     log_kappa_and_grad,
@@ -113,6 +116,22 @@ def test_kernel_raises_where_the_sum_of_squares_overflows():
     pts = np.array([[a, 1e-3 * a], [0.1 * a, 0.1 * a], [1e-3 * a, a]])
     with pytest.raises(FloatingPointError):
         log_rho(pts, WeightSpec(gamma=1.0))
+
+
+def test_kernel_index_caches_stay_bounded():
+    # each width keeps its pair indices, 48 B per pair term: 16 rows of
+    # p = 400..415 points would hold 63.6 MB if every width stayed cached
+    rows = [np.random.default_rng(p).uniform(0.5, 2.0, (1, p, 2)) for p in range(400, 416)]
+    _pair_index.cache_clear()
+    _stack_pair_index.cache_clear()
+    tracemalloc.start()
+    try:
+        for row in rows:
+            _kernel(row)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 10e6
 
 
 def test_every_density_function_raises_where_the_weight_overflows():

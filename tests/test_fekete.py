@@ -211,37 +211,49 @@ def test_optimizer_config_validation():
             OptimizerConfig(grad_tol=grad_tol)
 
 
-# sha256 of points.csv and trace.csv of four `fekete` runs: the README's two
-# figures and one non-default gamma per mode. Recorded with numpy 2.4 on
-# x86-64 with AVX-512; numpy's log kernels differ between instruction sets,
-# so the digests can differ on another processor.
+# sha256 of points.csv, trace.csv, stats.json and figure.svg of four `fekete`
+# runs: the README's two figures and one non-default gamma per mode. Recorded
+# with numpy 2.4 on x86-64 with AVX-512; numpy's log kernels differ between
+# instruction sets, so the digests can differ on another processor.
 PINNED_FEKETE = [
     (
         ("--n", "20", "--mode", "anti", "--seed", "1"),
         "b992bf19f40e21aaadaffe4f12b874742af4758a8bdcb747ddffbea19a95e14f",
         "e89c68b0af68847ce25de3ca00f0823bc6f947dbe3aef274a9174eb31db0a05d",
+        "e3c9462db8526a9b7a84a5e8696491a944d78846fd7831cf033031b897881352",
+        "403ea31bba9a2210a9d2ee0675db553194aa1f50aa30da1ae4556fb37e272dfb",
     ),
     (
         ("--n", "40", "--mode", "commuting", "--seed", "1"),
         "519cbcefa07959daa74613690c095b5d86d74b423fbd5018c18678e6d78590ff",
         "3ef04a7deb4b4127b138cba80e653904870511a5bd76e8e004f0b3b88e3f2eb2",
+        "ae8e8097eb3790e1451f8472a5cad11d9755a5013d1fe788b2ebc48ec995e603",
+        "cd21c1368cfd73203b48fbcfac2670313289af201fb4e168950f16b0f731bd26",
     ),
     (
         ("--n", "50", "--restarts", "2", "--gamma", "7.5", "--seed", "4"),
         "9a90079960e9f9d308b7580c8db714cedfb8a2f13c0b55e15d9da1a928412705",
         "76b8189812a1a41d0c598d8d1406c2cad6603834b50256f357cf7d7259aef760",
+        "826bf3a57e6495bdb2ef0cbe0e336b8f11c608e9a938119d57a1d73ffbc968c0",
+        "995e9c3cc602efa61c2c1364a34ddf7e9f1189a0ca548aedf393fd19ea3666fe",
     ),
     (
         ("--n", "24", "--mode", "commuting", "--gamma", "0.01", "--restarts", "2", "--seed", "0"),
         "30406c54534702bbda6472d858f5d0d28ff8c3e02a99b0478d779b9f0d759465",
         "2c7cbc3852cfd2df80868459deaaf56b4bfeb8cedf38a1d3fb6d35d774aa776f",
+        "08c86b59d471689bf6dc065621c8d69ba5f8187705502d61fd3a9819f057c4aa",
+        "78ee3e6d64fd7b35cc1d039e7bcbe0e666833e4a0a2af9a18f4b49ac8f21238d",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv,points_sha,trace_sha", PINNED_FEKETE, ids=["fig1", "fig2", "anti-gamma", "commuting-gamma"])
-def test_fekete_bits_pinned(tmp_path, capsys, argv, points_sha, trace_sha):
-    # a rewritten objective or solver must not move a single bit of a seeded solve
+@pytest.mark.parametrize(
+    "argv,points_sha,trace_sha,stats_sha,figure_sha", PINNED_FEKETE, ids=["fig1", "fig2", "anti-gamma", "commuting-gamma"]
+)
+def test_fekete_bits_pinned(tmp_path, capsys, argv, points_sha, trace_sha, stats_sha, figure_sha):
+    # a rewritten objective, solver or report must not move a single bit of a seeded run
     assert main(["fekete", *argv, "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "points.csv").read_bytes()).hexdigest() == points_sha
     assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
+    assert hashlib.sha256((tmp_path / "stats.json").read_bytes()).hexdigest() == stats_sha
+    assert hashlib.sha256((tmp_path / "figure.svg").read_bytes()).hexdigest() == figure_sha

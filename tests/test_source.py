@@ -1,11 +1,15 @@
-"""Source guards over src/skewspec: no unused import, no unreferenced private name."""
+"""Source guards over src/skewspec: no unused import, no unreferenced private name or constant, one version."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "skewspec"
+import skewspec
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "skewspec"
 TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -36,8 +40,8 @@ def test_every_import_is_used(module):
     assert unused == []
 
 
-def _private_definitions(tree):
-    """(name, defining node) of each module-level single-underscore function, class or constant."""
+def _definitions(tree):
+    """(name, defining node) of each module-level function, class or assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -46,7 +50,7 @@ def _private_definitions(tree):
             names = [target.id for target in targets if isinstance(target, ast.Name)]
         else:
             continue
-        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+        yield from ((name, node) for name in names)
 
 
 def _references(name, module, definition):
@@ -72,7 +76,25 @@ def test_every_private_name_is_referenced(module):
     # where a test still imports it
     unreferenced = [
         f"{name} (line {node.lineno})"
-        for name, node in _private_definitions(TREES[module])
-        if _references(name, module, node) == 0
+        for name, node in _definitions(TREES[module])
+        if name.startswith("_") and not name.startswith("__") and _references(name, module, node) == 0
     ]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_every_constant_is_read(module):
+    # an ALL_CAPS module constant that nothing in the package reads is a
+    # setting that does nothing
+    unread = [
+        f"{name} (line {node.lineno})"
+        for name, node in _definitions(TREES[module])
+        if re.fullmatch(r"[A-Z][A-Z0-9_]*", name) and _references(name, module, node) == 0
+    ]
+    assert unread == []
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, since tomllib needs Python 3.11 and the package supports 3.10
+    version = re.search(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    assert version is not None and version.group(1) == skewspec.__version__
